@@ -40,6 +40,21 @@ from .rig import RawCapture
 # length requirement satisfiable with the default 5 s capture
 DEFAULT_CLI_MAX_LAG_MS = 200
 
+# exit code of every error a command reports instead of raising; the
+# errors of exit code 3 fail one run, so a batch records them and goes on
+EXIT_CODES = {
+    ScenarioValidationError: 1,
+    TraceFormatError: 2,
+    OSError: 2,
+    DecodeError: 3,
+    EstimationError: 3,
+    SimulationError: 3,
+    ClockStateError: 3,
+    ClockSyncError: 3,
+    DetectionTimeoutError: 3,
+}
+RUN_FAILURES = tuple(exc for exc, code in EXIT_CODES.items() if code == 3)
+
 
 def load_scenario(config: str, seed: int | None = None,
                   duration_ms: float | None = None) -> scenario_mod.Scenario:
@@ -165,8 +180,7 @@ def run_batch(sc: scenario_mod.Scenario, runs: int, base_seed: int, *,
         try:
             result = simulate_scenario(run_sc, max_lag_ms=max_lag_ms,
                                        allow_negative=allow_negative)
-        except (DecodeError, EstimationError, SimulationError,
-                ClockStateError, ClockSyncError) as exc:
+        except RUN_FAILURES as exc:
             failures.append((index, str(exc)))
             continue
         reports.append(result.report)
@@ -353,19 +367,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioValidationError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except TraceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DecodeError, EstimationError, SimulationError, ClockStateError,
-            ClockSyncError, DetectionTimeoutError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for cls, code in EXIT_CODES.items()
+                    if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -7,10 +7,16 @@ groups consecutive lit intervals into bursts, classifies the most
 settled sample of each burst (the one with the highest total luminance,
 which rejects rise and decay transients of the sensor), and holds that
 code until the next burst.  Dark intervals therefore repeat the last
-valid code.
+valid code.  The decode is one whole-array pass: a segmented maximum
+over the lit rows picks every burst's sample at once, and a single
+classify/decode call turns all picked samples into codes.
 
 Latency is the lag, in whole milliseconds, that maximizes the Pearson
-correlation between the reference and the delayed series.
+correlation between the reference and the delayed series.  Both series
+are centred once on their global means; the window sums and sums of
+squares of every lag come from prefix sums, and only the cross product
+is taken per lag.  Whether a window is constant is decided exactly, from
+a prefix count of value changes, never from a floating-point variance.
 """
 from __future__ import annotations
 
@@ -102,11 +108,18 @@ def decode_display_trace(capture: RawCapture, *,
     starts = np.flatnonzero(edges == 1)
     ends = np.flatnonzero(edges == -1)
 
-    burst_codes = np.empty(starts.shape[0], dtype=np.int64)
-    for i, (s, e) in enumerate(zip(starts, ends)):
-        totals = lum[s:e].sum(axis=1)
-        pick = s + int(np.argmax(totals))
-        burst_codes[i] = codec.decode(codec.classify_luminance(lum[pick]))
+    # segmented argmax of summed luminance over the lit rows; the first
+    # maximal row of a burst wins, as np.argmax would pick it, and so does
+    # a NaN total (a lit row holding both inf and -inf)
+    rows = np.flatnonzero(lit)
+    totals = lum.sum(axis=1)[rows]
+    offsets = np.concatenate(([0], np.cumsum(ends - starts)[:-1]))
+    burst_of_row = np.repeat(np.arange(starts.shape[0]), ends - starts)
+    peak = np.maximum.reduceat(totals, offsets)
+    candidates = np.flatnonzero((totals == peak[burst_of_row]) | np.isnan(totals))
+    first = np.concatenate(([True], np.diff(burst_of_row[candidates]) != 0))
+    picks = rows[candidates[first]]
+    burst_codes = codec.decode(codec.classify_luminance(lum[picks]))
 
     idx = np.searchsorted(starts, np.arange(n), side="right") - 1
     values = burst_codes[np.maximum(idx, 0)]
@@ -118,13 +131,16 @@ def decode_display_trace(capture: RawCapture, *,
     )
 
 
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    ac = a - a.mean()
-    bc = b - b.mean()
-    denom = np.sqrt(np.dot(ac, ac) * np.dot(bc, bc))
-    if denom == 0.0:
-        return 0.0  # a constant window carries no alignment information
-    return float(np.dot(ac, bc) / denom)
+def _window_sums(x: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Sum of x[lo:lo+length] for every (lo, length) pair, from one prefix sum."""
+    prefix = np.concatenate(([0.0], np.cumsum(x)))
+    return prefix[lo + length] - prefix[lo]
+
+
+def _constant_windows(x: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """True where x[lo:lo+length] holds a single value, compared exactly."""
+    changes = np.concatenate(([0], np.cumsum(x[1:] != x[:-1])))
+    return changes[lo + length - 1] == changes[lo]
 
 
 def cross_correlate(reference: DecodedTrace, delayed: DecodedTrace,
@@ -152,12 +168,23 @@ def cross_correlate(reference: DecodedTrace, delayed: DecodedTrace,
         )
     first = -max_lag_ms if allow_negative else 0
     lags = np.arange(first, max_lag_ms + 1)
-    coeffs = np.empty(lags.shape[0])
-    for i, lag in enumerate(lags):
-        if lag >= 0:
-            coeffs[i] = _pearson(ref[: n - lag] if lag else ref, del_[lag:])
-        else:
-            coeffs[i] = _pearson(ref[-lag:], del_[:lag])
+    # lag L compares ref[lo_ref:lo_ref+m] with del_[lo_del:lo_del+m]
+    lo_ref = np.maximum(-lags, 0)
+    lo_del = np.maximum(lags, 0)
+    m = n - np.abs(lags)
+    a = ref - ref.mean()
+    b = del_ - del_.mean()
+    sum_a = _window_sums(a, lo_ref, m)
+    sum_b = _window_sums(b, lo_del, m)
+    var_a = _window_sums(a * a, lo_ref, m) - sum_a * sum_a / m
+    var_b = _window_sums(b * b, lo_del, m) - sum_b * sum_b / m
+    sum_ab = np.array([np.dot(a[i:i + k], b[j:j + k])
+                       for i, j, k in zip(lo_ref, lo_del, m)])
+    cov = sum_ab - sum_a * sum_b / m
+    # a constant window carries no alignment information and scores 0
+    scored = ~(_constant_windows(ref, lo_ref, m) | _constant_windows(del_, lo_del, m))
+    coeffs = np.zeros(lags.shape[0])
+    coeffs[scored] = cov[scored] / np.sqrt(var_a[scored] * var_b[scored])
     coeffs = np.clip(coeffs, -1.0, 1.0)
     best = int(np.argmax(coeffs))  # first occurrence, i.e. the smallest lag
     return CorrelationResult(

@@ -135,12 +135,22 @@ def parse_trace(text: str, source: str = "<string>") -> RawCapture:
         interval_ms = float(meta["interval_ms"])
     except ValueError as exc:
         raise TraceFormatError(f"{source}: bad header value: {exc}") from exc
+    pot = np.asarray(pot, dtype=float)
+    photo = np.asarray(photo, dtype=float)
+    # float() accepts nan and inf, which would decode into a plausible
+    # but meaningless capture
+    finite = np.isfinite(pot) & np.isfinite(photo).all(axis=1)
+    if not finite.all():
+        index = int(np.argmin(finite))
+        raise TraceFormatError(
+            f"{source}: interval_index {index} holds a non-finite sample"
+        )
     return RawCapture(
         station_id=meta["station_id"],
         start_utc_us=start_utc_us,
         interval_ms=interval_ms,
-        pot=np.asarray(pot, dtype=float),
-        photo=np.asarray(photo, dtype=float),
+        pot=pot,
+        photo=photo,
     )
 
 

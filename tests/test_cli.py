@@ -1,9 +1,11 @@
 """End-to-end command line tests driven through cli.main()."""
 import os
+from dataclasses import replace
 
 import pytest
 
 from vrlatsim import cli, scenario as scenario_mod
+from vrlatsim.errors import DetectionTimeoutError, VrLatSimError
 
 
 def _read(path):
@@ -155,6 +157,50 @@ def test_oversized_lag_window_exits_3(tmp_path, capsys):
                      "--max-lag", "400"])
     assert code == 3
     assert capsys.readouterr().err
+
+
+def test_non_finite_trace_sample_exits_2(tmp_path, capsys):
+    simdir = str(tmp_path / "sim")
+    assert cli.main(["simulate", "--config", "vive-baseline",
+                     "--duration-ms", "2000", "--out", simdir]) == 0
+    trace = os.path.join(simdir, "trace_A.csv")
+    lines = _read(trace).splitlines()
+    row = lines[-1].split(",")
+    row[2] = "nan"
+    lines[-1] = ",".join(row)
+    with open(trace, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
+    assert cli.main(["estimate", trace]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_batch_records_an_audio_timeout_as_a_failed_run(tmp_path, capsys):
+    sc = replace(scenario_mod.get_preset("audio-local"), duration_ms=2000.0)
+    sc = replace(sc, audio=replace(sc.audio, threshold=0.99, attenuation=0.5))
+    cfg = str(tmp_path / "deaf.cfg")
+    with open(cfg, "w") as handle:
+        handle.write(scenario_mod.format_config(sc))
+    out = str(tmp_path / "batch")
+    # every run fails, so the command still fails, but only after it has
+    # written a summary that names each failed run
+    assert cli.main(["batch", "--config", cfg, "--runs", "2",
+                     "--out", out]) == 3
+    summary = _read(os.path.join(out, "batch_summary.txt"))
+    assert "runs = 0" in summary
+    assert "run 0 failed: no threshold crossing" in summary
+    assert "run 1 failed: no threshold crossing" in summary
+    assert "every batch run failed" in capsys.readouterr().err
+
+
+def test_every_error_type_has_an_exit_code():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    for exc_type in subclasses(VrLatSimError):
+        assert issubclass(exc_type, tuple(cli.EXIT_CODES)), exc_type
+    assert DetectionTimeoutError in cli.RUN_FAILURES
 
 
 def test_export_plot_codes_coincide_for_zero_delay(tmp_path):

@@ -1,9 +1,11 @@
 """Decoding and cross-correlation tests.
 
-scipy.stats.pearsonr serves as the independent correlation oracle.
+scipy.stats.pearsonr and np.corrcoef serve as independent correlation
+oracles; a plain per-burst loop serves as the burst-decode oracle.
 """
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from scipy import stats
 
 from vrlatsim import codec, estimator
@@ -87,6 +89,104 @@ def test_intervals_before_the_first_burst_are_backfilled():
     ])
     trace = estimator.decode_display_trace(make_capture(photo=photo))
     assert np.all(trace.values[:5] == 777)
+
+
+def _per_burst_decode(lum, black_threshold=estimator.BLACK_THRESHOLD):
+    """Reference decode: one burst at a time, argmax within each burst."""
+    n = lum.shape[0]
+    lit = lum.max(axis=1) >= black_threshold
+    padded = np.concatenate(([False], lit, [False]))
+    edges = np.diff(padded.astype(np.int8))
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1)
+    burst_codes = np.empty(starts.shape[0], dtype=np.int64)
+    for i, (s, e) in enumerate(zip(starts, ends)):
+        pick = s + int(np.argmax(lum[s:e].sum(axis=1)))
+        burst_codes[i] = codec.decode(codec.classify_luminance(lum[pick]))
+    idx = np.searchsorted(starts, np.arange(n), side="right") - 1
+    return burst_codes[np.maximum(idx, 0)], float(1.0 - lit.mean())
+
+
+# a small pool of rows, so that bursts often hold identical rows (exact
+# ties in summed luminance) and rows with equal sums but different digits
+_ROW_POOL = [
+    [0.0, 0.0, 0.0, 0.0],               # dark
+    [0.05, 0.0, 0.02, 0.0],             # dark, below half a level
+    [0.0, 0.0, 0.0, 1 / 7],             # dim, lit on one field
+    [1 / 7, 0.0, 0.0, 0.0],             # same sum, other digits
+    [2 / 7, 3 / 7, 5 / 7, 1.0],
+    [1.0, 5 / 7, 3 / 7, 2 / 7],         # same sum, other digits
+    [0.6 * 2 / 7, 0.6 * 3 / 7, 0.6 * 5 / 7, 0.6],   # partly risen
+    [0.5, 0.5, 0.5, 0.5],
+    [0.25, 0.9, 0.1, 0.75],
+]
+
+
+@given(st.lists(st.sampled_from(range(len(_ROW_POOL))), min_size=1, max_size=80))
+@example([4])                       # one one-sample burst spanning the trace
+@example([4, 5, 0, 2, 0, 3])        # burst at index 0; one-sample bursts
+@example([0, 0, 7, 7, 7])           # exact tie, burst runs to the last row
+@example([1, 4, 5, 6, 5, 4])        # equal sums, different digits
+def test_burst_decode_matches_the_per_burst_oracle(row_ids):
+    lum = np.array([_ROW_POOL[i] for i in row_ids], dtype=float)
+    if not (lum.max(axis=1) >= estimator.BLACK_THRESHOLD).any():
+        with pytest.raises(DecodeError):
+            estimator.decode_display_trace(make_capture(photo=lum))
+        return
+    want_values, want_held = _per_burst_decode(lum)
+    trace = estimator.decode_display_trace(make_capture(photo=lum))
+    assert trace.values.dtype == want_values.dtype
+    assert np.array_equal(trace.values, want_values)
+    assert trace.held_fraction == want_held
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 400))
+def test_burst_decode_matches_the_oracle_on_noisy_strobes(seed, n):
+    rng = np.random.default_rng(seed)
+    lit = rng.random(n) < 0.3
+    lum = np.where(lit[:, None], rng.random((n, 4)), 0.02 * rng.random((n, 4)))
+    # duplicate some rows so exact ties occur inside bursts
+    dup = rng.random(n) < 0.2
+    lum[1:][dup[1:]] = lum[:-1][dup[1:]]
+    if not (lum.max(axis=1) >= estimator.BLACK_THRESHOLD).any():
+        return
+    want_values, want_held = _per_burst_decode(lum)
+    trace = estimator.decode_display_trace(make_capture(photo=lum))
+    assert np.array_equal(trace.values, want_values)
+    assert trace.held_fraction == want_held
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_burst_decode_matches_the_oracle_on_infinite_samples():
+    # inf + -inf sums to NaN, which np.argmax takes as the maximum
+    lum = np.array([
+        [0.5, 0.5, 0.5, 0.5],
+        [np.inf, -np.inf, 0.0, 0.0],
+        [1.0, 1.0, 1.0, 1.0],
+        [0.0, 0.0, 0.0, 0.0],
+        [np.inf, 0.0, 0.0, 0.0],
+        [1.0, 1.0, 1.0, 1.0],
+    ])
+    want_values, want_held = _per_burst_decode(lum)
+    trace = estimator.decode_display_trace(make_capture(photo=lum))
+    assert np.array_equal(trace.values, want_values)
+    assert trace.held_fraction == want_held
+
+
+def test_burst_decode_makes_one_codec_call_per_trace(monkeypatch):
+    calls = []
+    for name in ("classify_luminance", "decode"):
+        real = getattr(codec, name)
+
+        def counting(values, name=name, real=real):
+            calls.append((name, np.shape(values)))
+            return real(values)
+
+        monkeypatch.setattr(codec, name, counting)
+    photo = _photo_rows_for(1234, n_lit=2, n_dark=9, repeats=20)
+    trace = estimator.decode_display_trace(make_capture(photo=photo))
+    assert calls == [("classify_luminance", (20, 4)), ("decode", (20, 4))]
+    assert np.all(trace.values == 1234)
 
 
 def test_all_black_trace_is_a_decode_error():
@@ -181,6 +281,51 @@ def test_constant_window_is_scored_zero_not_undefined():
     assert result.best_lag_ms == 0
     assert result.peak_coefficient == pytest.approx(1.0)
     assert np.all(result.coefficients[1:] == 0.0)
+
+
+def test_negative_lags_match_the_corrcoef_oracle():
+    rng = np.random.default_rng(31)
+    n, max_lag = 3000, 150
+    ref = random_walk_codes(rng, n).astype(float)
+    delayed = np.roll(ref, -40) + rng.normal(0.0, 3.0, size=n)
+    result = estimator.cross_correlate(
+        make_trace(ref), make_trace(delayed), max_lag_ms=max_lag,
+        allow_negative=True
+    )
+    assert list(result.lags_ms) == list(range(-max_lag, max_lag + 1))
+    want = np.empty(2 * max_lag + 1)
+    for i, lag in enumerate(result.lags_ms):
+        if lag >= 0:
+            want[i] = np.corrcoef(ref[: n - lag], delayed[lag:])[0, 1]
+        else:
+            want[i] = np.corrcoef(ref[-lag:], delayed[:lag])[0, 1]
+    assert np.max(np.abs(result.coefficients - want)) <= 1e-12
+    assert result.best_lag_ms == -40
+
+
+def test_windows_constant_at_some_lags_score_exactly_zero():
+    # the reference varies only in its first 5 samples, so every lag at
+    # or below -5 compares a constant reference window; the values are
+    # not exactly representable, so variances from prefix sums would
+    # not cancel to 0 and constancy has to be decided exactly
+    n, max_lag = 2000, 40
+    ref = np.full(n, 0.1)
+    ref[:5] = [0.7, 0.3, 0.9, 0.2, 0.6]
+    delayed = random_walk_codes(np.random.default_rng(4), n) / 7.0
+    result = estimator.cross_correlate(
+        make_trace(ref), make_trace(delayed), max_lag_ms=max_lag,
+        allow_negative=True
+    )
+    constant = result.lags_ms <= -5
+    assert np.all(result.coefficients[constant] == 0.0)
+    assert np.all(np.isfinite(result.coefficients))
+    assert np.all(result.coefficients[~constant] != 0.0)
+    for lag, got in zip(result.lags_ms[~constant], result.coefficients[~constant]):
+        if lag >= 0:
+            want = np.corrcoef(ref[: n - lag], delayed[lag:])[0, 1]
+        else:
+            want = np.corrcoef(ref[-lag:], delayed[:lag])[0, 1]
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_short_traces_are_rejected():

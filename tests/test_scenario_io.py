@@ -203,6 +203,22 @@ def test_trace_parser_rejects_out_of_order_rows():
     assert "out of order" in str(err.value)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+@pytest.mark.parametrize("column", [1, 3])
+def test_trace_parser_rejects_non_finite_samples(bad, column):
+    row = ["1", "0.1", "0.2", "0.3", "0.4", "0.5"]
+    row[column] = bad
+    text = (
+        "# station_id = A\n# start_utc_us = 0\n# interval_ms = 1.0\n"
+        "interval_index,pot_raw,photo0,photo1,photo2,photo3\n"
+        "0,0.1,0.2,0.3,0.4,0.5\n" + ",".join(row) + "\n"
+    )
+    with pytest.raises(TraceFormatError) as err:
+        tracefile.parse_trace(text, source="bad.csv")
+    assert "bad.csv: interval_index 1" in str(err.value)
+    assert "non-finite" in str(err.value)
+
+
 def test_trace_parser_requires_metadata_and_samples():
     with pytest.raises(TraceFormatError):
         tracefile.parse_trace(
