@@ -174,6 +174,39 @@ def test_non_finite_trace_sample_exits_2(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def vive_trace_text(tmp_path_factory):
+    simdir = str(tmp_path_factory.mktemp("sim"))
+    assert cli.main(["simulate", "--config", "vive-baseline",
+                     "--duration-ms", "2000", "--out", simdir]) == 0
+    return _read(os.path.join(simdir, "trace_A.csv"))
+
+
+def _last_row_replaced(text, row):
+    return text[:text.rstrip("\n").rindex("\n") + 1] + row + "\n"
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda t: t.replace("# interval_ms = 1.0", "# interval_ms = 2.0"),
+     "interval_ms must be 1.0"),
+    (lambda t: t.replace("# interval_ms = 1.0", "# interval_ms = nan"),
+     "interval_ms must be 1.0"),
+    (lambda t: t.replace("# start_utc_us = ", "# start_utc_us = 0.5"),
+     "bad header value"),
+    (lambda t: _last_row_replaced(t, "1999,1.5,0,0,0,0"),
+     "interval_index 1999 holds a sample outside [0, 1]"),
+], ids=["interval-2", "interval-nan", "fractional-start", "sample-1.5"])
+def test_strictly_rejected_trace_exits_2(vive_trace_text, tmp_path, capsys,
+                                         edit, message):
+    text = edit(vive_trace_text)
+    assert text != vive_trace_text
+    trace = str(tmp_path / "trace_A.csv")
+    with open(trace, "w") as handle:
+        handle.write(text)
+    assert cli.main(["estimate", trace]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_batch_records_an_audio_timeout_as_a_failed_run(tmp_path, capsys):
     sc = replace(scenario_mod.get_preset("audio-local"), duration_ms=2000.0)
     sc = replace(sc, audio=replace(sc.audio, threshold=0.99, attenuation=0.5))

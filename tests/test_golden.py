@@ -3,6 +3,8 @@
 Each entry is the SHA-256 of `format_report` and of every station's
 `format_trace` for one preset run at 2000 ms with the CLI's default lag
 window, plus one `remote-default` batch summary (3 runs, 3000 ms).  The
+trace and report digests must also hold after each trace is parsed back
+and estimated again, as `estimate` does with the written files.  The
 instrument promises the same bytes for the same scenario and seed, so a
 change that moves any of them must regenerate this table in the same
 commit and say why.
@@ -108,6 +110,19 @@ def test_preset_bytes_match_the_golden_digests(preset, seed):
     got = {"report": _sha(tracefile.format_report(result.report))}
     for station_id, capture in result.captures.items():
         got[f"trace_{station_id}"] = _sha(tracefile.format_trace(capture))
+    assert got == GOLDEN[(preset, seed)]
+
+
+@pytest.mark.parametrize("preset,seed", sorted(GOLDEN))
+def test_traces_read_back_reproduce_the_golden_digests(preset, seed):
+    sc = cli.load_scenario(preset, seed=seed, duration_ms=DURATION_MS)
+    result = cli.simulate_scenario(sc)
+    # captures hold the sender first, the order `estimate` takes them in
+    parsed = [tracefile.parse_trace(tracefile.format_trace(capture))
+              for capture in result.captures.values()]
+    got = {f"trace_{c.station_id}": _sha(tracefile.format_trace(c)) for c in parsed}
+    report = cli.estimate_captures(*parsed, audio_result=result.audio_result)
+    got["report"] = _sha(tracefile.format_report(report))
     assert got == GOLDEN[(preset, seed)]
 
 
