@@ -35,11 +35,6 @@ from .errors import (
 from .estimator import LatencyReport
 from .rig import RawCapture
 
-# default lag search window; generous for every preset (the deepest
-# frame queue preset sits near 117 ms) while keeping the 10x trace
-# length requirement satisfiable with the default 5 s capture
-DEFAULT_CLI_MAX_LAG_MS = 200
-
 # exit code of every error a command reports instead of raising; the
 # errors of exit code 3 fail one run, so a batch records them and goes on
 EXIT_CODES = {
@@ -91,7 +86,7 @@ class RunResult:
 
 
 def estimate_captures(primary: RawCapture, secondary: RawCapture | None = None, *,
-                      max_lag_ms: int = DEFAULT_CLI_MAX_LAG_MS,
+                      max_lag_ms: int = estimator.DEFAULT_MAX_LAG_MS,
                       allow_negative: bool = False,
                       audio_result: MouthToEarResult | None = None,
                       self_check: bool = False) -> LatencyReport:
@@ -130,7 +125,7 @@ def estimate_captures(primary: RawCapture, secondary: RawCapture | None = None, 
 
 
 def simulate_scenario(sc: scenario_mod.Scenario, *,
-                      max_lag_ms: int = DEFAULT_CLI_MAX_LAG_MS,
+                      max_lag_ms: int = estimator.DEFAULT_MAX_LAG_MS,
                       allow_negative: bool = False) -> RunResult:
     """Run a scenario end to end and estimate from the rounded captures.
 
@@ -166,7 +161,7 @@ def simulate_scenario(sc: scenario_mod.Scenario, *,
 
 
 def run_batch(sc: scenario_mod.Scenario, runs: int, base_seed: int, *,
-              max_lag_ms: int = DEFAULT_CLI_MAX_LAG_MS,
+              max_lag_ms: int = estimator.DEFAULT_MAX_LAG_MS,
               allow_negative: bool = False):
     """Repeat a scenario with seeds base_seed..base_seed+runs-1.
 
@@ -313,8 +308,9 @@ def _add_scenario_options(parser):
 
 def _add_estimation_options(parser):
     parser.add_argument(
-        "--max-lag", type=int, default=DEFAULT_CLI_MAX_LAG_MS, dest="max_lag",
-        help=f"lag search window in ms (default: {DEFAULT_CLI_MAX_LAG_MS})",
+        "--max-lag", type=int, default=estimator.DEFAULT_MAX_LAG_MS,
+        dest="max_lag",
+        help=f"lag search window in ms (default: {estimator.DEFAULT_MAX_LAG_MS})",
     )
     parser.add_argument(
         "--allow-negative-lag", action="store_true",

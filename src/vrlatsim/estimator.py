@@ -33,7 +33,10 @@ from .errors import (
 )
 from .rig import RawCapture
 
-DEFAULT_MAX_LAG_MS = 500
+# default lag search window; generous for every preset (the deepest
+# frame queue preset sits near 117 ms) while keeping the 10x trace
+# length requirement satisfiable with the default 5 s capture
+DEFAULT_MAX_LAG_MS = 200
 MIN_LENGTH_FACTOR = 10           # traces must be >= 10x the lag search range
 BLACK_THRESHOLD = codec.LEVEL_STEP / 2.0
 PEAK_WARNING_LEVEL = 0.9         # noiseless runs peak above 0.99; below this

@@ -12,8 +12,8 @@ linearly extrapolate the motion, and can hold frames in a FIFO queue.
 The display lights the four code fields only for the persistence window
 at the start of each refresh interval and is black otherwise.  Each
 photosensor is a first-order low-pass whose 10-90% rise time is
-configurable; its output is integrated on a fixed 50 us internal grid,
-twenty times finer than the capture interval.
+configurable.  The light it sees is piecewise constant, so its output
+is evaluated in closed form at each sample instant: no integration grid.
 
 The capture loop runs off the station's local clock, so oscillator drift
 skews the true spacing of the 1 ms samples exactly as real hardware
@@ -31,7 +31,6 @@ from . import codec
 from .clock import SimClock
 from .errors import SimulationError
 
-INTERNAL_STEP_US = 50.0
 # 10-90% rise of a first-order lag spans ln(9) time constants
 RISE_LN9 = math.log(9.0)
 
@@ -184,60 +183,43 @@ def run_pipeline(pipeline: PipelineConfig, history, angle_range_deg,
     return displayed
 
 
-def display_emission(code: int, frame_start_ms: float, pipeline: PipelineConfig,
-                     t_ms: float):
-    """Luminance of the four code fields at time t within one frame.
+def photosensor_read(sample_us, frame_lum, first_frame_us: float,
+                     pipeline: PipelineConfig, sensors: SensorConfig):
+    """Noise-free photosensor output at each sample instant, shape (n, 4).
 
-    The strobe starts at the frame boundary and lasts for the persistence
-    window; outside it the display is black.
+    frame_lum holds the four levels L_k of each frame.  Frame k starts at
+    F_k = first_frame_us + k * T, T the frame period, is lit during
+    [F_k, F_k + p), p the persistence, and black until F_{k+1}.  The
+    sensor is a first-order lag with tau = rise_time / ln(9), dark before
+    the first frame.  Its state s_k at each frame start follows
+    s_{k+1} = a * s_k + b * L_k with a = exp(-T/tau) and
+    b = exp(-(T - p)/tau) * (1 - exp(-p/tau)): one filter pass over the
+    frames.  A sample at offset o into frame k reads
+    L_k + (s_k - L_k) * exp(-o/tau) while lit and
+    (L_k + (s_k - L_k) * exp(-p/tau)) * exp(-(o - p)/tau) once dark.
+    The work scales with samples + frames.
     """
-    offset = t_ms - frame_start_ms
-    if 0.0 <= offset < pipeline.display_persistence_ms:
-        return codec.digits_to_luminance(codec.encode(code)).astype(float)
-    return np.zeros(codec.DIGIT_COUNT)
-
-
-def photosensor_respond(times_us, incident, sensors: SensorConfig, *,
-                        y_init=0.0, rng=None):
-    """First-order low-pass response of the photosensors.
-
-    The input is held constant over each step (zero-order hold on the
-    left sample), and the recurrence uses the exact exponential update,
-    so a step aligned to the grid reproduces the closed-form solution to
-    machine precision.  The time constant is rise_time / ln(9), the
-    10-90% rise of a first-order system.  Optional Gaussian noise models
-    the ADC reading the sensor at each point.
-    """
-    t = np.asarray(times_us, dtype=float)
-    x = np.asarray(incident, dtype=float)
-    if t.shape[0] != x.shape[0]:
-        raise ValueError("times and incident must share their first axis")
+    t = np.asarray(sample_us, dtype=float)
+    levels = np.asarray(frame_lum, dtype=float)
+    frame_us = pipeline.frame_ms * 1000.0
+    persist_us = pipeline.display_persistence_ms * 1000.0
+    k = np.floor((t - first_frame_us) / frame_us).astype(np.int64)
+    if k.min() < 0 or k.max() >= levels.shape[0]:
+        raise SimulationError("frame schedule does not cover every sample")
+    offset = (t - (first_frame_us + k * frame_us))[:, None]
+    level = levels[k]
     tau = sensors.rise_time_us / RISE_LN9
-    squeeze = x.ndim == 1
-    x2 = x[:, None] if squeeze else x
+    if tau == 0.0:
+        return np.where(offset < persist_us, level, 0.0)
 
-    if tau == 0.0 or t.shape[0] < 2:
-        y2 = x2.astype(float).copy()
-        if t.shape[0] >= 1 and tau != 0.0:
-            y2[0] = y_init
-    else:
-        dt = np.diff(t)
-        if np.allclose(dt, dt[0], rtol=1e-9, atol=1e-9):
-            alpha = math.exp(-dt[0] / tau)
-            b = [0.0, 1.0 - alpha]
-            a = [1.0, -alpha]
-            zi = np.full((1, x2.shape[1]), float(y_init))
-            y2, _ = lfilter(b, a, x2, axis=0, zi=zi)
-        else:
-            alphas = np.exp(-dt / tau)
-            y2 = np.empty_like(x2, dtype=float)
-            y2[0] = y_init
-            for i in range(1, x2.shape[0]):
-                y2[i] = x2[i - 1] + (y2[i - 1] - x2[i - 1]) * alphas[i - 1]
-
-    if rng is not None and sensors.photo_noise_sigma > 0:
-        y2 = y2 + rng.normal(0.0, sensors.photo_noise_sigma, size=y2.shape)
-    return y2[:, 0] if squeeze else y2
+    a = math.exp(-frame_us / tau)
+    b = math.exp(-(frame_us - persist_us) / tau) * -math.expm1(-persist_us / tau)
+    start_state = lfilter([0.0, b], [1.0, -a], levels, axis=0,
+                          zi=np.zeros((1,) + levels.shape[1:]))[0]
+    # clamping both exponents keeps each branch finite on the other's rows
+    lit_part = np.exp(-np.minimum(offset, persist_us) / tau)
+    dark_part = np.exp(-np.maximum(offset - persist_us, 0.0) / tau)
+    return (level + (start_state[k] - level) * lit_part) * dark_part
 
 
 def simulate_station(*, station_id: str, platform_fn, display_source,
@@ -267,28 +249,17 @@ def simulate_station(*, station_id: str, platform_fn, display_source,
 
     # frame schedule, extended backwards for warm-up and the delay queue
     frame_us = pipeline.frame_ms * 1000.0
-    warm_us = max(3.0 * frame_us, 30_000.0)
-    grid0 = sample_true[0] - warm_us
-    grid_end = sample_true[-1]
-    k_first = int(math.floor(grid0 / frame_us)) - (pipeline.frame_delay_queue_len + 2)
-    k_last = int(math.ceil(grid_end / frame_us)) + 1
+    warm_start_us = sample_true[0] - max(3.0 * frame_us, 30_000.0)
+    k_first = (int(math.floor(warm_start_us / frame_us))
+               - (pipeline.frame_delay_queue_len + 2))
+    k_last = int(math.ceil(sample_true[-1] / frame_us)) + 1
     frame_starts = np.arange(k_first, k_last + 1, dtype=float) * frame_us
     displayed = run_pipeline(pipeline, display_source, angle_range_deg,
                              frame_starts)
 
-    # incident luminance on the internal integration grid
-    m = int(math.ceil((grid_end - grid0) / INTERNAL_STEP_US)) + 1
-    grid = grid0 + np.arange(m) * INTERNAL_STEP_US
-    k_idx = np.floor((grid - frame_starts[0]) / frame_us).astype(np.int64)
-    offset_us = grid - (frame_starts[0] + k_idx * frame_us)
-    lit = offset_us < pipeline.display_persistence_ms * 1000.0
     frame_lum = codec.digits_to_luminance(codec.encode(displayed))
-    incident = np.where(lit[:, None], frame_lum[k_idx], 0.0)
-
-    sensed = photosensor_respond(grid, incident, sensors)
-    j = np.clip(((sample_true - grid0) / INTERNAL_STEP_US).astype(np.int64),
-                0, m - 1)
-    photo = sensed[j]
+    photo = photosensor_read(sample_true, frame_lum, frame_starts[0],
+                             pipeline, sensors)
     if sensors.photo_noise_sigma > 0:
         photo = photo + rng.normal(0.0, sensors.photo_noise_sigma,
                                    size=photo.shape)

@@ -17,13 +17,15 @@ first bad one.
 
 The reader is strict, because the estimator takes every row as one 1 ms
 sample of sensors that read in [0, 1].  `interval_ms` must be 1.0,
-`start_utc_us` an integer literal, the indices must run 0, 1, 2, ... and
-every sample must be finite and inside [0, 1].  Anything else raises
-`TraceFormatError`.
+`start_utc_us` an integer spelled as the writer spells it (ASCII digits,
+an optional minus, no leading zeros, so a rewrite keeps the bytes), the
+indices must run 0, 1, 2, ... and every sample must be finite and inside
+[0, 1].  Anything else raises `TraceFormatError`.
 """
 from __future__ import annotations
 
 import os
+import re
 import tempfile
 from itertools import chain
 
@@ -37,6 +39,7 @@ _PHOTO_COLUMNS = ("photo0", "photo1", "photo2", "photo3")
 _HEADER_COLUMNS = ("interval_index", "pot_raw") + _PHOTO_COLUMNS
 _HEADER_LINE = ",".join(_HEADER_COLUMNS)
 _VALUE_COLUMNS = len(_HEADER_COLUMNS) - 1
+_START_LITERAL = re.compile(r"0|-?[1-9][0-9]*")
 _ROW_TEMPLATE = "%d," + ",".join([f"%.{VALUE_DECIMALS}f"] * _VALUE_COLUMNS) + "\n"
 _ROW_DTYPE = np.dtype([("interval_index", np.int64),
                        ("values", np.float64, (_VALUE_COLUMNS,))])
@@ -141,9 +144,15 @@ def parse_trace(text: str, source: str = "<string>") -> RawCapture:
     for key in ("station_id", "start_utc_us", "interval_ms"):
         if key not in meta:
             raise TraceFormatError(f"{source}: missing '# {key} = ...' header")
+    # int() would also take "1_000", "+5", "007" and non-ASCII digits,
+    # which a rewrite spells differently
+    if not _START_LITERAL.fullmatch(meta["start_utc_us"]):
+        raise TraceFormatError(
+            f"{source}: bad header value: start_utc_us must be a plain "
+            f"integer, got {meta['start_utc_us']!r}"
+        )
+    start_utc_us = int(meta["start_utc_us"])
     try:
-        # an integer start keeps a rewrite byte-identical
-        start_utc_us = int(meta["start_utc_us"])
         interval_ms = float(meta["interval_ms"])
     except ValueError as exc:
         raise TraceFormatError(f"{source}: bad header value: {exc}") from exc

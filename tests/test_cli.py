@@ -193,9 +193,12 @@ def _last_row_replaced(text, row):
      "interval_ms must be 1.0"),
     (lambda t: t.replace("# start_utc_us = ", "# start_utc_us = 0.5"),
      "bad header value"),
+    (lambda t: t.replace("# start_utc_us = 1", "# start_utc_us = 1_"),
+     "bad header value"),
     (lambda t: _last_row_replaced(t, "1999,1.5,0,0,0,0"),
      "interval_index 1999 holds a sample outside [0, 1]"),
-], ids=["interval-2", "interval-nan", "fractional-start", "sample-1.5"])
+], ids=["interval-2", "interval-nan", "fractional-start", "separator-start",
+        "sample-1.5"])
 def test_strictly_rejected_trace_exits_2(vive_trace_text, tmp_path, capsys,
                                          edit, message):
     text = edit(vive_trace_text)

@@ -7,7 +7,11 @@ trace and report digests must also hold after each trace is parsed back
 and estimated again, as `estimate` does with the written files.  The
 instrument promises the same bytes for the same scenario and seed, so a
 change that moves any of them must regenerate this table in the same
-commit and say why.
+commit and say why.  Regenerate it from the current code with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+which prints `GOLDEN` and `BATCH_GOLDEN` ready to paste over the ones here.
 """
 import hashlib
 
@@ -16,101 +20,113 @@ import pytest
 from vrlatsim import cli, tracefile
 
 DURATION_MS = 2000
+SEEDS = (1, 2)
 
 GOLDEN = {
     ("audio-local", 1): {
-        "report": "021c0df86076f7d698182b56df6ffc7fa9ab1938e7887842b7a6e66c2922c377",
-        "trace_A": "41fb2fdd46f92d8fa6604adeda5bf0088a8e28f23f980a713da65a39ba071861",
+        "report": "2cdc723efa7b5db9da8a0a807d12a812b1e3902b5d17960fc381c53c55c96c55",
+        "trace_A": "fd99df4246e84d48c47f198e60270cdac06d8966ec76b756e86b472bd375d4b7",
     },
     ("audio-local", 2): {
-        "report": "8fb1612435d12d6a761f3276174dd98f63b28cd8fdb792ce092c052cc4ec2621",
-        "trace_A": "774fddc07c10658329267508a4ba91e639edd4c06fcccc1c297739743f977c85",
+        "report": "694c917b84dcf9577eac0c97cc2a44f1d8351b9cfb871fb4a62faf09696cdbbe",
+        "trace_A": "962b3f8e60844979469c5e8cc0b9204d7f2cb89f96e47117fd7810c8d5aff6e5",
     },
     ("audio-remote", 1): {
-        "report": "bae034189778362d834b1c900962bb5e16d04ea3a39ebec8626313d458ea9297",
-        "trace_A": "41fb2fdd46f92d8fa6604adeda5bf0088a8e28f23f980a713da65a39ba071861",
+        "report": "114a62bf94f81b01cff0f203336a9d6d4f1d590ebfd7a6f315de36c402598b84",
+        "trace_A": "fd99df4246e84d48c47f198e60270cdac06d8966ec76b756e86b472bd375d4b7",
     },
     ("audio-remote", 2): {
-        "report": "273d06f1137c9fca8ec41365bfc169967c48edf4f068d6c6a04c2313e4ebc7f6",
-        "trace_A": "774fddc07c10658329267508a4ba91e639edd4c06fcccc1c297739743f977c85",
+        "report": "1c5ae19bd06a97e588f6250224c30c09fd36d91d9d15a9fc0d8d82b82fa339c3",
+        "trace_A": "962b3f8e60844979469c5e8cc0b9204d7f2cb89f96e47117fd7810c8d5aff6e5",
     },
     ("frame-delay-1", 1): {
-        "report": "5a2e62be96a1d1017617fea2e8579247be2f116bb1695a3d3086112c3ea693b0",
-        "trace_A": "3a7a4db5a013c22d35bf9ced9bbe8bd218f523f380ef4de9c577fe96ce32355c",
+        "report": "d0455beb8abd2844acedb6068adb69f9275f011e9f840d18d24eeeef24cb6d39",
+        "trace_A": "171bd5d90a6016f3b5ba0a1a374a1c87a27a918d1e831e0eae60365404110c4f",
     },
     ("frame-delay-1", 2): {
-        "report": "71f6ec01e76c6a3d45c5e3f5b640c6f893282cf84c4958086ae2733146d1d3fc",
-        "trace_A": "a8349f10feeba71f884ae9b984a7fbfd31c689a4899d85aa30aa816c192561c4",
+        "report": "d11e1c87ff8d65134325a777613443ce2b7000dc4aaaa899ac10e43ddfcc5d1d",
+        "trace_A": "78da738dc5ab115d9ac7d2ed06ef233c09f800b31a3eb6b3e5efe1d5d55b277d",
     },
     ("frame-delay-10", 1): {
-        "report": "5901c5d37836a9c681be98797bdece6438bd3a7671c4cca01d8dafbdcad88662",
-        "trace_A": "258a59ace2a7965b0a7ce3d39b716eacbb654d7b9a82125babb229bcc6594480",
+        "report": "728e53af6ea8dfac0529ed251372229a482082ed4c9db37a19cb7b1559b99067",
+        "trace_A": "9e7b0824baabf491ee6e064c576d89e6aa526a9d214589c083d99ffe16e219fa",
     },
     ("frame-delay-10", 2): {
-        "report": "6e63dde9ae45d3b6cf9c433ee7160e4b1a3b02c5ddab49f8d7e77334210e0114",
-        "trace_A": "4a35e6b8bf9cca2e5ae596bd6f9819e17cee74dc866733e586fff0957e423827",
+        "report": "83d266f59bef2287ba06dd1484b0f25c46f9a4443cf764bc88e1b6df7e680a65",
+        "trace_A": "089b9e9f2b8b5a1402934611bc785d7e1aff783649e3579e7d5c44f6a41dec61",
     },
     ("frame-delay-5", 1): {
-        "report": "717bfa79e9dd6e5d72a51fc817b31b9496f2915cdd97e3f9cab36b819bafb50c",
-        "trace_A": "0100b34d6e5e8a1a360a0525356fee53917dad344243c7bfe1868ecc28bcb252",
+        "report": "dfa68d061cc086165dc38b682cd41899c247ffe0ac66b47813bb24d3f4bf94e9",
+        "trace_A": "c108d23bb79d4418c8a825de1acbb4f47e2b25d9e62eea9276004ed76fc2906a",
     },
     ("frame-delay-5", 2): {
-        "report": "fd6ea0610b2e40d7d888dfdd3e825fa4d7478014c47749cdb05fe1e4dce543ca",
-        "trace_A": "c9bd28383cb7b9606c6b158f5f12737a06676aded1486f07929461ee94a1df00",
+        "report": "f5a61cc05d5c133e362530ecea220abb988161cbe909ea6d1c8946238103625a",
+        "trace_A": "465c16e40bcb494d96115ff967a24d57cc8160a7be3fd75719208fea83df00ff",
     },
     ("remote-asymmetric", 1): {
-        "report": "4cc06f758e4a3251a768af6d0e95b9db524e236b19ebd97fc99d92c3dcdc6bed",
-        "trace_A": "5913b20f1220222b9cd8cbf05cb5a3531348b081d4b970e9a42c87735356b533",
-        "trace_B": "5773eaf841cbbf8ac405432a609598b74ee3d976f3457c16357c46483a1d9a51",
+        "report": "ef014fe3402466305508253424b028b6b145c9a696a245b1aaef700e16552cb1",
+        "trace_A": "f141515c9ab0f81abfdea805091088b79ae0a2621032f14fa0e9ee4a3df1dd5c",
+        "trace_B": "bb52e8896d95917478126428609634d4816e1e1b67a91c3f09d9f232f56d0720",
     },
     ("remote-asymmetric", 2): {
-        "report": "8df3dba706c2da9c27352a960de33f119f2c4c7138f87f8dc75081fab82646b4",
-        "trace_A": "ea89a033ed5de20d25b67d53dd681806b04cec36778e079103d2970ee997838d",
-        "trace_B": "950daa6e882c78182bfbd90c5d78df28816b26cdf0b678a44d2900d8dd6bd720",
+        "report": "111b5d3de018c7462c650c8734785f2b5d1babf254b98a41cbd76b1fcd4442f1",
+        "trace_A": "33bac6adf24a14d048a469a0851b50f47b8f2fe79d9e6b6e840f3a193d758072",
+        "trace_B": "d579e65df55f4252e853c5f7a4beacee2a8196ab39e5b8732a29086882e07e74",
     },
     ("remote-default", 1): {
-        "report": "4a78571980c29f06f4f79a14ffd8cbf0d1364c350142171d308b4405d179c84a",
-        "trace_A": "5913b20f1220222b9cd8cbf05cb5a3531348b081d4b970e9a42c87735356b533",
-        "trace_B": "5049ea79fd14279220d096df6dec98d70cebe44d9a4bebb9061c850dc221c36b",
+        "report": "5d69f5ab26ef23b35e40ae9de543671fb5bc1f5e188cb3de357ee4c6acb46023",
+        "trace_A": "f141515c9ab0f81abfdea805091088b79ae0a2621032f14fa0e9ee4a3df1dd5c",
+        "trace_B": "9e0753fe1d7266d4ebcf27eb8e878327df813249ab67713725910f7797b56379",
     },
     ("remote-default", 2): {
-        "report": "d5572be649bbb7c2fc416d9e249cac94c6f491c1e0b09c636298fec4bad17d3a",
-        "trace_A": "ea89a033ed5de20d25b67d53dd681806b04cec36778e079103d2970ee997838d",
-        "trace_B": "b6e2f5734353415210507333827c484f94f3cd4d7ddacec7640af3fd1881d660",
+        "report": "8a6a92648501e4b6252ecbc027a97717a4de79051785721337410fda66301b8e",
+        "trace_A": "33bac6adf24a14d048a469a0851b50f47b8f2fe79d9e6b6e840f3a193d758072",
+        "trace_B": "bf7b8cbf027d39b6a99d27fff55bd162f0aa7821f80761730856d320ad901ed1",
     },
     ("vive-baseline", 1): {
-        "report": "c1d178e657d0149f14136c01855e97fdfbb952d0f591f9bb9ada2a4941d79057",
-        "trace_A": "a6b83a161c3b79bb2c080ba6384502877d37a996293272f2cf89a446f773ee5f",
+        "report": "c716ce568568c7ad2d40f904041b1c386a44a02936a441a31f708aba6c397087",
+        "trace_A": "6b8839920a4a642f243e57520a7fd6aaa7acbfaccb79b34a96de301a1652aad8",
     },
     ("vive-baseline", 2): {
-        "report": "c1d178e657d0149f14136c01855e97fdfbb952d0f591f9bb9ada2a4941d79057",
-        "trace_A": "4330a37a9df6663a6534957861ee6f02308f329d4bba09a4518b70cbfec90856",
+        "report": "d51f85ad557e78ad7f1dd76d3a6d605a7e668b64db4970ed0d8d7d7acb3d4768",
+        "trace_A": "7016fa460c69ff0252c721129c3b790c41f8f4bd28d5273b99dad3a725ddb7b8",
     },
     ("zero-delay", 1): {
         "report": "33a1a61fbbd5e41db8000b0125755cb5d5c04a8bd16fe3cbf8a01e8cb0c59e23",
-        "trace_A": "72fe5fb315a4b8bc585af15a1f9154d79f5d039a26f8fce64395ecee10d7ef03",
+        "trace_A": "c959681356708681dacfef740a4b52fd8e7193871b0cf39caa14ce5b12603d30",
     },
     ("zero-delay", 2): {
         "report": "33a1a61fbbd5e41db8000b0125755cb5d5c04a8bd16fe3cbf8a01e8cb0c59e23",
-        "trace_A": "72fe5fb315a4b8bc585af15a1f9154d79f5d039a26f8fce64395ecee10d7ef03",
+        "trace_A": "c959681356708681dacfef740a4b52fd8e7193871b0cf39caa14ce5b12603d30",
     },
 }
 
-BATCH_GOLDEN = "c6027d3e654e02bea72f849fad52d6632663a378e9276d31a95468e9e392a6bb"
+BATCH_GOLDEN = "36801787b902dd8cf28af37e0dc4dcc4e3f1da7bd5cac215dd016ff518e89516"
 
 
 def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("preset,seed", sorted(GOLDEN))
-def test_preset_bytes_match_the_golden_digests(preset, seed):
+def _preset_digests(preset, seed):
     sc = cli.load_scenario(preset, seed=seed, duration_ms=DURATION_MS)
     result = cli.simulate_scenario(sc)
     got = {"report": _sha(tracefile.format_report(result.report))}
     for station_id, capture in result.captures.items():
         got[f"trace_{station_id}"] = _sha(tracefile.format_trace(capture))
-    assert got == GOLDEN[(preset, seed)]
+    return got
+
+
+def _batch_digest():
+    sc = cli.load_scenario("remote-default", duration_ms=3000)
+    reports, failures = cli.run_batch(sc, 3, sc.seed)
+    return _sha(tracefile.format_batch_summary(cli.summarize_reports(reports),
+                                               sc.seed, failures))
+
+
+@pytest.mark.parametrize("preset,seed", sorted(GOLDEN))
+def test_preset_bytes_match_the_golden_digests(preset, seed):
+    assert _preset_digests(preset, seed) == GOLDEN[(preset, seed)]
 
 
 @pytest.mark.parametrize("preset,seed", sorted(GOLDEN))
@@ -127,12 +143,23 @@ def test_traces_read_back_reproduce_the_golden_digests(preset, seed):
 
 
 def test_every_preset_is_pinned():
-    assert {preset for preset, _ in GOLDEN} == set(cli.scenario_mod.preset_names())
+    assert set(GOLDEN) == {(preset, seed)
+                           for preset in cli.scenario_mod.preset_names()
+                           for seed in SEEDS}
 
 
 def test_batch_summary_matches_the_golden_digest():
-    sc = cli.load_scenario("remote-default", duration_ms=3000)
-    reports, failures = cli.run_batch(sc, 3, sc.seed)
-    text = tracefile.format_batch_summary(cli.summarize_reports(reports),
-                                          sc.seed, failures)
-    assert _sha(text) == BATCH_GOLDEN
+    assert _batch_digest() == BATCH_GOLDEN
+
+
+if __name__ == "__main__":
+    print("GOLDEN = {")
+    for preset in sorted(cli.scenario_mod.preset_names()):
+        for seed in SEEDS:
+            print(f'    ("{preset}", {seed}): {{')
+            for key, digest in sorted(_preset_digests(preset, seed).items()):
+                print(f'        "{key}": "{digest}",')
+            print("    },")
+    print("}")
+    print()
+    print(f'BATCH_GOLDEN = "{_batch_digest()}"')

@@ -1,6 +1,8 @@
 """Measurement-station tests: motion, pipeline timing, sensor response
 and the end-to-end capture loop."""
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -103,65 +105,130 @@ def test_extrapolation_overshoots_sinusoidal_peaks():
     assert predicted.min() < plain.min()
 
 
-def test_display_emission_is_black_outside_the_strobe():
-    pipeline = PipelineConfig(display_persistence_ms=1.5)
-    lum = rig.display_emission(4095, 100.0, pipeline, 100.7)
-    assert np.allclose(lum, 1.0)
-    assert np.all(rig.display_emission(4095, 100.0, pipeline, 101.5) == 0.0)
-    assert np.all(rig.display_emission(4095, 100.0, pipeline, 99.9) == 0.0)
+TAU_260 = 260.0 / math.log(9.0)
 
 
-def test_display_emission_shows_the_digit_levels():
-    pipeline = PipelineConfig()
+def _read(sample_us, frame_lum, *, rise_time_us=260.0, first_frame_us=0.0):
+    return rig.photosensor_read(sample_us, frame_lum, first_frame_us,
+                                PipelineConfig(),
+                                SensorConfig(rise_time_us=rise_time_us))
+
+
+def _per_frame_reference(sample_us, frame_lum, first_frame_us, frame_us,
+                         persist_us, tau):
+    """Carry the sensor state frame by frame, then apply the closed form."""
+    out = []
+    for t in sample_us:
+        state = np.zeros(codec.DIGIT_COUNT)
+        k = 0
+        while first_frame_us + (k + 1) * frame_us <= t:
+            lum = frame_lum[k]
+            end_of_strobe = lum + (state - lum) * math.exp(-persist_us / tau)
+            state = end_of_strobe * math.exp(-(frame_us - persist_us) / tau)
+            k += 1
+        lum = frame_lum[k]
+        offset = t - (first_frame_us + k * frame_us)
+        if offset < persist_us:
+            out.append(lum + (state - lum) * math.exp(-offset / tau))
+        else:
+            end_of_strobe = lum + (state - lum) * math.exp(-persist_us / tau)
+            out.append(end_of_strobe * math.exp(-(offset - persist_us) / tau))
+    return np.array(out)
+
+
+def test_strobe_is_black_outside_the_persistence_window():
+    frame_us = PipelineConfig().frame_ms * 1000.0
+    lum = np.ones((3, 4))
+    times = frame_us + np.array([-0.1, 0.0, 700.0, 1499.9, 1500.0, 5000.0])
+    y = _read(times, lum, rise_time_us=0.0)
+    assert np.array_equal(y[:, 0], [0.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+
+
+def test_strobe_shows_the_digit_levels():
     code = codec.decode([1, 4, 0, 7])
-    lum = rig.display_emission(code, 0.0, pipeline, 0.5)
-    assert np.allclose(lum, [1 / 7, 4 / 7, 0.0, 1.0])
+    lum = codec.digits_to_luminance(codec.encode(np.array([code, code])))
+    y = _read([500.0], lum, rise_time_us=0.0)
+    assert np.allclose(y, [[1 / 7, 4 / 7, 0.0, 1.0]])
 
 
 def test_step_response_matches_the_closed_form():
-    sensors = SensorConfig(rise_time_us=260.0)
-    tau = 260.0 / math.log(9.0)
-    times = np.arange(0.0, 1500.0, 50.0)
-    y = rig.photosensor_respond(times, np.ones(times.shape[0]), sensors)
-    want = 1.0 - np.exp(-times / tau)
-    assert np.allclose(y, want, atol=1e-12)
+    # offsets off any fixed grid, including both sides of the strobe end
+    offsets = np.array([0.0, 7.0, 33.3, 1499.9, 1500.0, 1500.1])
+    y = _read(offsets, np.ones((1, 4)))[:, 0]
+    want = np.where(offsets < 1500.0,
+                    1.0 - np.exp(-offsets / TAU_260),
+                    (1.0 - math.exp(-1500.0 / TAU_260))
+                    * np.exp(-(offsets - 1500.0) / TAU_260))
+    assert np.max(np.abs(y - want)) <= 1e-12
 
 
 def test_measured_rise_time_is_the_configured_one():
-    sensors = SensorConfig(rise_time_us=260.0)
-    times = np.arange(0.0, 2000.0, 1.0)
-    y = rig.photosensor_respond(times, np.ones(times.shape[0]), sensors)
+    times = np.arange(0.0, 1500.0, 1.0)
+    y = _read(times, np.ones((1, 4)))[:, 0]
     t10 = times[np.argmax(y >= 0.1)]
     t90 = times[np.argmax(y >= 0.9)]
-    assert t90 - t10 == pytest.approx(260.0, abs=2.0)
+    assert t90 - t10 == pytest.approx(260.0, abs=1.0)
 
 
 def test_zero_rise_time_is_a_passthrough():
-    sensors = SensorConfig(rise_time_us=0.0)
-    x = np.array([0.0, 1.0, 0.25, 0.0])
-    y = rig.photosensor_respond(np.arange(4.0) * 50.0, x, sensors)
-    assert np.array_equal(y, x)
+    pipeline = PipelineConfig()
+    frame_us = pipeline.frame_ms * 1000.0
+    rng = np.random.default_rng(3)
+    lum = rng.integers(0, 8, size=(6, 4)) / 7.0
+    times = 20.0 + np.arange(60) * 1000.0 / (1.0 + 150e-6)
+    y = _read(times, lum, rise_time_us=0.0)
+    k = np.floor(times / frame_us).astype(int)
+    lit = (times - k * frame_us) < 1500.0
+    assert np.array_equal(y, np.where(lit[:, None], lum[k], 0.0))
 
 
 def test_non_uniform_steps_use_the_exact_exponential():
-    sensors = SensorConfig(rise_time_us=260.0)
-    tau = 260.0 / math.log(9.0)
-    times = np.array([0.0, 10.0, 30.0, 100.0])
-    y = rig.photosensor_respond(times, np.ones(4), sensors)
-    want = 1.0 - np.exp(-times / tau)
-    assert np.allclose(y, want, atol=1e-12)
+    # drifted 1 ms samples plus samples exactly at every frame start and
+    # strobe end, against a loop that carries the state frame by frame; a
+    # 20 ms rise carries a large state across frame boundaries
+    pipeline = PipelineConfig()
+    frame_us = pipeline.frame_ms * 1000.0
+    first = -25_000.0
+    rng = np.random.default_rng(11)
+    lum = rng.integers(0, 8, size=(8, 4)) / 7.0
+    drifted = first + 13.7 + np.arange(80) * 1000.0 / (1.0 - 80e-6)
+    edges = first + np.arange(7) * frame_us
+    times = np.concatenate([drifted, edges, edges + 1500.0])
+    for rise_time_us in (260.0, 20_000.0):
+        y = _read(times, lum, rise_time_us=rise_time_us, first_frame_us=first)
+        want = _per_frame_reference(times, lum, first, frame_us, 1500.0,
+                                    rise_time_us / math.log(9.0))
+        assert np.max(np.abs(y - want)) <= 1e-12
 
 
 def test_sensor_decay_between_strobes():
-    sensors = SensorConfig(rise_time_us=260.0)
-    tau = 260.0 / math.log(9.0)
-    times = np.arange(0.0, 3000.0, 50.0)
-    x = np.where(times < 1500.0, 1.0, 0.0)
-    y = rig.photosensor_respond(times, x, sensors)
-    at = 2500.0
-    level_at_1500 = 1.0 - math.exp(-1500.0 / tau)
-    want = level_at_1500 * math.exp(-(at - 1500.0) / tau)
-    assert y[int(at / 50)] == pytest.approx(want, abs=1e-12)
+    offsets = np.array([1500.0, 1600.0, 2500.0, 4321.5, 11_000.0])
+    y = _read(offsets, np.ones((1, 4)))[:, 0]
+    level_at_1500 = 1.0 - math.exp(-1500.0 / TAU_260)
+    want = level_at_1500 * np.exp(-(offsets - 1500.0) / TAU_260)
+    assert np.max(np.abs(y - want)) <= 1e-12
+    assert np.all(np.diff(y) < 0)
+
+
+def test_microsecond_rise_time_stays_finite_without_warnings():
+    frame_us = PipelineConfig().frame_ms * 1000.0
+    lum = np.full((4, 4), 0.5)
+    times = np.arange(0.0, 3 * frame_us, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = _read(times, lum, rise_time_us=1.0)
+    offset = times % frame_us
+    settled = (offset >= 20.0) & ((offset < 1480.0) | (offset >= 1520.0))
+    want = np.where(offset < 1500.0, 0.5, 0.0)
+    assert np.all(np.isfinite(y))
+    assert np.max(np.abs(y[settled, 0] - want[settled])) < 1e-12
+
+
+def test_samples_outside_the_frame_schedule_are_rejected():
+    with pytest.raises(SimulationError):
+        _read([-1.0], np.ones((2, 4)))
+    with pytest.raises(SimulationError):
+        _read([3 * PipelineConfig().frame_ms * 1000.0], np.ones((2, 4)))
 
 
 def test_stepped_history_holds_and_backfills():
@@ -235,3 +302,16 @@ def test_zero_delay_display_tracks_the_potentiometer():
         if not (lo <= disp[t] <= hi):
             bad += 1
     assert bad == 0
+
+
+def test_long_capture_peak_memory_stays_small():
+    # the closed-form sensor keeps memory proportional to samples + frames;
+    # the old 50 us integration grid peaked at 117.7 MB here
+    sc = get_preset("vive-baseline")
+    tracemalloc.start()
+    try:
+        rig.run_capture(sc, duration_ms=60_000.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6

@@ -470,12 +470,35 @@ def test_trace_parser_requires_one_millisecond_intervals(interval):
     assert f"interval_ms must be 1.0, got '{interval}'" in str(err.value)
 
 
-@pytest.mark.parametrize("start", ["1.5", "1000000.0", "1e6", "nan", "soon"])
+@pytest.mark.parametrize("start", ["1.5", "1000000.0", "1e6", "nan", "soon",
+                                   "1_000", "+1000", "\u0663", "007", "-0",
+                                   "- 5", "0x10", ""])
 def test_trace_parser_requires_an_integer_start(start):
     with pytest.raises(TraceFormatError) as err:
         tracefile.parse_trace(_one_row_trace(start=start), source="src.csv")
     assert "src.csv: bad header value" in str(err.value)
     assert repr(start) in str(err.value)
+
+
+@settings(max_examples=200)
+@given(start=st.one_of(
+    st.integers(-10**20, 10**20).map(str),
+    st.text(alphabet="0123456789-+_ .e\u0663", max_size=8),
+))
+def test_every_accepted_start_round_trips_byte_for_byte(start):
+    # the reader strips the whitespace around a header value, as the
+    # writer never puts any there; everything else must be kept or refused
+    written = tracefile.format_trace(tracefile.parse_trace(_one_row_trace()))
+
+    def with_start(value):
+        return written.replace("# start_utc_us = 0\n",
+                               f"# start_utc_us = {value}\n", 1)
+
+    try:
+        capture = tracefile.parse_trace(with_start(start))
+    except TraceFormatError:
+        return
+    assert tracefile.format_trace(capture) == with_start(start.strip())
 
 
 @pytest.mark.parametrize("value", ["-0.001", "-1e-7", "1.000001", "2", "-5"])
