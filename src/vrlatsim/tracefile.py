@@ -3,24 +3,36 @@
 Captures are stored as CSV with a small comment header so a trace file
 is self-describing: station id, capture start in UTC microseconds, and
 the sampling interval.  Values are written with 6 decimal places, which
-is below sensor noise and keeps files byte-stable across rewrite.
+is below sensor noise and keeps files byte-stable across rewrite.  Files
+are written as UTF-8 bytes in binary mode (ASCII for everything this
+package writes), so their bytes do not depend on the platform's locale
+or line separator.
 
-Both directions work on whole arrays.  `format_trace` applies one row
-template with a single `%` per chunk of rows: the same `%.6f` conversion
-a per-row loop makes, so the bytes do not depend on the chunking, while
-the chunks keep the argument tuple, and with it peak memory, small.
-`parse_trace` sorts the lines in one pass (blank lines are skipped, `#`
-lines are metadata wherever they stand, the column header is checked)
-and converts every body row with one `np.loadtxt` call.  Only when that
-call fails are the rows searched again, to name the file line of the
-first bad one.
+Canonical traces take a fast path in each direction.  A capture is
+canonical when every value is finite, in [0, 1], not -0.0 and on the
+1e-6 grid, as `quantize_capture` output is; `format_trace` then fills its
+rows as fixed-width byte matrices (`tracebody`).  Any other capture goes
+down the `%` path, which applies one row template with a single `%` per
+chunk of rows: the same `%.6f` conversion a per-row loop makes.
+
+`parse_trace` takes the fast path only when the file is exactly what
+the writer makes of a canonical capture: an exact column header line,
+only `#` and blank lines above it, then fixed-width rows with indices
+0, 1, 2, ... up to the end of the file.  Everything else goes down the
+general path, which is the spec: it sorts the lines in one pass (blank
+lines are skipped, `#` lines are metadata wherever they stand, the
+column header is checked) and converts every body row with one
+`np.loadtxt` call.  Only when that call fails are the rows searched
+again, to name the file line of the first bad one.  Both paths read the
+metadata with the same code.
 
 The reader is strict, because the estimator takes every row as one 1 ms
-sample of sensors that read in [0, 1].  `interval_ms` must be 1.0,
-`start_utc_us` an integer spelled as the writer spells it (ASCII digits,
-an optional minus, no leading zeros, so a rewrite keeps the bytes), the
-indices must run 0, 1, 2, ... and every sample must be finite and inside
-[0, 1].  Anything else raises `TraceFormatError`.
+sample of sensors that read in [0, 1].  `interval_ms` must be spelled
+`1.0`, `start_utc_us` must be an integer spelled as the writer spells it
+(ASCII digits, an optional minus, no leading zeros), so a rewrite keeps
+the bytes, the indices must run 0, 1, 2, ... and every sample must be
+finite and inside [0, 1].  Both paths share these checks, so they raise
+the same `TraceFormatError` for the same file.
 """
 from __future__ import annotations
 
@@ -31,15 +43,19 @@ from itertools import chain
 
 import numpy as np
 
+from . import tracebody
 from .errors import TraceFormatError
 from .rig import RawCapture
 
-VALUE_DECIMALS = 6
+VALUE_DECIMALS = tracebody.DECIMALS
 _PHOTO_COLUMNS = ("photo0", "photo1", "photo2", "photo3")
 _HEADER_COLUMNS = ("interval_index", "pot_raw") + _PHOTO_COLUMNS
 _HEADER_LINE = ",".join(_HEADER_COLUMNS)
+_HEADER_BYTES = (_HEADER_LINE + "\n").encode()
 _VALUE_COLUMNS = len(_HEADER_COLUMNS) - 1
 _START_LITERAL = re.compile(r"0|-?[1-9][0-9]*")
+# the only interval the estimator reads, spelled as the writer spells it
+_INTERVAL_LITERAL = "1.0"
 _ROW_TEMPLATE = "%d," + ",".join([f"%.{VALUE_DECIMALS}f"] * _VALUE_COLUMNS) + "\n"
 _ROW_DTYPE = np.dtype([("interval_index", np.int64),
                        ("values", np.float64, (_VALUE_COLUMNS,))])
@@ -64,13 +80,18 @@ def quantize_capture(capture: RawCapture) -> RawCapture:
     )
 
 
-def atomic_write_text(path: str, text: str):
-    """Write via a temp file and rename so readers never see partial output."""
+def atomic_write_text(path: str, text: str | bytes):
+    """Write via a temp file and rename so readers never see partial output.
+
+    `text` is a str, written as UTF-8, or bytes written as they are; either
+    way in binary mode, so no newline translation takes place.
+    """
+    data = text.encode() if isinstance(text, str) else text
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -79,12 +100,59 @@ def atomic_write_text(path: str, text: str):
 
 
 def format_trace(capture: RawCapture) -> str:
-    chunks = [
+    if tracebody.is_canonical(capture.pot, capture.photo):
+        return _format_fixed_width(capture).decode()
+    return _format_percent(capture)
+
+
+def write_trace(path: str, capture: RawCapture):
+    # the fixed-width buffer goes to the file as it is, without a str copy
+    if tracebody.is_canonical(capture.pot, capture.photo):
+        atomic_write_text(path, _format_fixed_width(capture))
+    else:
+        atomic_write_text(path, _format_percent(capture))
+
+
+def read_trace(path: str) -> RawCapture:
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:
+        raise TraceFormatError(f"cannot read trace file {path}: {exc}") from exc
+    return parse_trace(data, source=path)
+
+
+def parse_trace(text: str | bytes, source: str = "<string>") -> RawCapture:
+    """Read a trace from its text, as a str or as the file's bytes."""
+    if isinstance(text, str):
+        # the fast path reads bytes; a str with non-ASCII metadata is left
+        # to the general path rather than encoded
+        data = text.encode("ascii") if text.isascii() else None
+    else:
+        data = text
+    parsed = None if data is None else _parse_fixed_width(data, source)
+    if parsed is None:
+        if not isinstance(text, str):
+            text = _decode(text, source)
+        parsed = _parse_rows(text, source)
+    return _checked_capture(*parsed, source)
+
+
+# ---------------------------------------------------------------------------
+# the writer and reader paths
+
+
+def _header_text(capture: RawCapture) -> str:
+    return (
         f"# station_id = {capture.station_id}\n"
         f"# start_utc_us = {capture.start_utc_us!r}\n"
         f"# interval_ms = {capture.interval_ms!r}\n"
         f"{_HEADER_LINE}\n"
-    ]
+    )
+
+
+def _format_percent(capture: RawCapture) -> str:
+    chunks = [_header_text(capture)]
     n = len(capture)
     for lo in range(0, n, _FORMAT_CHUNK_ROWS):
         hi = min(lo + _FORMAT_CHUNK_ROWS, n)
@@ -94,20 +162,47 @@ def format_trace(capture: RawCapture) -> str:
     return "".join(chunks)
 
 
-def write_trace(path: str, capture: RawCapture):
-    atomic_write_text(path, format_trace(capture))
+def _format_fixed_width(capture: RawCapture) -> bytearray:
+    return tracebody.format_rows(_header_text(capture).encode(),
+                                 capture.pot, capture.photo)
 
 
-def read_trace(path: str) -> RawCapture:
+def _parse_fixed_width(data: bytes, source: str):
+    """(metadata, pot, photo) of a canonical trace, else None.
+
+    Canonical means an exact column header line, at the start of the file
+    or after a LF, with only `#` and blank lines above it, then canonical
+    rows up to the end of the file.
+    """
+    if data.startswith(_HEADER_BYTES):
+        start = len(_HEADER_BYTES)
+    else:
+        start = data.find(b"\n" + _HEADER_BYTES) + 1 + len(_HEADER_BYTES)
+        if start == len(_HEADER_BYTES):
+            return None
+    # the metadata is read by the general code, which also raises for any
+    # line above the header that is neither blank nor `#`, as it would on
+    # the whole file; a second header above this one is left to that path
+    meta, rows_above, _ = _sort_lines(_decode(data[:start], source), source)
+    if rows_above:
+        return None
+    columns = tracebody.parse_rows(data, start)
+    return None if columns is None else (meta, *columns)
+
+
+def _decode(data: bytes, source: str) -> str:
     try:
-        with open(path) as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise TraceFormatError(f"cannot read trace file {path}: {exc}") from exc
-    return parse_trace(text, source=path)
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{source}: not UTF-8 text: {exc}") from None
 
 
-def parse_trace(text: str, source: str = "<string>") -> RawCapture:
+def _sort_lines(text: str, source: str):
+    """Split trace text into metadata and body rows, checking the header.
+
+    Returns the `# key = value` metadata, the stripped body rows and the
+    file line of each row.
+    """
     meta: dict = {}
     rows = []
     linenos = []
@@ -130,9 +225,14 @@ def parse_trace(text: str, source: str = "<string>") -> RawCapture:
                 f"{source}:{lineno}: expected column header "
                 f"{_HEADER_LINE!r}, got {line!r}"
             )
-
     if not saw_header:
         raise TraceFormatError(f"{source}: missing column header line")
+    return meta, rows, linenos
+
+
+def _parse_rows(text: str, source: str):
+    """The general reader: returns (metadata, pot, photo), unchecked."""
+    meta, rows, linenos = _sort_lines(text, source)
     if not rows:
         raise TraceFormatError(f"{source}: trace contains no samples")
     try:
@@ -140,7 +240,13 @@ def parse_trace(text: str, source: str = "<string>") -> RawCapture:
     except ValueError:
         _raise_first_bad_row(rows, linenos, source)
     _check_order(table["interval_index"], linenos, source)
+    values = table["values"]
+    return meta, values[:, 0], values[:, 1:]
 
+
+def _checked_capture(meta: dict, pot: np.ndarray, photo: np.ndarray,
+                     source: str) -> RawCapture:
+    """The header and sample checks both reader paths share."""
     for key in ("station_id", "start_utc_us", "interval_ms"):
         if key not in meta:
             raise TraceFormatError(f"{source}: missing '# {key} = ...' header")
@@ -151,37 +257,31 @@ def parse_trace(text: str, source: str = "<string>") -> RawCapture:
             f"{source}: bad header value: start_utc_us must be a plain "
             f"integer, got {meta['start_utc_us']!r}"
         )
-    start_utc_us = int(meta["start_utc_us"])
-    try:
-        interval_ms = float(meta["interval_ms"])
-    except ValueError as exc:
-        raise TraceFormatError(f"{source}: bad header value: {exc}") from exc
-    if interval_ms != 1.0:
+    # float() would also take "1", "1.000" and "01.0", which a rewrite
+    # spells "1.0"
+    if meta["interval_ms"] != _INTERVAL_LITERAL:
         raise TraceFormatError(
             f"{source}: interval_ms must be 1.0, got {meta['interval_ms']!r}; "
             f"the estimator reads every row as one 1 ms sample"
         )
-    values = table["values"]
     # nan and inf would decode into a plausible but meaningless capture
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        index = int(np.argmin(finite))
+    if not (np.isfinite(pot).all() and np.isfinite(photo).all()):
+        finite = np.isfinite(pot) & np.isfinite(photo).all(axis=1)
         raise TraceFormatError(
-            f"{source}: interval_index {index} holds a non-finite sample"
+            f"{source}: interval_index {np.argmin(finite)} holds a non-finite sample"
         )
     # every sensor reads in [0, 1] and traces are written clipped
-    outside = ((values < 0.0) | (values > 1.0)).any(axis=1)
-    if outside.any():
-        index = int(np.argmax(outside))
+    if min(pot.min(), photo.min()) < 0.0 or max(pot.max(), photo.max()) > 1.0:
+        outside = (pot < 0.0) | (pot > 1.0) | ((photo < 0.0) | (photo > 1.0)).any(axis=1)
         raise TraceFormatError(
-            f"{source}: interval_index {index} holds a sample outside [0, 1]"
+            f"{source}: interval_index {np.argmax(outside)} holds a sample outside [0, 1]"
         )
     return RawCapture(
         station_id=meta["station_id"],
-        start_utc_us=start_utc_us,
-        interval_ms=interval_ms,
-        pot=np.ascontiguousarray(values[:, 0]),
-        photo=np.ascontiguousarray(values[:, 1:]),
+        start_utc_us=int(meta["start_utc_us"]),
+        interval_ms=1.0,
+        pot=np.ascontiguousarray(pot),
+        photo=np.ascontiguousarray(photo),
     )
 
 

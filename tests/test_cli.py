@@ -195,10 +195,15 @@ def _last_row_replaced(text, row):
      "bad header value"),
     (lambda t: t.replace("# start_utc_us = 1", "# start_utc_us = 1_"),
      "bad header value"),
+    (lambda t: t.replace("# interval_ms = 1.0", "# interval_ms = 1.000"),
+     "interval_ms must be 1.0, got '1.000'"),
     (lambda t: _last_row_replaced(t, "1999,1.5,0,0,0,0"),
      "interval_index 1999 holds a sample outside [0, 1]"),
+    (lambda t: _last_row_replaced(
+        t, "1999,0.000000,2.000000,0.000000,0.000000,0.000000"),
+     "interval_index 1999 holds a sample outside [0, 1]"),
 ], ids=["interval-2", "interval-nan", "fractional-start", "separator-start",
-        "sample-1.5"])
+        "interval-1.000", "sample-1.5", "canonical-sample-2"])
 def test_strictly_rejected_trace_exits_2(vive_trace_text, tmp_path, capsys,
                                          edit, message):
     text = edit(vive_trace_text)
@@ -208,6 +213,14 @@ def test_strictly_rejected_trace_exits_2(vive_trace_text, tmp_path, capsys,
         handle.write(text)
     assert cli.main(["estimate", trace]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_trace_that_is_not_utf8_exits_2(vive_trace_text, tmp_path, capsys):
+    trace = tmp_path / "trace_A.csv"
+    trace.write_bytes(vive_trace_text.replace("# station_id = A",
+                                              "# station_id = \xff").encode("latin-1"))
+    assert cli.main(["estimate", str(trace)]) == 2
+    assert "not UTF-8 text" in capsys.readouterr().err
 
 
 def test_batch_records_an_audio_timeout_as_a_failed_run(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Scenario validation, flat config parsing and file format tests."""
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vrlatsim import rig
 from vrlatsim import scenario as scenario_mod
-from vrlatsim import tracefile
+from vrlatsim import tracebody, tracefile
 from vrlatsim.audio import AudioPathConfig
 from vrlatsim.clock import SimClock
 from vrlatsim.errors import ScenarioValidationError, TraceFormatError
@@ -394,6 +396,175 @@ def test_trace_reader_matches_the_per_row_oracle(seed, n, crlf, meta_last):
 
 
 # ---------------------------------------------------------------------------
+# the fixed-width paths for canonical traces, against the % writer and the
+# loadtxt reader
+
+# lengths that cross the decades of the index width and the block edges
+_CANONICAL_LENGTHS = [1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001,
+                      tracebody.BLOCK_ROWS + 1, 9999, 10000, 10001]
+
+
+def _canonical_capture(n, seed):
+    # what quantize_capture makes of sensor values, the ends of the range
+    # included
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.0, 1.0, size=(n, 5))
+    values[rng.random((n, 5)) < 0.1] = 0.0
+    values[rng.random((n, 5)) < 0.1] = 1.0
+    return tracefile.quantize_capture(RawCapture(
+        station_id="A",
+        start_utc_us=int(rng.integers(-2**53, 2**53)),
+        interval_ms=1.0,
+        pot=values[:, 0].copy(),
+        photo=values[:, 1:].copy(),
+    ))
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the other writer path ran")
+
+
+@pytest.mark.parametrize("n", [0] + _CANONICAL_LENGTHS)
+def test_quantized_captures_take_the_fixed_width_writer(n, monkeypatch, tmp_path):
+    capture = _canonical_capture(n, seed=n)
+    want = _per_row_format_trace(capture)
+    monkeypatch.setattr(tracefile, "_format_percent", _must_not_run)
+    assert tracefile.format_trace(capture) == want
+    tracefile.write_trace(str(tmp_path / "t.csv"), capture)
+    assert (tmp_path / "t.csv").read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("value", [-0.0, -1e-6, 1.000001, 1.0000001, 0.1234565,
+                                   2.0 ** -21, float("nan"), float("inf")])
+@pytest.mark.parametrize("row,column", [(0, 0), (2 * tracebody.BLOCK_ROWS + 5, 4)])
+def test_off_grid_captures_take_the_percent_writer(value, row, column,
+                                                   monkeypatch, tmp_path):
+    capture = _canonical_capture(3 * tracebody.BLOCK_ROWS, seed=row)
+    if column == 0:
+        capture.pot[row] = value
+    else:
+        capture.photo[row, column - 1] = value
+    want = _per_row_format_trace(capture)
+    monkeypatch.setattr(tracefile, "_format_fixed_width", _must_not_run)
+    assert tracefile.format_trace(capture) == want
+    tracefile.write_trace(str(tmp_path / "t.csv"), capture)
+    assert (tmp_path / "t.csv").read_bytes() == want.encode()
+
+
+_HEADER = ",".join(tracefile._HEADER_COLUMNS)
+
+
+def _body_lines(text):
+    lines = text.split("\n")
+    first = lines.index(_HEADER) + 1
+    return lines, first
+
+
+def _edit_row(text, rng, edit, *args):
+    lines, first = _body_lines(text)
+    i = int(rng.integers(first, len(lines) - 1))
+    lines[i] = edit(lines[i], rng, *args)
+    return "\n".join(lines)
+
+
+def _changed_char(line, rng, alphabet):
+    k = int(rng.integers(len(line)))
+    return line[:k] + str(rng.choice([c for c in alphabet if c != line[k]])) + line[k + 1:]
+
+
+def _value_above_one(line, rng):
+    fields = line.split(",")
+    fields[int(rng.integers(1, len(fields)))] = str(rng.choice(["1.000001", "2.000000"]))
+    return ",".join(fields)
+
+
+def _padded(line, rng):
+    k = int(rng.integers(len(line) + 1))
+    return line[:k] + " " + line[k:]
+
+
+def _swap_rows(text, rng):
+    lines, first = _body_lines(text)
+    if len(lines) - first < 3:
+        # one row: repeat it, which puts index 0 out of order
+        lines.insert(first, lines[first])
+        return "\n".join(lines)
+    i, j = rng.choice(np.arange(first, len(lines) - 1), size=2, replace=False)
+    lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines)
+
+
+_EDITS = {
+    "none": lambda t, rng: t,
+    "digit": lambda t, rng: _edit_row(t, rng, _changed_char, "0123456789"),
+    "non-digit": lambda t, rng: _edit_row(t, rng, _changed_char, "x -+e.,#\t\u0663"),
+    "above one": lambda t, rng: _edit_row(t, rng, _value_above_one),
+    "leading zero": lambda t, rng: _edit_row(t, rng, lambda line, r: "0" + line),
+    "crlf": lambda t, rng: t.replace("\n", "\r\n"),
+    "padding": lambda t, rng: _edit_row(t, rng, _padded),
+    "no final newline": lambda t, rng: t[:-1],
+    "trailing blank": lambda t, rng: t + "\n",
+    "trailing comment": lambda t, rng: t + "# end\n",
+    "extra column": lambda t, rng: _edit_row(t, rng, lambda line, r: line + ",0.500000"),
+    "missing column": lambda t, rng: _edit_row(
+        t, rng, lambda line, r: line.rsplit(",", 1)[0]),
+    "swapped rows": _swap_rows,
+    # a padded copy of the column header is the header; the exact line
+    # below it is then a bad row
+    "header above": lambda t, rng: t.replace(
+        _HEADER + "\n", f" {_HEADER}\n{_HEADER}\n", 1),
+}
+
+
+def _outcome(read, text):
+    try:
+        capture = read(text)
+    except TraceFormatError as err:
+        return str(err)
+    return (capture.station_id, capture.start_utc_us, capture.interval_ms,
+            capture.pot.dtype, capture.pot.shape, capture.pot.tobytes(),
+            capture.photo.dtype, capture.photo.shape, capture.photo.tobytes())
+
+
+def _loadtxt_path(text, source="src.csv"):
+    return tracefile._checked_capture(*tracefile._parse_rows(text, source), source)
+
+
+@pytest.mark.parametrize("edit", sorted(_EDITS))
+@settings(max_examples=10)
+@given(n=st.sampled_from(_CANONICAL_LENGTHS), seed=st.integers(0, 2**32 - 1))
+def test_both_trace_readers_agree(edit, n, seed):
+    rng = np.random.default_rng(seed)
+    canonical = tracefile.format_trace(_canonical_capture(n, seed))
+    assert tracefile._parse_fixed_width(canonical.encode(), "src.csv") is not None
+    text = _EDITS[edit](canonical, rng)
+    want = _outcome(_loadtxt_path, text)
+    assert _outcome(lambda t: tracefile.parse_trace(t, "src.csv"), text) == want
+    assert _outcome(lambda b: tracefile.parse_trace(b, "src.csv"),
+                    text.encode()) == want
+    if edit == "none":
+        assert want[3:] == _outcome(_per_row_parse_trace, text)[3:]
+
+
+def test_long_trace_io_peak_memory_stays_small():
+    # the fixed-width paths work in bounded blocks; the loadtxt reader
+    # peaked at 14.0 MB here
+    capture = tracefile.quantize_capture(
+        rig.run_capture(scenario_mod.get_preset("vive-baseline"),
+                        duration_ms=60_000.0))
+    text = tracefile.format_trace(capture)
+    for call, arg, limit in ((tracefile.format_trace, capture, 8e6),
+                             (tracefile.parse_trace, text, 13.4e6)):
+        tracemalloc.start()
+        try:
+            call(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, call.__name__
+
+
+# ---------------------------------------------------------------------------
 # a bad row is named by its file line, which differs from its body index
 # because comment and blank lines stand above it
 
@@ -463,7 +634,9 @@ def _one_row_trace(start="0", interval="1.0", row="0,0.1,0.2,0.3,0.4,0.5"):
     )
 
 
-@pytest.mark.parametrize("interval", ["2.0", "0.5", "0.001", "nan", "inf"])
+@pytest.mark.parametrize("interval", ["2.0", "0.5", "0.001", "nan", "inf",
+                                      "1", "1.000", "01.0", "1.", "1e0",
+                                      "+1.0", "1_0", "one"])
 def test_trace_parser_requires_one_millisecond_intervals(interval):
     with pytest.raises(TraceFormatError) as err:
         tracefile.parse_trace(_one_row_trace(interval=interval), source="src.csv")
@@ -501,6 +674,27 @@ def test_every_accepted_start_round_trips_byte_for_byte(start):
     assert tracefile.format_trace(capture) == with_start(start.strip())
 
 
+@settings(max_examples=200)
+@given(interval=st.one_of(
+    st.floats().map(repr),
+    st.text(alphabet="0123456789-+_ .e", max_size=6),
+    st.sampled_from(["1.0", " 1.0 ", "1", "1.000", "01.0", "1.", "1e0"]),
+))
+def test_every_accepted_interval_round_trips_byte_for_byte(interval):
+    written = tracefile.format_trace(tracefile.parse_trace(_one_row_trace()))
+
+    def with_interval(value):
+        return written.replace("# interval_ms = 1.0\n",
+                               f"# interval_ms = {value}\n", 1)
+
+    try:
+        capture = tracefile.parse_trace(with_interval(interval))
+    except TraceFormatError as err:
+        assert f"interval_ms must be 1.0, got {interval.strip()!r}" in str(err)
+        return
+    assert tracefile.format_trace(capture) == with_interval(interval.strip())
+
+
 @pytest.mark.parametrize("value", ["-0.001", "-1e-7", "1.000001", "2", "-5"])
 @pytest.mark.parametrize("column", [1, 2, 5])
 def test_trace_parser_rejects_samples_outside_the_unit_range(value, column):
@@ -514,7 +708,7 @@ def test_trace_parser_rejects_samples_outside_the_unit_range(value, column):
 
 def test_trace_parser_accepts_the_ends_of_the_unit_range():
     capture = tracefile.parse_trace(
-        _one_row_trace(interval="1", row="0,0,1,-0.000000,1.000000,0.0"))
+        _one_row_trace(row="0,0,1,-0.000000,1.000000,0.0"))
     assert capture.interval_ms == 1.0
     assert capture.pot.tolist() == [0.0]
     assert capture.photo.tolist() == [[1.0, 0.0, 1.0, 0.0]]
@@ -543,6 +737,25 @@ def test_report_formatting_lists_warnings():
                            warnings=("low_peak_coefficient", "negative_lag"))
     text = tracefile.format_report(report)
     assert "warnings = low_peak_coefficient,negative_lag" in text
+
+
+def test_trace_bytes_are_read_as_utf8():
+    text = _one_row_trace(row="0,0.100000,0.200000,0.300000,0.400000,0.500000")
+    text = text.replace("station_id = A", "station_id = \u00c5")
+    capture = tracefile.parse_trace(text.encode())
+    assert capture.station_id == "\u00c5"
+    assert tracefile.format_trace(capture) == text
+    with pytest.raises(TraceFormatError) as err:
+        tracefile.parse_trace(text.encode("latin-1"), source="src.csv")
+    assert str(err.value).startswith("src.csv: not UTF-8 text: ")
+
+
+def test_atomic_write_writes_utf8_bytes_without_newline_translation(tmp_path):
+    path = tmp_path / "out.txt"
+    tracefile.atomic_write_text(str(path), "a\nb\u00e9\n")
+    assert path.read_bytes() == b"a\nb\xc3\xa9\n"
+    tracefile.atomic_write_text(str(path), bytearray(b"x\r\ny\n"))
+    assert path.read_bytes() == b"x\r\ny\n"
 
 
 def test_atomic_write_replaces_and_leaves_no_temp_files(tmp_path):
