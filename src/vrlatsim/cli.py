@@ -57,8 +57,14 @@ def load_scenario(config: str, seed: int | None = None,
     if config in scenario_mod.PRESETS:
         sc = scenario_mod.get_preset(config)
     elif os.path.exists(config):
-        with open(config) as handle:
-            sc = scenario_mod.load_config_text(handle.read())
+        with open(config, encoding="utf-8") as handle:
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise ScenarioValidationError(
+                    [f"config file {config!r} is not UTF-8 text: {exc}"]
+                ) from None
+        sc = scenario_mod.load_config_text(text)
     else:
         raise ScenarioValidationError(
             [
@@ -266,25 +272,19 @@ def cmd_export_plot(args) -> int:
         sender, receiver = netsim.remote_capture(sc)
         sender = tracefile.quantize_capture(sender)
         receiver = tracefile.quantize_capture(receiver)
-        pot = estimator.decode_pot_trace(sender)
-        display = estimator.decode_display_trace(receiver)
-        shift_ms = int(round(
-            (receiver.start_utc_us - sender.start_utc_us) / 1000.0
-        ))
-        pot_vals = pot.values[max(shift_ms, 0):]
-        display_vals = display.values[max(-shift_ms, 0):]
     else:
-        capture = tracefile.quantize_capture(rig.run_capture(sc))
-        pot_vals = estimator.decode_pot_trace(capture).values
-        display_vals = estimator.decode_display_trace(capture).values
+        sender = receiver = tracefile.quantize_capture(rig.run_capture(sc))
+    pot_vals, display_vals = estimator.align_on_utc(
+        estimator.decode_pot_trace(sender),
+        estimator.decode_display_trace(receiver),
+    )
 
-    n = min(pot_vals.shape[0], display_vals.shape[0])
-    lines = ["t_ms,pot_code,display_code"]
-    for i in range(n):
-        lines.append(f"{i},{int(pot_vals[i])},{int(display_vals[i])}")
+    n = pot_vals.shape[0]
+    table = np.column_stack((np.arange(n), pot_vals, display_vals)).ravel()
+    text = "t_ms,pot_code,display_code\n" + ("%d,%d,%d\n" * n) % tuple(table.tolist())
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "plot_data.csv")
-    tracefile.atomic_write_text(path, "\n".join(lines) + "\n")
+    tracefile.atomic_write_text(path, text)
     print(f"wrote {path}", file=sys.stderr)
     return 0
 

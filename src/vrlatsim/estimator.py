@@ -14,15 +14,19 @@ classify/decode call turns all picked samples into codes.
 Latency is the lag, in whole milliseconds, that maximizes the Pearson
 correlation between the reference and the delayed series.  Both series
 are centred once on their global means; the window sums and sums of
-squares of every lag come from prefix sums, and only the cross product
-is taken per lag.  Whether a window is constant is decided exactly, from
-a prefix count of value changes, never from a floating-point variance.
+squares of every lag come from prefix sums.  The cross products of all
+lags come from one pass: a `np.correlate` over the head of the trace,
+where every lag stays in range, plus one small matrix product for the
+triangle of products at the end of the trace that shorter lags still
+reach.  Whether a window is constant is decided exactly, from a prefix
+count of value changes, never from a floating-point variance.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import codec
 from .errors import (
@@ -100,7 +104,11 @@ def decode_display_trace(capture: RawCapture, *,
     """
     lum = np.asarray(capture.photo, dtype=float)
     n = lum.shape[0]
-    lit = lum.max(axis=1) >= black_threshold
+    # row reductions over the 4 fields, column by column: numpy is slow
+    # at reducing an axis this short, and the same operations in the same
+    # order give bitwise the same maxima and sums
+    c0, c1, c2, c3 = lum.T
+    lit = np.maximum(np.maximum(c0, c1), np.maximum(c2, c3)) >= black_threshold
     if not lit.any():
         raise DecodeError(
             f"photosensor trace never exceeds {black_threshold:.4f} "
@@ -115,7 +123,7 @@ def decode_display_trace(capture: RawCapture, *,
     # maximal row of a burst wins, as np.argmax would pick it, and so does
     # a NaN total (a lit row holding both inf and -inf)
     rows = np.flatnonzero(lit)
-    totals = lum.sum(axis=1)[rows]
+    totals = ((c0[rows] + c1[rows]) + c2[rows]) + c3[rows]
     offsets = np.concatenate(([0], np.cumsum(ends - starts)[:-1]))
     burst_of_row = np.repeat(np.arange(starts.shape[0]), ends - starts)
     peak = np.maximum.reduceat(totals, offsets)
@@ -144,6 +152,20 @@ def _constant_windows(x: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.n
     """True where x[lo:lo+length] holds a single value, compared exactly."""
     changes = np.concatenate(([0], np.cumsum(x[1:] != x[:-1])))
     return changes[lo + length - 1] == changes[lo]
+
+
+def _lagged_dots(x: np.ndarray, y: np.ndarray, max_lag: int) -> np.ndarray:
+    """sum(x[i] * y[i + L] for i < n - L) for every L in 0..max_lag.
+
+    Below n - max_lag every lag stays inside y, so one `np.correlate`
+    covers that span; the last max_lag values of x meet a zero-padded
+    tail of y, one window per lag, in a single matrix product.
+    """
+    n = x.shape[0]
+    head = np.correlate(y, x[:n - max_lag], "valid")
+    tail = np.concatenate((y[n - max_lag:], np.zeros(max_lag)))
+    windows = sliding_window_view(tail, max_lag)
+    return head + windows @ x[n - max_lag:]
 
 
 def cross_correlate(reference: DecodedTrace, delayed: DecodedTrace,
@@ -181,8 +203,10 @@ def cross_correlate(reference: DecodedTrace, delayed: DecodedTrace,
     sum_b = _window_sums(b, lo_del, m)
     var_a = _window_sums(a * a, lo_ref, m) - sum_a * sum_a / m
     var_b = _window_sums(b * b, lo_del, m) - sum_b * sum_b / m
-    sum_ab = np.array([np.dot(a[i:i + k], b[j:j + k])
-                       for i, j, k in zip(lo_ref, lo_del, m)])
+    sum_ab = _lagged_dots(a, b, max_lag_ms)
+    if allow_negative:
+        # lag -L is lag L with the roles swapped
+        sum_ab = np.concatenate((_lagged_dots(b, a, max_lag_ms)[:0:-1], sum_ab))
     cov = sum_ab - sum_a * sum_b / m
     # a constant window carries no alignment information and scores 0
     scored = ~(_constant_windows(ref, lo_ref, m) | _constant_windows(del_, lo_del, m))
@@ -199,24 +223,28 @@ def cross_correlate(reference: DecodedTrace, delayed: DecodedTrace,
     )
 
 
+def align_on_utc(reference: DecodedTrace, delayed: DecodedTrace):
+    """Both value series from their common UTC start, cut to their overlap.
+
+    Start timestamps are aligned by integer-millisecond re-indexing: the
+    earlier trace drops its head so both begin at the same UTC interval.
+    """
+    shift_ms = int(round((delayed.start_utc_us - reference.start_utc_us) / 1000.0))
+    ref_vals = np.asarray(reference.values)[max(shift_ms, 0):]
+    del_vals = np.asarray(delayed.values)[max(-shift_ms, 0):]
+    overlap = min(ref_vals.shape[0], del_vals.shape[0])
+    return ref_vals[:overlap], del_vals[:overlap]
+
+
 def estimate_remote(sender_pot: DecodedTrace, receiver_display: DecodedTrace,
                     max_lag_ms: int = DEFAULT_MAX_LAG_MS,
                     allow_negative: bool = False) -> CorrelationResult:
     """Cross-correlate traces from two stations on a common UTC grid.
 
-    Start timestamps are aligned by integer-millisecond re-indexing: the
-    earlier trace drops its head so both begin at the same UTC interval.
+    The traces are aligned by `align_on_utc`.
     """
-    shift_ms = int(round(
-        (receiver_display.start_utc_us - sender_pot.start_utc_us) / 1000.0
-    ))
-    ref_vals = np.asarray(sender_pot.values)
-    del_vals = np.asarray(receiver_display.values)
-    if shift_ms >= 0:
-        ref_vals = ref_vals[shift_ms:]
-    else:
-        del_vals = del_vals[-shift_ms:]
-    overlap = min(ref_vals.shape[0], del_vals.shape[0])
+    ref_vals, del_vals = align_on_utc(sender_pot, receiver_display)
+    overlap = ref_vals.shape[0]
     if overlap < MIN_LENGTH_FACTOR * max_lag_ms:
         raise AlignmentError(
             f"traces overlap for only {overlap} intervals after alignment; "
@@ -224,9 +252,9 @@ def estimate_remote(sender_pot: DecodedTrace, receiver_display: DecodedTrace,
             f"{MIN_LENGTH_FACTOR * max_lag_ms}"
         )
     common_start = max(sender_pot.start_utc_us, receiver_display.start_utc_us)
-    ref = DecodedTrace(ref_vals[:overlap], sender_pot.source, common_start,
+    ref = DecodedTrace(ref_vals, sender_pot.source, common_start,
                        sender_pot.held_fraction)
-    dly = DecodedTrace(del_vals[:overlap], receiver_display.source, common_start,
+    dly = DecodedTrace(del_vals, receiver_display.source, common_start,
                        receiver_display.held_fraction)
     return cross_correlate(ref, dly, max_lag_ms, allow_negative)
 

@@ -7,9 +7,11 @@ keep config diffs trivial to read.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import typing
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 from .audio import AudioPathConfig
 from .clock import SimClock
@@ -191,12 +193,18 @@ _TOP_FIELDS = {
 }
 
 
+@functools.cache
 def _section_fields(cls):
+    """Read-only map of a section's config keys to their type hints.
+
+    Cached per class: resolving the hints is the costly part of loading a
+    preset, and every key of every config would otherwise repeat it.
+    """
     hints = typing.get_type_hints(cls)
     names = [f.name for f in dataclasses.fields(cls)]
     if cls is SimClock:
         names = [n for n in names if n in _CLOCK_FIELDS]
-    return {n: hints[n] for n in names}
+    return MappingProxyType({n: hints[n] for n in names})
 
 
 def _coerce(value, hint, key):

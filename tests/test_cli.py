@@ -4,7 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from vrlatsim import cli, scenario as scenario_mod
+from vrlatsim import cli, estimator, netsim, rig, tracefile
+from vrlatsim import scenario as scenario_mod
 from vrlatsim.errors import DetectionTimeoutError, VrLatSimError
 
 
@@ -126,6 +127,19 @@ def test_invalid_config_file_exits_1_without_output(tmp_path, capsys):
     assert cli.main(["simulate", "--config", cfg, "--out", out]) == 1
     assert not os.path.exists(out)
     assert "pipeline.refresh_hz" in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_utf8_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("# caf\xe9\nseed = 3\n".encode("latin-1"))
+    out = str(tmp_path / "run")
+    assert cli.main(["simulate", "--config", str(cfg), "--out", out]) == 1
+    assert not os.path.exists(out)
+    err = capsys.readouterr().err
+    assert f"config file {str(cfg)!r} is not UTF-8 text" in err
+    # the same comment in UTF-8 is read whatever the locale's encoding
+    cfg.write_bytes("# caf\xe9\nseed = 3\n".encode("utf-8"))
+    assert cli.load_scenario(str(cfg)).seed == 3
 
 
 def test_invalid_scenario_values_exit_1(tmp_path, capsys):
@@ -264,6 +278,41 @@ def test_export_plot_codes_coincide_for_zero_delay(tmp_path):
         diffs.append(abs(int(pot_code) - int(display_code)))
     assert len(diffs) > 1500
     assert sum(diffs) / len(diffs) < 8.0
+
+
+def _row_by_row_plot_data(sc):
+    """Reference plot table: the shift arithmetic and one f-string per row."""
+    if sc.net is not None:
+        sender, receiver = netsim.remote_capture(sc)
+        sender = tracefile.quantize_capture(sender)
+        receiver = tracefile.quantize_capture(receiver)
+        pot = estimator.decode_pot_trace(sender)
+        display = estimator.decode_display_trace(receiver)
+        shift_ms = int(round(
+            (receiver.start_utc_us - sender.start_utc_us) / 1000.0
+        ))
+        pot_vals = pot.values[max(shift_ms, 0):]
+        display_vals = display.values[max(-shift_ms, 0):]
+    else:
+        capture = tracefile.quantize_capture(rig.run_capture(sc))
+        pot_vals = estimator.decode_pot_trace(capture).values
+        display_vals = estimator.decode_display_trace(capture).values
+    n = min(pot_vals.shape[0], display_vals.shape[0])
+    lines = ["t_ms,pot_code,display_code"]
+    for i in range(n):
+        lines.append(f"{i},{int(pot_vals[i])},{int(display_vals[i])}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("preset", ["zero-delay", "remote-default"])
+def test_export_plot_bytes_match_the_row_by_row_writer(tmp_path, preset):
+    out = tmp_path / "plot"
+    assert cli.main(["export-plot", "--config", preset, "--seed", "5",
+                     "--duration-ms", "2000", "--out", str(out)]) == 0
+    sc = cli.load_scenario(preset, seed=5, duration_ms=2000.0)
+    want = _row_by_row_plot_data(sc)
+    assert (out / "plot_data.csv").read_bytes() == want
+    assert want.count(b"\n") > 1900
 
 
 def test_main_requires_a_subcommand():

@@ -1,8 +1,11 @@
 """Decoding and cross-correlation tests.
 
 scipy.stats.pearsonr and np.corrcoef serve as independent correlation
-oracles; a plain per-burst loop serves as the burst-decode oracle.
+oracles; a plain per-burst loop serves as the burst-decode oracle, and
+one np.dot per lag as the lag-product oracle.
 """
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -173,6 +176,26 @@ def test_burst_decode_matches_the_oracle_on_infinite_samples():
     assert trace.held_fraction == want_held
 
 
+def test_burst_decode_breaks_rounding_ties_as_the_row_sum_does():
+    # two-row bursts whose rows hold the same levels in another order:
+    # their exact sums are equal, so which one is brighter, or whether
+    # they tie, depends only on the rounding of the float additions, and
+    # the decoder must add the fields in the order sum(axis=1) does
+    levels = [1 / 7, 2 / 7, 3 / 7, 4 / 7]
+    rows = np.array(list(itertools.product(levels, repeat=4)))
+    groups = {}
+    for row in rows:
+        groups.setdefault(round(float(row.sum()), 9), []).append(row)
+    bursts = [np.vstack([first, second, np.zeros(4)])
+              for group in groups.values()
+              for first, second in itertools.combinations(group, 2)]
+    lum = np.vstack(bursts)
+    want_values, want_held = _per_burst_decode(lum)
+    trace = estimator.decode_display_trace(make_capture(photo=lum))
+    assert np.array_equal(trace.values, want_values)
+    assert trace.held_fraction == want_held
+
+
 def test_burst_decode_makes_one_codec_call_per_trace(monkeypatch):
     calls = []
     for name in ("classify_luminance", "decode"):
@@ -187,6 +210,28 @@ def test_burst_decode_makes_one_codec_call_per_trace(monkeypatch):
     trace = estimator.decode_display_trace(make_capture(photo=photo))
     assert calls == [("classify_luminance", (20, 4)), ("decode", (20, 4))]
     assert np.all(trace.values == 1234)
+
+
+def test_column_wise_reductions_equal_the_row_reductions_bitwise():
+    # every row of 4 fields drawn from these values, NaN and both
+    # infinities included; the decoder takes maxima on every row and
+    # totals on the lit rows, and both must equal numpy's row reductions
+    # bit for bit.  (Summing four -0.0 gives -0.0 column-wise and 0.0
+    # with sum(axis=1), but such a row is dark, so no total is taken.)
+    values = [np.nan, np.inf, -np.inf, -0.0, 0.0, 0.01, 0.5, 1.0, -1.0]
+    lum = np.array(list(itertools.product(values, repeat=4)))
+    c0, c1, c2, c3 = lum.T
+    with np.errstate(invalid="ignore"):
+        peak = np.maximum(np.maximum(c0, c1), np.maximum(c2, c3))
+        lit = peak >= estimator.BLACK_THRESHOLD
+        rows = np.flatnonzero(lit)
+        totals = ((c0[rows] + c1[rows]) + c2[rows]) + c3[rows]
+        want_peak = lum.max(axis=1)
+        want_totals = lum.sum(axis=1)[rows]
+    assert peak.tobytes() == want_peak.tobytes()
+    assert np.array_equal(lit, want_peak >= estimator.BLACK_THRESHOLD)
+    assert totals.tobytes() == want_totals.tobytes()
+    assert np.isnan(totals).any() and np.isinf(totals).any()
 
 
 def test_all_black_trace_is_a_decode_error():
@@ -328,6 +373,86 @@ def test_windows_constant_at_some_lags_score_exactly_zero():
         assert got == pytest.approx(want, abs=1e-12)
 
 
+def _per_lag_dots(x, y, lags):
+    """Reference lag products: one np.dot per lag, lag L >= 0 pairing
+    x[0:n-L] with y[L:n] and a negative lag the other way round."""
+    n = x.shape[0]
+    lo_x = np.maximum(-lags, 0)
+    lo_y = np.maximum(lags, 0)
+    m = n - np.abs(lags)
+    return np.array([np.dot(x[i:i + k], y[j:j + k])
+                     for i, j, k in zip(lo_x, lo_y, m)])
+
+
+def _per_lag_cross_correlate(ref, delayed, max_lag, allow_negative):
+    """Reference coefficients with the lag products taken one lag at a time."""
+    ref = np.asarray(ref, dtype=float)
+    delayed = np.asarray(delayed, dtype=float)
+    n = ref.shape[0]
+    lags = np.arange(-max_lag if allow_negative else 0, max_lag + 1)
+    lo_ref = np.maximum(-lags, 0)
+    lo_del = np.maximum(lags, 0)
+    m = n - np.abs(lags)
+    a = ref - ref.mean()
+    b = delayed - delayed.mean()
+    sum_a = estimator._window_sums(a, lo_ref, m)
+    sum_b = estimator._window_sums(b, lo_del, m)
+    var_a = estimator._window_sums(a * a, lo_ref, m) - sum_a * sum_a / m
+    var_b = estimator._window_sums(b * b, lo_del, m) - sum_b * sum_b / m
+    cov = _per_lag_dots(a, b, lags) - sum_a * sum_b / m
+    scored = ~(estimator._constant_windows(ref, lo_ref, m)
+               | estimator._constant_windows(delayed, lo_del, m))
+    coeffs = np.zeros(lags.shape[0])
+    coeffs[scored] = cov[scored] / np.sqrt(var_a[scored] * var_b[scored])
+    coeffs = np.clip(coeffs, -1.0, 1.0)
+    return lags, coeffs, int(lags[np.argmax(coeffs)])
+
+
+def _lag_test_series(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    ref = random_walk_codes(rng, n)
+    if kind == "codes":
+        return ref, delay_by(ref, 7)
+    return ref / 4095.0, delay_by(ref, 7) / 4095.0 + rng.normal(0.0, 0.01, n)
+
+
+@pytest.mark.parametrize("kind", ["codes", "noisy"])
+@pytest.mark.parametrize("max_lag", [1, 80, 200])
+@pytest.mark.parametrize("extra", [0, 1, 4321])
+def test_lag_products_match_the_per_lag_oracle(kind, max_lag, extra):
+    n = estimator.MIN_LENGTH_FACTOR * max_lag + extra
+    x, y = _lag_test_series(kind, n, seed=max_lag + extra)
+    x = x - x.mean()
+    y = y - y.mean()
+    got = estimator._lagged_dots(x, y, max_lag)
+    lags = np.arange(max_lag + 1)
+    want = _per_lag_dots(x, y, lags)
+    # the two differ only in the order of the additions
+    scale = _per_lag_dots(np.abs(x), np.abs(y), lags)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("allow_negative", [False, True])
+@pytest.mark.parametrize("kind", ["codes", "noisy"])
+@pytest.mark.parametrize("max_lag", [1, 80, 200])
+@pytest.mark.parametrize("extra", [0, 2345])
+def test_coefficients_match_the_per_lag_oracle(allow_negative, kind, max_lag,
+                                               extra):
+    # extra 0 is the shortest trace a lag search accepts
+    n = estimator.MIN_LENGTH_FACTOR * max_lag + extra
+    ref, delayed = _lag_test_series(kind, n, seed=3 * max_lag + extra)
+    result = estimator.cross_correlate(
+        make_trace(ref), make_trace(delayed), max_lag_ms=max_lag,
+        allow_negative=allow_negative
+    )
+    lags, want, best = _per_lag_cross_correlate(ref, delayed, max_lag,
+                                                allow_negative)
+    assert np.array_equal(result.lags_ms, lags)
+    assert np.max(np.abs(result.coefficients - want)) <= 1e-12
+    assert result.best_lag_ms == best
+
+
 def test_short_traces_are_rejected():
     short = random_walk_codes(np.random.default_rng(1), 400)
     with pytest.raises(EstimationError):
@@ -357,6 +482,24 @@ def test_remote_alignment_cancels_start_time_differences(start_gap_ms):
         max_lag_ms=100,
     )
     assert result.best_lag_ms == true_delay
+
+
+@pytest.mark.parametrize("gap_us,ref_head,del_head", [
+    (0, 0, 0), (499, 0, 0), (1499, 1, 0), (1500, 2, 0), (2500, 2, 0),
+    (7000, 7, 0), (-7000, 0, 7), (-1500, 0, 2),
+])
+def test_utc_alignment_drops_the_earlier_head(gap_us, ref_head, del_head):
+    # a 1 ms grid on both stations; the gap rounds to whole intervals,
+    # half to even, and both series are cut to their overlap
+    ref = np.arange(100)
+    delayed = np.arange(1000, 1090)
+    got_ref, got_del = estimator.align_on_utc(
+        make_trace(ref, start_utc_us=5_000_000),
+        make_trace(delayed, start_utc_us=5_000_000 + gap_us, source="display"),
+    )
+    overlap = min(100 - ref_head, 90 - del_head)
+    assert np.array_equal(got_ref, ref[ref_head:ref_head + overlap])
+    assert np.array_equal(got_del, delayed[del_head:del_head + overlap])
 
 
 def test_misaligned_traces_without_overlap_raise():

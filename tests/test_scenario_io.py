@@ -137,6 +137,17 @@ def test_unparseable_values_are_reported_with_their_key():
     assert "pipeline.refresh_hz" in "\n".join(err.value.violations)
 
 
+def test_section_fields_are_resolved_once_and_read_only():
+    fields = scenario_mod._section_fields(PipelineConfig)
+    assert scenario_mod._section_fields(PipelineConfig) is fields
+    assert fields["refresh_hz"] is float
+    with pytest.raises(TypeError):
+        fields["refresh_hz"] = int
+    assert list(scenario_mod._section_fields(SimClock)) == [
+        "drift_ppm", "epoch_offset_us", "seed"
+    ]
+
+
 def test_lines_without_equals_are_rejected():
     with pytest.raises(ScenarioValidationError) as err:
         scenario_mod.parse_config_text("pipeline.refresh_hz 90\n")
