@@ -37,10 +37,7 @@ def buzzer_waveform(cfg: AudioPathConfig, t_us):
     """Square wave: +1 in the first half period, -1 in the second."""
     period_us = 1e6 / cfg.tone_hz
     phase = np.mod(np.asarray(t_us, dtype=float), period_us)
-    value = np.where(phase < period_us / 2.0, 1.0, -1.0)
-    if np.ndim(t_us) == 0:
-        return float(value)
-    return value
+    return np.where(phase < period_us / 2.0, 1.0, -1.0)
 
 
 def detect_first_crossing(cfg: AudioPathConfig, waveform, *, rng=None,

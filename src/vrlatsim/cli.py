@@ -139,7 +139,6 @@ def simulate_scenario(sc: scenario_mod.Scenario, *,
     report written here matches what `estimate` later computes from the
     trace files.
     """
-    scenario_mod.raise_if_invalid(sc)
     captures = {}
     if sc.net is not None:
         sender, receiver = netsim.remote_capture(sc)
@@ -248,6 +247,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_batch(args) -> int:
+    if args.runs < 1:
+        raise ScenarioValidationError([f"--runs must be at least 1, got {args.runs}"])
     sc = load_scenario(args.config, None, args.duration_ms)
     base_seed = args.seed if args.seed is not None else sc.seed
     reports, failures = run_batch(sc, args.runs, base_seed,
@@ -267,7 +268,6 @@ def cmd_batch(args) -> int:
 
 def cmd_export_plot(args) -> int:
     sc = load_scenario(args.config, args.seed, args.duration_ms)
-    scenario_mod.raise_if_invalid(sc)
     if sc.net is not None:
         sender, receiver = netsim.remote_capture(sc)
         sender = tracefile.quantize_capture(sender)

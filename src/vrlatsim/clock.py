@@ -64,10 +64,7 @@ def local_now(clock: SimClock, true_time_us):
     divide, so integer-friendly inputs stay exact in float64.
     """
     t = np.asarray(true_time_us, dtype=float)
-    reading = clock.epoch_offset_us + t + (t * clock.drift_ppm) / 1e6
-    if np.ndim(true_time_us) == 0:
-        return float(reading)
-    return reading
+    return clock.epoch_offset_us + t + (t * clock.drift_ppm) / 1e6
 
 
 def true_time_of_local(clock: SimClock, local_us):
@@ -134,7 +131,7 @@ def sync_to_gps(clock: SimClock, pulse: TimepulseEvent, message: UtcMessage) -> 
         )
     state = SyncState(
         utc_second=pulse.utc_second,
-        local_edge_us=local_now(clock, pulse.jittered_time_us),
+        local_edge_us=float(local_now(clock, pulse.jittered_time_us)),
     )
     return replace(clock, sync_state=state)
 
@@ -147,13 +144,10 @@ def utc_now(clock: SimClock, true_time_us):
     drift_ppm microseconds per second since sync.
     """
     if clock.sync_state is None:
-        raise ClockStateError("clock has never been synchronized")
+        raise ClockStateError("clock has never been synced to GPS")
     s = clock.sync_state
-    t = np.asarray(true_time_us, dtype=float)
-    estimate = s.utc_second * US_PER_SECOND + (local_now(clock, t) - s.local_edge_us)
-    if np.ndim(true_time_us) == 0:
-        return float(estimate)
-    return estimate
+    return (s.utc_second * US_PER_SECOND
+            + (local_now(clock, true_time_us) - s.local_edge_us))
 
 
 def schedule_start(clock: SimClock, utc_start_second: int) -> float:
@@ -164,7 +158,7 @@ def schedule_start(clock: SimClock, utc_start_second: int) -> float:
     anchor and the drift accumulated since the anchor second.
     """
     if clock.sync_state is None:
-        raise ClockStateError("cannot schedule a start on an unsynchronized clock")
+        raise ClockStateError("cannot schedule a start on a clock never synced to GPS")
     s = clock.sync_state
     if utc_start_second <= s.utc_second:
         raise ClockStateError(

@@ -6,7 +6,7 @@ level.  Eight levels spaced 1/7 apart leave the widest possible margin
 between neighbours; the decoder classifies each photosensor reading back
 to the nearest level.
 
-All functions accept scalars or numpy arrays and are pure.
+All functions accept scalars or numpy arrays, return arrays and are pure.
 """
 from __future__ import annotations
 
@@ -23,50 +23,14 @@ LEVEL_STEP = 1.0 / DIGIT_MAX          # luminance distance between adjacent leve
 _PLACES = np.array([512, 64, 8, 1], dtype=np.int64)
 
 
-def _as_int_result(values, scalar_input):
-    if scalar_input:
-        return int(values)
-    return values
-
-
-def quantize_angle(angle_deg, angle_range_deg):
-    """Map an angle in [0, angle_range) onto the 0..4095 code scale.
-
-    The top bin is closed so that angles infinitesimally below the range
-    still land on code 4095.  Angles outside [0, angle_range) are a
-    domain error because the caller is expected to normalize first.
-    """
-    if angle_range_deg <= 0:
-        raise ValueError("angle_range_deg must be positive")
-    a = np.asarray(angle_deg, dtype=float)
-    if np.any(a < 0.0) or np.any(a >= angle_range_deg):
-        raise ValueError(
-            f"angle outside [0, {angle_range_deg}): {angle_deg!r}"
-        )
-    codes = np.minimum((a / angle_range_deg * CODE_COUNT).astype(np.int64), CODE_MAX)
-    return _as_int_result(codes, np.ndim(angle_deg) == 0)
-
-
 def quantize_angle_clamped(angle_deg, angle_range_deg):
-    """Saturating variant used by synthesis paths.
+    """Map angles onto the 0..4095 code scale, saturating at both ends.
 
     Render pipelines may extrapolate slightly past the mechanical range;
     a real application would clamp before encoding, so this does too.
     """
     a = np.asarray(angle_deg, dtype=float)
-    codes = np.clip((a / angle_range_deg * CODE_COUNT).astype(np.int64), 0, CODE_MAX)
-    return _as_int_result(codes, np.ndim(angle_deg) == 0)
-
-
-def dequantize_angle(code, angle_range_deg):
-    """Return the bin-center angle for a code (inverse of quantize_angle)."""
-    c = np.asarray(code)
-    if np.any(c < 0) or np.any(c > CODE_MAX):
-        raise ValueError(f"code outside 0..{CODE_MAX}: {code!r}")
-    angles = (c + 0.5) / CODE_COUNT * angle_range_deg
-    if np.ndim(code) == 0:
-        return float(angles)
-    return angles
+    return np.clip((a / angle_range_deg * CODE_COUNT).astype(np.int64), 0, CODE_MAX)
 
 
 def encode(code):
@@ -87,8 +51,7 @@ def decode(digits):
         raise ValueError(f"expected {DIGIT_COUNT} digits, got shape {d.shape}")
     if np.any(d < 0) or np.any(d > DIGIT_MAX):
         raise ValueError(f"digit outside 0..{DIGIT_MAX}: {digits!r}")
-    codes = (d * _PLACES).sum(axis=-1)
-    return _as_int_result(codes, codes.ndim == 0)
+    return (d * _PLACES).sum(axis=-1)
 
 
 def digits_to_luminance(digits):

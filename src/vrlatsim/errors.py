@@ -22,7 +22,7 @@ class ClockSyncError(VrLatSimError):
 
 
 class ClockStateError(VrLatSimError):
-    """An operation needs a synchronized clock and the clock has no sync state."""
+    """An operation needs a GPS-synced clock and the clock has no sync state."""
 
 
 class DecodeError(VrLatSimError):

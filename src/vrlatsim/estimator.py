@@ -86,12 +86,10 @@ def decode_pot_trace(capture: RawCapture) -> DecodedTrace:
         values=codes,
         source="potentiometer",
         start_utc_us=capture.start_utc_us,
-        held_fraction=0.0,
     )
 
 
-def decode_display_trace(capture: RawCapture, *,
-                         black_threshold: float = BLACK_THRESHOLD) -> DecodedTrace:
+def decode_display_trace(capture: RawCapture) -> DecodedTrace:
     """Decode the photosensor channels into a held code series.
 
     An interval is lit when any field exceeds the black threshold (half
@@ -99,7 +97,7 @@ def decode_display_trace(capture: RawCapture, *,
     its code comes from the sample with the highest summed luminance,
     which is the most settled one because the sensor rises monotonically
     while lit and only decays afterwards.  Intervals before the first
-    burst are backfilled with the first code so the trace keeps its
+    burst are filled with the first code so the trace keeps its
     length.
     """
     lum = np.asarray(capture.photo, dtype=float)
@@ -108,10 +106,10 @@ def decode_display_trace(capture: RawCapture, *,
     # at reducing an axis this short, and the same operations in the same
     # order give bitwise the same maxima and sums
     c0, c1, c2, c3 = lum.T
-    lit = np.maximum(np.maximum(c0, c1), np.maximum(c2, c3)) >= black_threshold
+    lit = np.maximum(np.maximum(c0, c1), np.maximum(c2, c3)) >= BLACK_THRESHOLD
     if not lit.any():
         raise DecodeError(
-            f"photosensor trace never exceeds {black_threshold:.4f} "
+            f"photosensor trace never exceeds {BLACK_THRESHOLD:.4f} "
             f"in {n} intervals; the display looks permanently dark"
         )
     padded = np.concatenate(([False], lit, [False]))

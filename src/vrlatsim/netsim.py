@@ -8,7 +8,7 @@ is therefore the one-way delay plus the staleness of the zero-order
 hold, on average half an update interval.
 
 Both stations schedule their capture start for the same UTC second via
-GPS-synchronized clocks; the residual disagreement of those starts is
+GPS-synced clocks; the residual disagreement of those starts is
 exactly the clock-sync error and stays far below the 1 ms lag
 resolution.
 """
@@ -26,12 +26,7 @@ from .clock import (
     utc_messages_for,
 )
 from .errors import SimulationError
-from .rig import (
-    CallableAngleHistory,
-    SteppedAngleHistory,
-    platform_angle,
-    simulate_station,
-)
+from .rig import SteppedAngleHistory, platform_angle, simulate_station
 
 SEND_WARMUP_MS = 300.0  # transmit this long before capture so the hold is warm
 
@@ -76,7 +71,7 @@ def _synced_clock(base: SimClock, scenario_seed: int, sync_second: int) -> SimCl
     return sync_to_gps(base, pulses[0], messages[0])
 
 
-def remote_capture(scenario, duration_ms=None, *, synchronize=True):
+def remote_capture(scenario):
     """Run the sender and receiver stations of a networked scenario.
 
     Returns (sender_capture, receiver_capture).  The sender's display
@@ -90,17 +85,13 @@ def remote_capture(scenario, duration_ms=None, *, synchronize=True):
     raise_if_invalid(scenario)
     if scenario.net is None:
         raise SimulationError("scenario has no network configuration")
-    duration = scenario.duration_ms if duration_ms is None else duration_ms
 
     seed_root = np.random.SeedSequence(scenario.seed)
     rng_a, rng_b, rng_net = [np.random.default_rng(s) for s in seed_root.spawn(3)]
 
     sync_second = scenario.start_utc_second - scenario.sync_lead_s
-    if synchronize:
-        clock_a = _synced_clock(scenario.clock_a, scenario.seed, sync_second)
-        clock_b = _synced_clock(scenario.clock_b, scenario.seed, sync_second)
-    else:
-        clock_a, clock_b = scenario.clock_a, scenario.clock_b
+    clock_a = _synced_clock(scenario.clock_a, scenario.seed, sync_second)
+    clock_b = _synced_clock(scenario.clock_b, scenario.seed, sync_second)
     start_true_a = schedule_start(clock_a, scenario.start_utc_second)
     start_true_b = schedule_start(clock_b, scenario.start_utc_second)
     nominal_start_us = scenario.start_utc_second * 1_000_000
@@ -119,23 +110,23 @@ def remote_capture(scenario, duration_ms=None, *, synchronize=True):
         return sender_platform(np.asarray(t_us, dtype=float) - tracking_us)
 
     send_start = min(start_true_a, start_true_b) - SEND_WARMUP_MS * 1000.0
-    send_end = max(start_true_a, start_true_b) + duration * 1000.0 + 1e5
+    send_end = max(start_true_a, start_true_b) + scenario.duration_ms * 1000.0 + 1e5
     deliveries, values = sample_and_send(
         sender_tracked, scenario.net, send_start, send_end, rng_net
     )
-    received = SteppedAngleHistory(deliveries, values, backfill=True)
+    received = SteppedAngleHistory(deliveries, values)
 
     sender = simulate_station(
         station_id="A",
         platform_fn=sender_platform,
-        display_source=CallableAngleHistory(sender_platform),
+        display_source=sender_platform,
         pipeline=scenario.pipeline,
         sensors=scenario.sensors,
         angle_range_deg=scenario.angle_range_deg,
         clock=clock_a,
         true_start_us=start_true_a,
         start_utc_us=nominal_start_us,
-        duration_ms=duration,
+        duration_ms=scenario.duration_ms,
         rng=rng_a,
     )
 
@@ -154,7 +145,7 @@ def remote_capture(scenario, duration_ms=None, *, synchronize=True):
         clock=clock_b,
         true_start_us=start_true_b,
         start_utc_us=nominal_start_us,
-        duration_ms=duration,
+        duration_ms=scenario.duration_ms,
         rng=rng_b,
     )
     return sender, receiver

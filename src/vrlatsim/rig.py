@@ -33,6 +33,7 @@ from .errors import SimulationError
 
 # 10-90% rise of a first-order lag spans ln(9) time constants
 RISE_LN9 = math.log(9.0)
+ADC_SAMPLE_HZ = 1000.0  # both channels are read once per 1 ms interval
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,6 @@ class MotionProfile:
     amplitude_deg: float = 40.0
     period_ms: float = 1000.0
     center_deg: float = 180.0
-    kind: str = "sinusoidal"
 
 
 @dataclass(frozen=True)
@@ -64,17 +64,14 @@ class SensorConfig:
     rise_time_us: float = 260.0
     pot_noise_sigma: float = 0.0
     photo_noise_sigma: float = 0.0
-    adc_sample_hz: float = 1000.0
-    adc_conversion_us: float = 800.0   # total conversion budget per interval
 
 
 @dataclass(frozen=True)
 class RawCapture:
-    """One station's synchronized capture of both channels."""
+    """One station's capture of both channels, sampled together."""
 
     station_id: str
     start_utc_us: int
-    interval_ms: float
     pot: np.ndarray           # shape (n,), normalized potentiometer readings
     photo: np.ndarray         # shape (n, 4), one column per code field
 
@@ -88,57 +85,33 @@ class RawCapture:
         return self.pot.shape[0]
 
 
-class CallableAngleHistory:
-    """Angle source defined analytically for every instant (true time, us)."""
-
-    def __init__(self, fn):
-        self._fn = fn
-
-    def __call__(self, t_us):
-        return np.asarray(self._fn(np.asarray(t_us, dtype=float)), dtype=float)
-
-
 class SteppedAngleHistory:
     """Zero-order hold over timestamped angle samples.
 
-    Queries before the first sample raise unless backfill is enabled, in
-    which case they return the first value.  Network receivers enable
-    backfill because their warm-up updates arrive before capture starts.
+    Queries before the first sample return the first value: a network
+    receiver's pipeline warm-up reaches back before the first delivery.
     """
 
-    def __init__(self, times_us, angles_deg, backfill=False):
+    def __init__(self, times_us, angles_deg):
         self._times = np.asarray(times_us, dtype=float)
         self._angles = np.asarray(angles_deg, dtype=float)
         if self._times.size == 0:
             raise SimulationError("angle history needs at least one sample")
         if np.any(np.diff(self._times) < 0):
             raise SimulationError("angle history timestamps must be sorted")
-        self._backfill = backfill
 
     def __call__(self, t_us):
         t = np.asarray(t_us, dtype=float)
         idx = np.searchsorted(self._times, t, side="right") - 1
-        if not self._backfill and np.any(idx < 0):
-            raise SimulationError(
-                "angle history does not cover the requested sample time"
-            )
-        values = self._angles[np.maximum(idx, 0)]
-        if np.ndim(t_us) == 0:
-            return float(values)
-        return values
+        return self._angles[np.maximum(idx, 0)]
 
 
 def platform_angle(profile: MotionProfile, t_ms):
     """Platform angle in degrees at time t_ms (defined for all t)."""
-    if profile.kind != "sinusoidal":
-        raise ValueError(f"unknown motion profile kind: {profile.kind!r}")
     t = np.asarray(t_ms, dtype=float)
-    angle = profile.center_deg + profile.amplitude_deg * np.sin(
+    return profile.center_deg + profile.amplitude_deg * np.sin(
         2.0 * np.pi * t / profile.period_ms
     )
-    if np.ndim(t_ms) == 0:
-        return float(angle)
-    return angle
 
 
 def potentiometer_read(angle_deg, angle_range_deg, sensors: SensorConfig, rng=None):
@@ -146,10 +119,7 @@ def potentiometer_read(angle_deg, angle_range_deg, sensors: SensorConfig, rng=No
     value = np.asarray(angle_deg, dtype=float) / angle_range_deg
     if rng is not None and sensors.pot_noise_sigma > 0:
         value = value + rng.normal(0.0, sensors.pot_noise_sigma, size=value.shape)
-    clamped = np.clip(value, 0.0, 1.0)
-    if np.ndim(angle_deg) == 0:
-        return float(clamped)
-    return clamped
+    return np.clip(value, 0.0, 1.0)
 
 
 def run_pipeline(pipeline: PipelineConfig, history, angle_range_deg,
@@ -235,17 +205,16 @@ def simulate_station(*, station_id: str, platform_fn, display_source,
     Sample instants follow the station's local clock, so drift stretches
     or compresses the true 1 ms grid.
     """
-    n = int(round(duration_ms * sensors.adc_sample_hz / 1000.0))
+    n = int(round(duration_ms * ADC_SAMPLE_HZ / 1000.0))
     if n <= 0:
         raise SimulationError("duration must cover at least one sample")
     rate = 1.0 + clock.drift_ppm * 1e-6
-    local_step_us = 1e6 / sensors.adc_sample_hz
+    local_step_us = 1e6 / ADC_SAMPLE_HZ
     sample_true = true_start_us + np.arange(n) * (local_step_us / rate)
 
     # reference channel: potentiometer riding the physical platform
     pot = potentiometer_read(platform_fn(sample_true), angle_range_deg,
                              sensors, rng)
-    pot = np.atleast_1d(np.asarray(pot, dtype=float))
 
     # frame schedule, extended backwards for warm-up and the delay queue
     frame_us = pipeline.frame_ms * 1000.0
@@ -268,38 +237,33 @@ def simulate_station(*, station_id: str, platform_fn, display_source,
     return RawCapture(
         station_id=station_id,
         start_utc_us=int(start_utc_us),
-        interval_ms=1000.0 / sensors.adc_sample_hz,
         pot=pot,
         photo=photo,
     )
 
 
-def run_capture(scenario, station_id: str = "A", duration_ms=None) -> RawCapture:
-    """Self-contained local measurement: the station observes its own
+def run_capture(scenario) -> RawCapture:
+    """Self-contained local measurement: station A observes its own
     platform on the potentiometer and its own display loop on the
     photosensors."""
     from .scenario import raise_if_invalid  # deferred, avoids an import cycle
 
     raise_if_invalid(scenario)
-    duration = scenario.duration_ms if duration_ms is None else duration_ms
-    clock = scenario.clock_a if station_id == "A" else scenario.clock_b
-    rng = np.random.default_rng(
-        np.random.SeedSequence((scenario.seed, 0 if station_id == "A" else 1))
-    )
+    rng = np.random.default_rng(np.random.SeedSequence((scenario.seed, 0)))
 
     def platform_fn(t_us):
         return platform_angle(scenario.motion, np.asarray(t_us, dtype=float) / 1000.0)
 
     return simulate_station(
-        station_id=station_id,
+        station_id="A",
         platform_fn=platform_fn,
-        display_source=CallableAngleHistory(platform_fn),
+        display_source=platform_fn,
         pipeline=scenario.pipeline,
         sensors=scenario.sensors,
         angle_range_deg=scenario.angle_range_deg,
-        clock=clock,
+        clock=scenario.clock_a,
         true_start_us=0.0,
         start_utc_us=scenario.start_utc_second * 1_000_000,
-        duration_ms=duration,
+        duration_ms=scenario.duration_ms,
         rng=rng,
     )

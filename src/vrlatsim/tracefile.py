@@ -74,7 +74,6 @@ def quantize_capture(capture: RawCapture) -> RawCapture:
     return RawCapture(
         station_id=capture.station_id,
         start_utc_us=capture.start_utc_us,
-        interval_ms=capture.interval_ms,
         pot=np.round(capture.pot, VALUE_DECIMALS),
         photo=np.round(capture.photo, VALUE_DECIMALS),
     )
@@ -146,7 +145,7 @@ def _header_text(capture: RawCapture) -> str:
     return (
         f"# station_id = {capture.station_id}\n"
         f"# start_utc_us = {capture.start_utc_us!r}\n"
-        f"# interval_ms = {capture.interval_ms!r}\n"
+        f"# interval_ms = {_INTERVAL_LITERAL}\n"
         f"{_HEADER_LINE}\n"
     )
 
@@ -279,7 +278,6 @@ def _checked_capture(meta: dict, pot: np.ndarray, photo: np.ndarray,
     return RawCapture(
         station_id=meta["station_id"],
         start_utc_us=int(meta["start_utc_us"]),
-        interval_ms=1.0,
         pot=np.ascontiguousarray(pot),
         photo=np.ascontiguousarray(photo),
     )

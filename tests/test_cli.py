@@ -237,6 +237,36 @@ def test_trace_that_is_not_utf8_exits_2(vive_trace_text, tmp_path, capsys):
     assert "not UTF-8 text" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["sensors.adc_sample_hz = 1000.0",
+                                  "sensors.adc_conversion_us = 800.0",
+                                  "motion.kind = sinusoidal"])
+def test_config_naming_a_fixed_rig_setting_exits_1(line, tmp_path, capsys):
+    cfg = str(tmp_path / "old.cfg")
+    with open(cfg, "w") as handle:
+        handle.write(line + "\n")
+    out = str(tmp_path / "run")
+    assert cli.main(["simulate", "--config", cfg, "--out", out]) == 1
+    assert not os.path.exists(out)
+    key = line.split(" = ")[0]
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_duration_override_exits_1(value, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert cli.main(["simulate", "--duration-ms", value, "--out", out]) == 1
+    assert not os.path.exists(out)
+    assert f"duration_ms must be finite, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("runs", ["0", "-3"])
+def test_batch_without_runs_exits_1(runs, tmp_path, capsys):
+    out = str(tmp_path / "batch")
+    assert cli.main(["batch", "--runs", runs, "--out", out]) == 1
+    assert not os.path.exists(out)
+    assert f"--runs must be at least 1, got {runs}" in capsys.readouterr().err
+
+
 def test_batch_records_an_audio_timeout_as_a_failed_run(tmp_path, capsys):
     sc = replace(scenario_mod.get_preset("audio-local"), duration_ms=2000.0)
     sc = replace(sc, audio=replace(sc.audio, threshold=0.99, attenuation=0.5))

@@ -28,7 +28,7 @@ def make_capture(pot=None, photo=None, start_utc_us=0, station="A"):
     if photo is None:
         photo = np.zeros((pot.shape[0], 4))
     return RawCapture(station_id=station, start_utc_us=start_utc_us,
-                      interval_ms=1.0, pot=np.asarray(pot, dtype=float),
+                      pot=np.asarray(pot, dtype=float),
                       photo=np.asarray(photo, dtype=float))
 
 

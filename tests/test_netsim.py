@@ -1,9 +1,11 @@
 """Network path and two-station measurement tests."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from vrlatsim import cli, estimator, netsim
-from vrlatsim.errors import ClockStateError, SimulationError
+from vrlatsim.errors import SimulationError
 from vrlatsim.netsim import NetworkConfig
 from vrlatsim.rig import SteppedAngleHistory
 from vrlatsim.scenario import get_preset
@@ -68,7 +70,7 @@ def test_receiver_hold_staleness_averages_half_an_interval():
     net = NetworkConfig(send_rate_hz=29.0, one_way_delay_ms=0.5, phase_ms=0.0)
     deliveries, values = netsim.sample_and_send(_ramp, net, 0.0, 10_000_000.0,
                                                 np.random.default_rng(0))
-    held = SteppedAngleHistory(deliveries, values, backfill=True)
+    held = SteppedAngleHistory(deliveries, values)
     t = np.arange(1_000_000.0, 9_000_000.0, 250.0)
     staleness_ms = t / 1000.0 - held(t)
     # half of 34.48 ms plus the 0.5 ms wire delay
@@ -82,8 +84,8 @@ def test_remote_capture_requires_a_network_config():
 
 
 def test_remote_capture_station_roles():
-    sender, receiver = netsim.remote_capture(get_preset("remote-default"),
-                                             duration_ms=1500.0)
+    sender, receiver = netsim.remote_capture(
+        replace(get_preset("remote-default"), duration_ms=1500.0))
     assert sender.station_id == "A"
     assert receiver.station_id == "B"
     assert len(sender) == 1500
@@ -96,21 +98,16 @@ def test_remote_capture_station_roles():
 
 
 def test_remote_capture_is_deterministic():
-    sc = get_preset("remote-default")
-    a1, b1 = netsim.remote_capture(sc, duration_ms=1200.0)
-    a2, b2 = netsim.remote_capture(sc, duration_ms=1200.0)
+    sc = replace(get_preset("remote-default"), duration_ms=1200.0)
+    a1, b1 = netsim.remote_capture(sc)
+    a2, b2 = netsim.remote_capture(sc)
     assert np.array_equal(a1.pot, a2.pot)
     assert np.array_equal(b1.photo, b2.photo)
 
 
-def test_unsynchronized_clocks_cannot_schedule_a_start():
-    with pytest.raises(ClockStateError):
-        netsim.remote_capture(get_preset("remote-default"), synchronize=False)
-
-
 def test_remote_latency_exceeds_the_receiver_local_chain():
-    sc = get_preset("remote-default")
-    sender, receiver = netsim.remote_capture(sc, duration_ms=3000.0)
+    sc = replace(get_preset("remote-default"), duration_ms=3000.0)
+    sender, receiver = netsim.remote_capture(sc)
     pot = estimator.decode_pot_trace(sender)
     remote = estimator.estimate_remote(
         pot, estimator.decode_display_trace(receiver), max_lag_ms=80
@@ -123,8 +120,8 @@ def test_remote_latency_exceeds_the_receiver_local_chain():
 
 
 def test_receiver_extrapolation_shortens_the_remote_path():
-    base = netsim.remote_capture(get_preset("remote-default"), duration_ms=3000.0)
-    pred = netsim.remote_capture(get_preset("remote-asymmetric"), duration_ms=3000.0)
+    base = netsim.remote_capture(replace(get_preset("remote-default"), duration_ms=3000.0))
+    pred = netsim.remote_capture(replace(get_preset("remote-asymmetric"), duration_ms=3000.0))
     lag_base = estimator.estimate_remote(
         estimator.decode_pot_trace(base[0]),
         estimator.decode_display_trace(base[1]), max_lag_ms=80

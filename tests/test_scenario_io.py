@@ -29,8 +29,9 @@ def test_validation_collects_every_violation_at_once():
         motion=MotionProfile(amplitude_deg=-1.0, period_ms=0.0),
         pipeline=PipelineConfig(refresh_hz=90.0, display_persistence_ms=11.0,
                                 frame_delay_queue_len=-2),
-        sensors=SensorConfig(adc_sample_hz=500.0, pot_noise_sigma=-0.1),
+        sensors=SensorConfig(pot_noise_sigma=-0.1),
         clock_a=SimClock(drift_ppm=5000.0),
+        net=NetworkConfig(send_rate_hz=0.0),
         audio=AudioPathConfig(threshold=1.5),
         duration_ms=-1.0,
         sync_lead_s=0,
@@ -39,7 +40,7 @@ def test_validation_collects_every_violation_at_once():
     assert len(violations) >= 8
     text = "\n".join(violations)
     for needle in ("amplitude", "period", "persistence", "queue",
-                   "adc_sample_hz", "noise sigma", "drift", "threshold",
+                   "send_rate_hz", "noise sigma", "drift", "threshold",
                    "duration", "sync_lead"):
         assert needle in text
 
@@ -137,6 +138,42 @@ def test_unparseable_values_are_reported_with_their_key():
     assert "pipeline.refresh_hz" in "\n".join(err.value.violations)
 
 
+@pytest.mark.parametrize("key", ["sensors.adc_sample_hz", "sensors.adc_conversion_us",
+                                 "motion.kind"])
+def test_fixed_rig_settings_are_not_config_keys(key):
+    # the ADC rate (1 kHz) and the motion (sinusoidal) are fixed
+    with pytest.raises(ScenarioValidationError) as err:
+        scenario_mod.scenario_from_flat({key: "1000"})
+    assert err.value.violations == [f"unknown config key {key!r}"]
+
+
+# every section set, so that every float key of a scenario is checked
+_FULL_SCENARIO = scenario_mod.scenario_from_flat({
+    **scenario_mod.PRESETS["remote-default"], **scenario_mod.PRESETS["audio-local"],
+    "net.phase_ms": 3.0,
+})
+_FLOAT_KEYS = [key for key, value in scenario_mod.scenario_to_flat(_FULL_SCENARIO).items()
+               if isinstance(value, float)]
+
+
+def test_the_full_scenario_is_valid_and_has_every_section():
+    assert scenario_mod.validate(_FULL_SCENARIO) == []
+    assert None not in (_FULL_SCENARIO.pipeline_b, _FULL_SCENARIO.net,
+                        _FULL_SCENARIO.audio, _FULL_SCENARIO.net.phase_ms)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_non_finite_values_are_rejected_with_their_key(key, value):
+    flat = {**scenario_mod.scenario_to_flat(_FULL_SCENARIO), key: value}
+    with pytest.raises(ScenarioValidationError) as err:
+        scenario_mod.raise_if_invalid(scenario_mod.scenario_from_flat(flat))
+    joined = "\n".join(err.value.violations)
+    # SimClock refuses an infinite drift itself, before validation runs
+    assert (f"{key} must be finite" in joined
+            or f"{key.replace('.', ': ')} must keep" in joined)
+
+
 def test_section_fields_are_resolved_once_and_read_only():
     fields = scenario_mod._section_fields(PipelineConfig)
     assert scenario_mod._section_fields(PipelineConfig) is fields
@@ -159,7 +196,6 @@ def _sample_capture(n=50):
     return RawCapture(
         station_id="A",
         start_utc_us=100_000 * 1_000_000,
-        interval_ms=1.0,
         pot=rng.uniform(0.0, 1.0, size=n),
         photo=rng.uniform(0.0, 1.0, size=(n, 4)),
     )
@@ -172,7 +208,8 @@ def test_trace_round_trip_preserves_the_rounded_capture(tmp_path):
     back = tracefile.read_trace(path)
     assert back.station_id == capture.station_id
     assert back.start_utc_us == capture.start_utc_us
-    assert back.interval_ms == capture.interval_ms
+    with open(path) as handle:
+        assert "# interval_ms = 1.0\n" in handle.read()
     assert np.array_equal(back.pot, capture.pot)
     assert np.array_equal(back.photo, capture.photo)
 
@@ -257,7 +294,7 @@ def _per_row_format_trace(capture):
     lines = [
         f"# station_id = {capture.station_id}",
         f"# start_utc_us = {capture.start_utc_us!r}",
-        f"# interval_ms = {capture.interval_ms!r}",
+        "# interval_ms = 1.0",
         ",".join(tracefile._HEADER_COLUMNS),
     ]
     fmt = f"%.{tracefile.VALUE_DECIMALS}f"
@@ -315,7 +352,6 @@ def _per_row_parse_trace(text, source="<string>"):
     return RawCapture(
         station_id=meta["station_id"],
         start_utc_us=float(raw_start) if "." in raw_start else int(raw_start),
-        interval_ms=float(meta["interval_ms"]),
         pot=np.asarray(pot, dtype=float),
         photo=np.asarray(photo, dtype=float),
     )
@@ -344,7 +380,6 @@ def _awkward_capture(n, seed):
     return RawCapture(
         station_id="B",
         start_utc_us=int(rng.integers(0, 2**53)),
-        interval_ms=1.0,
         pot=values[:, 0].copy(),
         photo=values[:, 1:].copy(),
     )
@@ -397,8 +432,7 @@ def test_trace_reader_matches_the_per_row_oracle(seed, n, crlf, meta_last):
     text = ("\r\n" if crlf else "\n").join(lines) + "\n"
     got = tracefile.parse_trace(text)
     want = _per_row_parse_trace(text)
-    assert (got.station_id, got.start_utc_us, got.interval_ms) == \
-        (want.station_id, want.start_utc_us, want.interval_ms)
+    assert (got.station_id, got.start_utc_us) == (want.station_id, want.start_utc_us)
     assert type(got.start_utc_us) is type(want.start_utc_us)
     for channel in ("pot", "photo"):
         g, w = getattr(got, channel), getattr(want, channel)
@@ -425,7 +459,6 @@ def _canonical_capture(n, seed):
     return tracefile.quantize_capture(RawCapture(
         station_id="A",
         start_utc_us=int(rng.integers(-2**53, 2**53)),
-        interval_ms=1.0,
         pot=values[:, 0].copy(),
         photo=values[:, 1:].copy(),
     ))
@@ -532,7 +565,7 @@ def _outcome(read, text):
         capture = read(text)
     except TraceFormatError as err:
         return str(err)
-    return (capture.station_id, capture.start_utc_us, capture.interval_ms,
+    return (capture.station_id, capture.start_utc_us,
             capture.pot.dtype, capture.pot.shape, capture.pot.tobytes(),
             capture.photo.dtype, capture.photo.shape, capture.photo.tobytes())
 
@@ -554,15 +587,15 @@ def test_both_trace_readers_agree(edit, n, seed):
     assert _outcome(lambda b: tracefile.parse_trace(b, "src.csv"),
                     text.encode()) == want
     if edit == "none":
-        assert want[3:] == _outcome(_per_row_parse_trace, text)[3:]
+        assert want[2:] == _outcome(_per_row_parse_trace, text)[2:]
 
 
 def test_long_trace_io_peak_memory_stays_small():
     # the fixed-width paths work in bounded blocks; the loadtxt reader
     # peaked at 14.0 MB here
     capture = tracefile.quantize_capture(
-        rig.run_capture(scenario_mod.get_preset("vive-baseline"),
-                        duration_ms=60_000.0))
+        rig.run_capture(replace(scenario_mod.get_preset("vive-baseline"),
+                                duration_ms=60_000.0)))
     text = tracefile.format_trace(capture)
     for call, arg, limit in ((tracefile.format_trace, capture, 8e6),
                              (tracefile.parse_trace, text, 13.4e6)):
@@ -720,7 +753,6 @@ def test_trace_parser_rejects_samples_outside_the_unit_range(value, column):
 def test_trace_parser_accepts_the_ends_of_the_unit_range():
     capture = tracefile.parse_trace(
         _one_row_trace(row="0,0,1,-0.000000,1.000000,0.0"))
-    assert capture.interval_ms == 1.0
     assert capture.pot.tolist() == [0.0]
     assert capture.photo.tolist() == [[1.0, 0.0, 1.0, 0.0]]
 
