@@ -54,8 +54,9 @@ RUN_FAILURES = tuple(exc for exc, code in EXIT_CODES.items() if code == 3)
 def load_scenario(config: str, seed: int | None = None,
                   duration_ms: float | None = None) -> scenario_mod.Scenario:
     """Resolve a preset name or config file path into a scenario."""
+    # validated once, at the end, with the overrides applied
     if config in scenario_mod.PRESETS:
-        sc = scenario_mod.get_preset(config)
+        sc = scenario_mod.scenario_from_flat(scenario_mod.PRESETS[config])
     elif os.path.exists(config):
         with open(config, encoding="utf-8") as handle:
             try:
@@ -64,7 +65,7 @@ def load_scenario(config: str, seed: int | None = None,
                 raise ScenarioValidationError(
                     [f"config file {config!r} is not UTF-8 text: {exc}"]
                 ) from None
-        sc = scenario_mod.load_config_text(text)
+        sc = scenario_mod.scenario_from_flat(scenario_mod.parse_config_text(text))
     else:
         raise ScenarioValidationError(
             [
@@ -79,7 +80,7 @@ def load_scenario(config: str, seed: int | None = None,
         overrides["duration_ms"] = duration_ms
     if overrides:
         sc = replace(sc, **overrides)
-        scenario_mod.raise_if_invalid(sc)
+    scenario_mod.raise_if_invalid(sc)
     return sc
 
 
@@ -208,7 +209,16 @@ def summarize_reports(reports) -> list:
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
+def _check_max_lag(args):
+    """Reject a lag window the estimator cannot search, before any work."""
+    if args.max_lag < 1:
+        raise ScenarioValidationError(
+            [f"--max-lag must be at least 1, got {args.max_lag}"]
+        )
+
+
 def cmd_simulate(args) -> int:
+    _check_max_lag(args)
     sc = load_scenario(args.config, args.seed, args.duration_ms)
     result = simulate_scenario(sc, max_lag_ms=args.max_lag,
                                allow_negative=args.allow_negative_lag)
@@ -231,6 +241,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    _check_max_lag(args)
     primary = tracefile.read_trace(args.traces[0])
     secondary = tracefile.read_trace(args.traces[1]) if len(args.traces) > 1 else None
     report = estimate_captures(
@@ -249,6 +260,7 @@ def cmd_estimate(args) -> int:
 def cmd_batch(args) -> int:
     if args.runs < 1:
         raise ScenarioValidationError([f"--runs must be at least 1, got {args.runs}"])
+    _check_max_lag(args)
     sc = load_scenario(args.config, None, args.duration_ms)
     base_seed = args.seed if args.seed is not None else sc.seed
     reports, failures = run_batch(sc, args.runs, base_seed,

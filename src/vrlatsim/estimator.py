@@ -130,8 +130,10 @@ def decode_display_trace(capture: RawCapture) -> DecodedTrace:
     picks = rows[candidates[first]]
     burst_codes = codec.decode(codec.classify_luminance(lum[picks]))
 
-    idx = np.searchsorted(starts, np.arange(n), side="right") - 1
-    values = burst_codes[np.maximum(idx, 0)]
+    # each code holds from its burst's start to the next one; the first
+    # also covers the intervals before it
+    values = np.repeat(burst_codes,
+                       np.diff(np.concatenate(([0], starts[1:], [n]))))
     return DecodedTrace(
         values=values,
         source="display",

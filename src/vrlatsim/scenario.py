@@ -17,11 +17,15 @@ from .audio import AudioPathConfig
 from .clock import SimClock
 from .errors import ScenarioValidationError
 from .netsim import NetworkConfig
-from .rig import MotionProfile, PipelineConfig, SensorConfig
+from .rig import MotionProfile, PipelineConfig, SensorConfig, sample_count
 
 # time for the sensor to move within half a level of its target,
 # expressed as a multiple of the 10-90 rise time
 _SETTLE_PER_RISE = math.log(14.0) / math.log(9.0)
+# longest capture a scenario may ask for: one hour.  A run's memory grows
+# with its duration (a remote simulate peaks near 15 MB of arrays per
+# minute), so the cap keeps one run near 1 GB
+MAX_DURATION_MS = 3_600_000.0
 
 
 def sampling_margin_ms(sensors: SensorConfig) -> float:
@@ -148,8 +152,14 @@ def validate(scenario: Scenario) -> list:
         if a.noise_sigma < 0:
             v.append("audio.noise_sigma must be >= 0")
 
-    if scenario.duration_ms <= 0:
-        v.append("duration_ms must be positive")
+    duration = scenario.duration_ms
+    if math.isfinite(duration):  # a non-finite one is reported above
+        if sample_count(duration) < 1:
+            v.append(f"duration_ms={duration} gives no ADC sample; "
+                     "it must round to at least 1 ms")
+        elif duration > MAX_DURATION_MS:
+            v.append(f"duration_ms={duration} exceeds the maximum of "
+                     f"{MAX_DURATION_MS:.0f} ms (one hour)")
     if scenario.seed < 0 or int(scenario.seed) != scenario.seed:
         v.append("seed must be a non-negative integer")
     if scenario.start_utc_second <= 0:

@@ -1,12 +1,20 @@
 """End-to-end command line tests driven through cli.main()."""
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import vrlatsim
 from vrlatsim import cli, estimator, netsim, rig, tracefile
 from vrlatsim import scenario as scenario_mod
-from vrlatsim.errors import DetectionTimeoutError, VrLatSimError
+from vrlatsim.errors import (
+    DetectionTimeoutError,
+    ScenarioValidationError,
+    VrLatSimError,
+)
 
 
 def _read(path):
@@ -265,6 +273,81 @@ def test_batch_without_runs_exits_1(runs, tmp_path, capsys):
     assert cli.main(["batch", "--runs", runs, "--out", out]) == 1
     assert not os.path.exists(out)
     assert f"--runs must be at least 1, got {runs}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lag", ["0", "-5"])
+@pytest.mark.parametrize("command", ["simulate", "estimate", "batch"])
+def test_lag_window_below_1_exits_1_before_any_work(command, lag, tmp_path,
+                                                     capsys):
+    out = str(tmp_path / "out")
+    # estimate gets a trace that does not exist: reading it would exit 2
+    target = ([str(tmp_path / "missing.csv")] if command == "estimate"
+              else ["--out", out])
+    assert cli.main([command, *target, "--max-lag", lag]) == 1
+    assert not os.path.exists(out)
+    assert f"--max-lag must be at least 1, got {lag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0.4", "1e12"])
+def test_duration_without_samples_or_beyond_the_cap_exits_1(value, tmp_path,
+                                                             capsys):
+    out = str(tmp_path / "run")
+    assert cli.main(["simulate", "--duration-ms", value, "--out", out]) == 1
+    assert not os.path.exists(out)
+    assert "duration_ms=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [{}, {"seed": 4}, {"duration_ms": 2000.0},
+                                       {"seed": 4, "duration_ms": 2000.0}])
+def test_load_scenario_validates_once(overrides, tmp_path, monkeypatch):
+    cfg = tmp_path / "sc.cfg"
+    cfg.write_text(scenario_mod.format_config(scenario_mod.get_preset("zero-delay")))
+    calls = []
+    real_validate = scenario_mod.validate
+
+    def counting_validate(sc):
+        calls.append(sc)
+        return real_validate(sc)
+
+    monkeypatch.setattr(scenario_mod, "validate", counting_validate)
+    for config in ("vive-baseline", str(cfg)):
+        calls.clear()
+        sc = cli.load_scenario(config, **overrides)
+        assert calls == [sc]
+
+
+def test_override_replaces_an_invalid_config_value_before_validation(tmp_path):
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("duration_ms = 0.2\n")
+    with pytest.raises(ScenarioValidationError):
+        cli.load_scenario(str(cfg))
+    assert cli.load_scenario(str(cfg), duration_ms=2000.0).duration_ms == 2000.0
+
+
+_NO_SCIPY_SCRIPT = """
+import os, sys
+from vrlatsim import cli
+out = sys.argv[1]
+assert cli.main(["simulate", "--duration-ms", "2000", "--max-lag", "80",
+                 "--out", out]) == 0
+assert cli.main(["estimate", os.path.join(out, "trace_A.csv"),
+                 "--max-lag", "80"]) == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print("scipy modules:", loaded)
+sys.exit(1 if loaded else 0)
+"""
+
+
+def test_simulate_and_estimate_run_without_scipy(tmp_path):
+    src = str(Path(vrlatsim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT,
+                           str(tmp_path / "run")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "scipy modules: []" in done.stdout
 
 
 def test_batch_records_an_audio_timeout_as_a_failed_run(tmp_path, capsys):

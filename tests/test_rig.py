@@ -201,6 +201,65 @@ def test_non_uniform_steps_use_the_exact_exponential():
         assert np.max(np.abs(y - want)) <= 1e-12
 
 
+_PIPELINES = {
+    "90hz": PipelineConfig(),
+    "360hz": PipelineConfig(refresh_hz=360.0, display_persistence_ms=1.4),
+}
+_RISE_TIMES_US = (1.0, 260.0, 20_000.0, 200_000.0, 1_000_000.0)
+
+
+def _recursion_coefficients(pipeline, rise_time_us):
+    """a and b of s_{k+1} = a * s_k + b * L_k, as photosensor_read sets them."""
+    frame_us = pipeline.frame_ms * 1000.0
+    persist_us = pipeline.display_persistence_ms * 1000.0
+    tau = rise_time_us / math.log(9.0)
+    a = math.exp(-frame_us / tau)
+    b = math.exp(-(frame_us - persist_us) / tau) * -math.expm1(-persist_us / tau)
+    return a, b
+
+
+@pytest.mark.parametrize("pipeline", _PIPELINES.values(), ids=_PIPELINES.keys())
+@pytest.mark.parametrize("rise_time_us", _RISE_TIMES_US)
+def test_frame_start_states_match_a_linear_filter(pipeline, rise_time_us):
+    from scipy.signal import lfilter  # oracle only; the package needs no scipy
+
+    rng = np.random.default_rng(int(rise_time_us) + int(pipeline.refresh_hz))
+    levels = rng.integers(0, 8, size=(2500, codec.DIGIT_COUNT)) / 7.0
+    a, b = _recursion_coefficients(pipeline, rise_time_us)
+    want = lfilter([0.0, b], [1.0, -a], levels, axis=0,
+                   zi=np.zeros((1, codec.DIGIT_COUNT)))[0]
+    got = rig.frame_start_states(levels, a, b)
+    assert got.shape == levels.shape
+    assert np.all(got[0] == 0.0)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_frame_start_states_handle_one_frame_and_an_instant_sensor():
+    one = rig.frame_start_states(np.ones((1, 4)), 0.5, 0.25)
+    assert np.array_equal(one, np.zeros((1, 4)))
+    # a = 0: each state is the previous frame's level scaled by b alone
+    levels = np.arange(12.0).reshape(3, 4)
+    got = rig.frame_start_states(levels, 0.0, 0.5)
+    assert np.array_equal(got, np.vstack([np.zeros(4), 0.5 * levels[:-1]]))
+
+
+@pytest.mark.parametrize("pipeline", _PIPELINES.values(), ids=_PIPELINES.keys())
+@pytest.mark.parametrize("rise_time_us", _RISE_TIMES_US)
+def test_sensor_matches_the_per_frame_loop_on_a_short_schedule(pipeline,
+                                                               rise_time_us):
+    frame_us = pipeline.frame_ms * 1000.0
+    persist_us = pipeline.display_persistence_ms * 1000.0
+    first = -3 * frame_us
+    rng = np.random.default_rng(29)
+    lum = rng.integers(0, 8, size=(14, 4)) / 7.0
+    times = first + 5.3 + np.arange(0.0, 12 * frame_us, 397.0)
+    y = rig.photosensor_read(times, lum, first, pipeline,
+                             SensorConfig(rise_time_us=rise_time_us))
+    want = _per_frame_reference(times, lum, first, frame_us, persist_us,
+                                rise_time_us / math.log(9.0))
+    assert np.max(np.abs(y - want)) <= 1e-12
+
+
 def test_sensor_decay_between_strobes():
     offsets = np.array([1500.0, 1600.0, 2500.0, 4321.5, 11_000.0])
     y = _read(offsets, np.ones((1, 4)))[:, 0]

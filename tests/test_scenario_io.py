@@ -59,6 +59,26 @@ def test_persistence_must_leave_a_dark_settled_sample():
     assert any("settled sample" in v for v in scenario_mod.validate(short))
 
 
+@pytest.mark.parametrize("duration_ms", [0.0, 0.4, 0.5, -3.0])
+def test_duration_must_give_one_sample(duration_ms):
+    # the capture takes round(duration_ms) samples at 1 kHz; 0.5 rounds to 0
+    violations = scenario_mod.validate(Scenario(duration_ms=duration_ms))
+    assert [v for v in violations if v.startswith("duration_ms=")]
+
+
+@pytest.mark.parametrize("duration_ms", [0.51, 1.0, scenario_mod.MAX_DURATION_MS])
+def test_duration_inside_the_bounds_is_valid(duration_ms):
+    assert scenario_mod.validate(Scenario(duration_ms=duration_ms)) == []
+
+
+def test_duration_beyond_the_cap_is_named():
+    beyond = float(np.nextafter(scenario_mod.MAX_DURATION_MS, np.inf))
+    violations = scenario_mod.validate(Scenario(duration_ms=beyond))
+    assert len(violations) == 1
+    assert violations[0].startswith("duration_ms=")
+    assert "exceeds the maximum" in violations[0]
+
+
 def test_raise_if_invalid_raises_with_the_violation_list():
     bad = Scenario(duration_ms=0.0)
     with pytest.raises(ScenarioValidationError) as err:
