@@ -240,8 +240,20 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _check_trace_count(args):
+    """Reject trace paths that estimate would ignore, before reading any."""
+    allowed = 1 if args.self_check else 2
+    if len(args.traces) > allowed:
+        what = ("--self reads one trace file" if args.self_check
+                else "estimate reads one or two trace files")
+        raise ScenarioValidationError(
+            [f"{what}, got {len(args.traces)}: {' '.join(args.traces)}"]
+        )
+
+
 def cmd_estimate(args) -> int:
     _check_max_lag(args)
+    _check_trace_count(args)
     primary = tracefile.read_trace(args.traces[0])
     secondary = tracefile.read_trace(args.traces[1]) if len(args.traces) > 1 else None
     report = estimate_captures(

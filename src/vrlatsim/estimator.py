@@ -16,17 +16,16 @@ correlation between the reference and the delayed series.  Both series
 are centred once on their global means; the window sums and sums of
 squares of every lag come from prefix sums.  The cross products of all
 lags come from one pass: a `np.correlate` over the head of the trace,
-where every lag stays in range, plus one small matrix product for the
-triangle of products at the end of the trace that shorter lags still
-reach.  Whether a window is constant is decided exactly, from a prefix
-count of value changes, never from a floating-point variance.
+where every lag stays in range, plus a second, short `np.correlate` for
+the triangle of products at the end of the trace that shorter lags
+still reach.  Whether a window is constant is decided exactly, from a
+prefix count of value changes, never from a floating-point variance.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import codec
 from .errors import (
@@ -158,14 +157,14 @@ def _lagged_dots(x: np.ndarray, y: np.ndarray, max_lag: int) -> np.ndarray:
     """sum(x[i] * y[i + L] for i < n - L) for every L in 0..max_lag.
 
     Below n - max_lag every lag stays inside y, so one `np.correlate`
-    covers that span; the last max_lag values of x meet a zero-padded
-    tail of y, one window per lag, in a single matrix product.
+    covers that span.  The last max_lag values of x meet a zero-padded
+    tail of y, one window per lag; a second `np.correlate` takes each of
+    those max_lag + 1 sums as one BLAS dot product.
     """
     n = x.shape[0]
     head = np.correlate(y, x[:n - max_lag], "valid")
     tail = np.concatenate((y[n - max_lag:], np.zeros(max_lag)))
-    windows = sliding_window_view(tail, max_lag)
-    return head + windows @ x[n - max_lag:]
+    return head + np.correlate(tail, x[n - max_lag:], "valid")
 
 
 def cross_correlate(reference: DecodedTrace, delayed: DecodedTrace,

@@ -188,7 +188,10 @@ def photosensor_read(sample_us, frame_lum, first_frame_us: float,
     (`frame_start_states`).  A sample at offset o into frame k reads
     L_k + (s_k - L_k) * exp(-o/tau) while lit and
     (L_k + (s_k - L_k) * exp(-p/tau)) * exp(-(o - p)/tau) once dark.
-    The work scales with samples + frames.
+    Both cases are one expression with clamped exponents, evaluated in
+    place on the gathered states, so the only (n, 4) arrays are the
+    gathered levels and the result.  The work scales with samples +
+    frames.
     """
     t = np.asarray(sample_us, dtype=float)
     levels = np.asarray(frame_lum, dtype=float)
@@ -198,18 +201,27 @@ def photosensor_read(sample_us, frame_lum, first_frame_us: float,
     if k.min() < 0 or k.max() >= levels.shape[0]:
         raise SimulationError("frame schedule does not cover every sample")
     offset = (t - (first_frame_us + k * frame_us))[:, None]
-    level = levels[k]
+    # np.take, not levels[k]: numpy's fancy-index gather of 2-D rows is
+    # several times slower
+    level = np.take(levels, k, axis=0)
     tau = sensors.rise_time_us / RISE_LN9
     if tau == 0.0:
         return np.where(offset < persist_us, level, 0.0)
 
     a = math.exp(-frame_us / tau)
     b = math.exp(-(frame_us - persist_us) / tau) * -math.expm1(-persist_us / tau)
-    start_state = frame_start_states(levels, a, b)
     # clamping both exponents keeps each branch finite on the other's rows
     lit_part = np.exp(-np.minimum(offset, persist_us) / tau)
     dark_part = np.exp(-np.maximum(offset - persist_us, 0.0) / tau)
-    return (level + (start_state[k] - level) * lit_part) * dark_part
+    del offset  # not needed below; freeing it lowers the peak by n floats
+    # (level + (s_k - level) * lit_part) * dark_part, evaluated in place
+    # on the gathered states: the same operations in the same order
+    out = np.take(frame_start_states(levels, a, b), k, axis=0)
+    out -= level
+    out *= lit_part
+    out += level
+    out *= dark_part
+    return out
 
 
 def sample_count(duration_ms: float) -> int:
@@ -255,9 +267,8 @@ def simulate_station(*, station_id: str, platform_fn, display_source,
     photo = photosensor_read(sample_true, frame_lum, frame_starts[0],
                              pipeline, sensors)
     if sensors.photo_noise_sigma > 0:
-        photo = photo + rng.normal(0.0, sensors.photo_noise_sigma,
-                                   size=photo.shape)
-    photo = np.clip(photo, 0.0, 1.0)
+        photo += rng.normal(0.0, sensors.photo_noise_sigma, size=photo.shape)
+    np.clip(photo, 0.0, 1.0, out=photo)
 
     return RawCapture(
         station_id=station_id,

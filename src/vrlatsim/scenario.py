@@ -237,8 +237,12 @@ def _coerce(value, hint):
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse `key = value` lines into a flat dict of raw string values."""
+    """Parse `key = value` lines into a flat dict of raw string values.
+
+    A key given twice is an error, not a silent override.
+    """
     flat = {}
+    first_line = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -247,8 +251,14 @@ def parse_config_text(text: str) -> dict:
             raise ScenarioValidationError(
                 [f"line {lineno}: expected 'key = value', got {raw!r}"]
             )
-        key, value = line.split("=", 1)
-        flat[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise ScenarioValidationError(
+                [f"line {lineno}: duplicate key {key!r}, "
+                 f"first set on line {first_line[key]}"]
+            )
+        first_line[key] = lineno
+        flat[key] = value
     return flat
 
 

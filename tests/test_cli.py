@@ -288,6 +288,33 @@ def test_lag_window_below_1_exits_1_before_any_work(command, lag, tmp_path,
     assert f"--max-lag must be at least 1, got {lag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, message", [
+    ([], "estimate reads one or two trace files, got 3"),
+    (["--self"], "--self reads one trace file, got 2"),
+], ids=["three-traces", "self-with-two"])
+def test_estimate_rejects_traces_it_would_ignore(extra, message, tmp_path,
+                                                 capsys):
+    # none of the traces exists: reading any of them would exit 2
+    count = 2 if extra else 3
+    traces = [str(tmp_path / f"missing_{i}.csv") for i in range(count)]
+    out = str(tmp_path / "report.txt")
+    assert cli.main(["estimate", *traces, *extra, "--out", out]) == 1
+    assert not os.path.exists(out)
+    err = capsys.readouterr().err
+    assert message in err
+    assert traces[-1] in err
+
+
+def test_duplicate_config_key_exits_1_naming_both_lines(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("seed = 1\nduration_ms = 2000\n\nseed = 2\n")
+    out = str(tmp_path / "run")
+    assert cli.main(["simulate", "--config", str(cfg), "--out", out]) == 1
+    assert not os.path.exists(out)
+    assert "line 4: duplicate key 'seed', first set on line 1" in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["0.4", "1e12"])
 def test_duration_without_samples_or_beyond_the_cap_exits_1(value, tmp_path,
                                                              capsys):

@@ -260,6 +260,45 @@ def test_sensor_matches_the_per_frame_loop_on_a_short_schedule(pipeline,
     assert np.max(np.abs(y - want)) <= 1e-12
 
 
+def _expression_reference(sample_us, frame_lum, first_frame_us, pipeline,
+                          sensors):
+    """photosensor_read as one out-of-place expression over fancy-indexed rows."""
+    t = np.asarray(sample_us, dtype=float)
+    levels = np.asarray(frame_lum, dtype=float)
+    frame_us = pipeline.frame_ms * 1000.0
+    persist_us = pipeline.display_persistence_ms * 1000.0
+    k = np.floor((t - first_frame_us) / frame_us).astype(np.int64)
+    offset = (t - (first_frame_us + k * frame_us))[:, None]
+    level = levels[k]
+    tau = sensors.rise_time_us / math.log(9.0)
+    if tau == 0.0:
+        return np.where(offset < persist_us, level, 0.0)
+    a, b = _recursion_coefficients(pipeline, sensors.rise_time_us)
+    start_state = rig.frame_start_states(levels, a, b)
+    lit_part = np.exp(-np.minimum(offset, persist_us) / tau)
+    dark_part = np.exp(-np.maximum(offset - persist_us, 0.0) / tau)
+    return (level + (start_state[k] - level) * lit_part) * dark_part
+
+
+@pytest.mark.parametrize("pipeline", _PIPELINES.values(), ids=_PIPELINES.keys())
+@pytest.mark.parametrize("rise_time_us", (0.0, 1.0, 260.0, 20_000.0))
+def test_in_place_sensor_equals_the_expression_bitwise(pipeline, rise_time_us):
+    # 3000 samples on a grid drifted by -80 ppm, starting off any frame edge
+    frame_us = pipeline.frame_ms * 1000.0
+    first = -4 * frame_us
+    frames = int(3000 * 1000.0 / frame_us) + 8
+    rng = np.random.default_rng(int(rise_time_us) + 7)
+    lum = rng.integers(0, 8, size=(frames, codec.DIGIT_COUNT)) / 7.0
+    lum_before = lum.copy()
+    times = 13.7 + np.arange(3000) * 1000.0 / (1.0 - 80e-6)
+    sensors = SensorConfig(rise_time_us=rise_time_us)
+    got = rig.photosensor_read(times, lum, first, pipeline, sensors)
+    want = _expression_reference(times, lum, first, pipeline, sensors)
+    assert got.shape == (3000, codec.DIGIT_COUNT)
+    assert np.array_equal(got, want)
+    assert np.array_equal(lum, lum_before)
+
+
 def test_sensor_decay_between_strobes():
     offsets = np.array([1500.0, 1600.0, 2500.0, 4321.5, 11_000.0])
     y = _read(offsets, np.ones((1, 4)))[:, 0]
@@ -355,7 +394,8 @@ def test_zero_delay_display_tracks_the_potentiometer():
 
 def test_long_capture_peak_memory_stays_small():
     # the closed-form sensor keeps memory proportional to samples + frames;
-    # the old 50 us integration grid peaked at 117.7 MB here
+    # the old 50 us integration grid peaked at 117.7 MB here, and the
+    # out-of-place sensor expression at 9.9 MB
     sc = get_preset("vive-baseline")
     tracemalloc.start()
     try:
@@ -363,4 +403,4 @@ def test_long_capture_peak_memory_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+    assert peak < 8e6

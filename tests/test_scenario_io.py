@@ -211,6 +211,21 @@ def test_lines_without_equals_are_rejected():
     assert "line 1" in "\n".join(err.value.violations)
 
 
+def test_duplicate_keys_are_rejected_with_both_lines():
+    text = ("seed = 1\n"
+            "# a comment line\n"
+            "pipeline.refresh_hz = 90\n"
+            "  seed=2  # the same key, spaced differently\n")
+    with pytest.raises(ScenarioValidationError) as err:
+        scenario_mod.parse_config_text(text)
+    assert err.value.violations == [
+        "line 4: duplicate key 'seed', first set on line 1"
+    ]
+    # keys of different sections are different keys
+    flat = scenario_mod.parse_config_text("seed = 1\nclock_a.seed = 2\n")
+    assert flat == {"seed": "1", "clock_a.seed": "2"}
+
+
 def _sample_capture(n=50):
     rng = np.random.default_rng(0)
     return RawCapture(
