@@ -31,6 +31,7 @@ from .errors import (
     ScenarioValidationError,
     SimulationError,
     TraceFormatError,
+    UsageError,
 )
 from .estimator import LatencyReport
 from .rig import RawCapture
@@ -39,6 +40,7 @@ from .rig import RawCapture
 # errors of exit code 3 fail one run, so a batch records them and goes on
 EXIT_CODES = {
     ScenarioValidationError: 1,
+    UsageError: 1,
     TraceFormatError: 2,
     OSError: 2,
     DecodeError: 3,
@@ -212,9 +214,7 @@ def summarize_reports(reports) -> list:
 def _check_max_lag(args):
     """Reject a lag window the estimator cannot search, before any work."""
     if args.max_lag < 1:
-        raise ScenarioValidationError(
-            [f"--max-lag must be at least 1, got {args.max_lag}"]
-        )
+        raise UsageError(f"--max-lag must be at least 1, got {args.max_lag}")
 
 
 def cmd_simulate(args) -> int:
@@ -246,9 +246,7 @@ def _check_trace_count(args):
     if len(args.traces) > allowed:
         what = ("--self reads one trace file" if args.self_check
                 else "estimate reads one or two trace files")
-        raise ScenarioValidationError(
-            [f"{what}, got {len(args.traces)}: {' '.join(args.traces)}"]
-        )
+        raise UsageError(f"{what}, got {len(args.traces)}: {' '.join(args.traces)}")
 
 
 def cmd_estimate(args) -> int:
@@ -271,7 +269,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_batch(args) -> int:
     if args.runs < 1:
-        raise ScenarioValidationError([f"--runs must be at least 1, got {args.runs}"])
+        raise UsageError(f"--runs must be at least 1, got {args.runs}")
     _check_max_lag(args)
     sc = load_scenario(args.config, None, args.duration_ms)
     base_seed = args.seed if args.seed is not None else sc.seed
@@ -388,7 +386,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except tuple(EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a usage error's message carries its own header
+        header = "" if isinstance(exc, UsageError) else "error: "
+        print(f"{header}{exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES.items()
                     if isinstance(exc, cls))
 

@@ -13,6 +13,14 @@ class ScenarioValidationError(VrLatSimError):
         super().__init__("invalid scenario:\n  - " + "\n  - ".join(self.violations))
 
 
+class UsageError(VrLatSimError):
+    """A command line asks for something no command can do, such as a lag
+    window below 1 ms; reported before any work."""
+
+    def __init__(self, message):
+        super().__init__(f"usage error: {message}")
+
+
 class SimulationError(VrLatSimError):
     """The simulated timeline cannot be produced (e.g. missing angle history)."""
 

@@ -13,7 +13,9 @@ classify/decode call turns all picked samples into codes.
 
 Latency is the lag, in whole milliseconds, that maximizes the Pearson
 correlation between the reference and the delayed series.  Both series
-are centred once on their global means; the window sums and sums of
+are centred once on their global means, rounded to the nearest integer
+when both are integer codes so that every sum below is exact and its
+bits do not depend on the BLAS kernel; the window sums and sums of
 squares of every lag come from prefix sums.  The cross products of all
 lags come from one pass: a `np.correlate` over the head of the trace,
 where every lag stays in range, plus a second, short `np.correlate` for
@@ -177,6 +179,8 @@ def cross_correlate(reference: DecodedTrace, delayed: DecodedTrace,
     """
     if max_lag_ms <= 0:
         raise EstimationError("max_lag_ms must be positive")
+    integral = all(np.issubdtype(np.asarray(t.values).dtype, np.integer)
+                   for t in (reference, delayed))
     ref = np.asarray(reference.values, dtype=float)
     del_ = np.asarray(delayed.values, dtype=float)
     n = min(ref.shape[0], del_.shape[0])
@@ -196,8 +200,15 @@ def cross_correlate(reference: DecodedTrace, delayed: DecodedTrace,
     lo_ref = np.maximum(-lags, 0)
     lo_del = np.maximum(lags, 0)
     m = n - np.abs(lags)
-    a = ref - ref.mean()
-    b = del_ - del_.mean()
+    if integral:
+        # centred on integers, every product and every prefix and lag sum
+        # is an exact integer below 2**53 (4095**2 x 3.6e6 samples = 6.0e13),
+        # so any summation order, i.e. any BLAS kernel, gives the same bits
+        a = ref - np.rint(ref.mean())
+        b = del_ - np.rint(del_.mean())
+    else:
+        a = ref - ref.mean()
+        b = del_ - del_.mean()
     sum_a = _window_sums(a, lo_ref, m)
     sum_b = _window_sums(b, lo_del, m)
     var_a = _window_sums(a * a, lo_ref, m) - sum_a * sum_a / m

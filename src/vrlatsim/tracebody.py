@@ -12,12 +12,18 @@ from two lookup tables of 3-digit groups, straight into one buffer.
 `parse_rows` accepts only exactly such rows up to the end of the data:
 one uint8 comparison against a row template checks the separators, `.`,
 LF and digits, and one matrix product of the digits with their place
-values gives each index and each value as an integer times 1e-6.
-Dividing that integer by 1e6 is correctly rounded, so it equals
-`float()` of the text.  `tracefile` uses these for canonical traces and
-its `%` writer and `loadtxt` reader for everything else.
+values gives each index and each value as an integer times 1e-6.  The
+product runs in float32: a value cell spells at most 9 999 999 and an
+index of up to 7 digits at most as much, both below 2**24, so every
+product and partial sum is an integer float32 holds exactly, in any
+summation order.  Indices of 8 digits and more take a float64 product.
+Dividing the integer by 1e6 in float64 is correctly rounded, so it
+equals `float()` of the text.  `tracefile` uses these for canonical
+traces and its `%` writer and `loadtxt` reader for everything else.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -29,6 +35,8 @@ _ROW_BYTES_AFTER_INDEX = 1 + COLUMNS * _CELL_BYTES
 # rows per block; bounds the temporaries to a few hundred kB whatever the
 # trace length
 BLOCK_ROWS = 2048
+# widest index whose digit product float32 holds exactly: 10**7 - 1 < 2**24
+_FLOAT32_INDEX_DIGITS = 7
 
 
 def _ascii_digits(numbers: np.ndarray, width: int) -> np.ndarray:
@@ -78,15 +86,17 @@ def _row_count(size: int):
     return None
 
 
+@functools.lru_cache(maxsize=None)        # one entry per index width
 def _row_template(digits: int):
     """What a canonical row with a `digits`-digit index holds, column by column.
 
-    Returns three arrays over the row's bytes: `offset` holds each
-    separator and "0" elsewhere, so a written row starts as a copy of it;
-    `row - offset < bound` holds in uint8 arithmetic exactly when digit
-    columns hold digits and separator columns their separator; and
+    Returns three read-only arrays over the row's bytes: `offset` holds
+    each separator and "0" elsewhere, so a written row starts as a copy
+    of it; `row - offset < bound` holds in uint8 arithmetic exactly when
+    digit columns hold digits and separator columns their separator; and
     `(row - offset) @ places` gives the index and the five values times
-    1e6.
+    1e6.  `places` is float32 up to 7 index digits, where every sum it
+    makes is an integer below 2**24, and float64 beyond.
     """
     width = digits + _ROW_BYTES_AFTER_INDEX
     offset = np.full(width, ord("0"), np.uint8)
@@ -96,13 +106,36 @@ def _row_template(digits: int):
     cells[:, -1] = ord(",")
     cells[-1, -1] = ord("\n")
     bound = np.where(offset == ord("0"), 10, 1).astype(np.uint8)
-    places = np.zeros((width, 1 + COLUMNS))
+    exact = np.float32 if digits <= _FLOAT32_INDEX_DIGITS else np.float64
+    places = np.zeros((width, 1 + COLUMNS), exact)
     places[:digits, 0] = 10.0 ** np.arange(digits - 1, -1, -1)
     cell_places = places[digits + 1:].reshape(COLUMNS, _CELL_BYTES, -1)
     for col in range(COLUMNS):
         cell_places[col, 0, 1 + col] = _SCALE
         cell_places[col, 2:-1, 1 + col] = 10.0 ** np.arange(DECIMALS - 1, -1, -1)
+    for array in (offset, bound, places):
+        array.flags.writeable = False
     return offset, bound, places
+
+
+def _block_numbers(block: np.ndarray, digits: int, first: int):
+    """The index and five values times 1e6 of each row in `block`, else None.
+
+    `block` holds rows with `digits`-digit indices, `first` onwards; None
+    when a byte is off the template or an index out of order.
+    """
+    offset, bound, places = _row_template(digits)
+    found = block - offset
+    if not (found < bound).all():
+        return None
+    # every sum is a non-negative integer no larger than its row's total,
+    # which is at most 9 999 999 for a value and below 2**24 for an index
+    # in a float32 `places`, so the product is exact whatever the BLAS
+    # kernel's summation order
+    numbers = found.astype(places.dtype) @ places
+    if not (numbers[:, 0] == np.arange(first, first + len(block))).all():
+        return None
+    return numbers
 
 
 def is_canonical(pot: np.ndarray, photo: np.ndarray) -> bool:
@@ -151,7 +184,9 @@ def parse_rows(data: bytes, start: int):
 
     Rows are canonical when they are what `format_rows` writes: the
     indices 0 ... n-1, ASCII digits, and the separators, `.` and LF at
-    their fixed columns.
+    their fixed columns.  Each block of rows becomes integers in one
+    float32 digit product (float64 from 8 index digits on, where float32
+    would round an index), divided by 1e6 in float64.
     """
     n = _row_count(len(data) - start)
     if not n:
@@ -161,17 +196,14 @@ def parse_rows(data: bytes, start: int):
     for lo, hi, width in _decades(n):
         rows = np.frombuffer(data, np.uint8, (hi - lo) * width, start).reshape(-1, width)
         start += rows.size
-        offset, bound, places = _row_template(width - _ROW_BYTES_AFTER_INDEX)
         for a in range(lo, hi, BLOCK_ROWS):
             b = min(a + BLOCK_ROWS, hi)
-            found = rows[a - lo:b - lo] - offset
-            if not (found < bound).all():
+            numbers = _block_numbers(rows[a - lo:b - lo],
+                                     width - _ROW_BYTES_AFTER_INDEX, a)
+            if numbers is None:
                 return None
-            # integers below 1e7 are exact in float64, and so is their
-            # quotient by 1e6 correctly rounded, as float() of the text is
-            numbers = found.astype(np.float64) @ places
-            if not (numbers[:, 0] == np.arange(a, b)).all():
-                return None
-            pot[a:b] = numbers[:, 1] / _SCALE
-            photo[a:b] = numbers[:, 2:] / _SCALE
+            # a float32 quotient would round twice; in float64 it is
+            # correctly rounded, as float() of the text is
+            np.divide(numbers[:, 1], _SCALE, out=pot[a:b], dtype=np.float64)
+            np.divide(numbers[:, 2:], _SCALE, out=photo[a:b], dtype=np.float64)
     return pot, photo

@@ -305,6 +305,20 @@ def test_estimate_rejects_traces_it_would_ignore(extra, message, tmp_path,
     assert traces[-1] in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "a.csv", "b.csv", "c.csv"],
+     "estimate reads one or two trace files, got 3: a.csv b.csv c.csv"),
+    (["estimate", "a.csv", "--max-lag", "0"], "--max-lag must be at least 1, got 0"),
+    (["batch", "--runs", "0"], "--runs must be at least 1, got 0"),
+], ids=["three-traces", "max-lag-0", "runs-0"])
+def test_usage_errors_have_their_own_header(argv, message, tmp_path, capsys):
+    # a.csv and friends do not exist: reading one would exit 2
+    out = str(tmp_path / "out")
+    assert cli.main([*argv, "--out", out]) == 1
+    assert not os.path.exists(out)
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
 def test_duplicate_config_key_exits_1_naming_both_lines(tmp_path, capsys):
     cfg = tmp_path / "twice.cfg"
     cfg.write_text("seed = 1\nduration_ms = 2000\n\nseed = 2\n")

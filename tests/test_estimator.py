@@ -4,14 +4,23 @@ scipy.stats.pearsonr and np.corrcoef serve as independent correlation
 oracles; a plain per-burst loop serves as the burst-decode oracle, and
 one np.dot per lag as the lag-product oracle.
 """
+import hashlib
 import itertools
+import json
+import operator
+import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 from scipy import stats
 
-from vrlatsim import codec, estimator
+import vrlatsim
+from vrlatsim import codec, estimator, netsim, rig, tracefile
+from vrlatsim import scenario as scenario_mod
 from vrlatsim.errors import (
     AlignmentError,
     CorrelationUndefinedError,
@@ -451,6 +460,97 @@ def test_coefficients_match_the_per_lag_oracle(allow_negative, kind, max_lag,
     assert np.array_equal(result.lags_ms, lags)
     assert np.max(np.abs(result.coefficients - want)) <= 1e-12
     assert result.best_lag_ms == best
+
+
+def _python_sum_dots(x, y, max_lag):
+    """Lag products of integer-valued series, summed exactly in Python ints."""
+    xs = [int(v) for v in x]
+    ys = [int(v) for v in y]
+    n = len(xs)
+    return np.array([float(sum(map(operator.mul, xs[:n - lag], ys[lag:])))
+                     for lag in range(max_lag + 1)])
+
+
+def _integer_code_series(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "full-scale":
+        # the largest products the code range allows
+        ref = rng.choice([0, codec.CODE_MAX], size=n)
+        return ref, rng.integers(0, codec.CODE_COUNT, size=n)
+    return _lag_test_series("codes", n, seed)
+
+
+@pytest.mark.parametrize("kind", ["walk", "full-scale"])
+@pytest.mark.parametrize("max_lag", [1, 80, 200])
+@pytest.mark.parametrize("extra", [0, 1, 4321])
+def test_integer_centred_lag_products_equal_the_python_sum_bitwise(kind, max_lag,
+                                                                   extra):
+    n = estimator.MIN_LENGTH_FACTOR * max_lag + extra
+    ref, delayed = _integer_code_series(kind, n, seed=max_lag + extra)
+    x = ref - np.rint(ref.mean())
+    y = delayed - np.rint(delayed.mean())
+    got = estimator._lagged_dots(x, y, max_lag)
+    assert np.array_equal(got, _python_sum_dots(x, y, max_lag))
+
+
+@pytest.mark.parametrize("allow_negative", [False, True])
+@pytest.mark.parametrize("kind", ["walk", "full-scale"])
+def test_integer_codes_correlate_to_the_same_bits_in_any_summation_order(
+        allow_negative, kind, monkeypatch):
+    max_lag = 80
+    ref, delayed = _integer_code_series(kind, 10 * max_lag + 777, seed=5)
+    assert ref.dtype.kind == delayed.dtype.kind == "i"
+    want = estimator.cross_correlate(make_trace(ref), make_trace(delayed),
+                                     max_lag, allow_negative)
+    monkeypatch.setattr(estimator, "_lagged_dots", _python_sum_dots)
+    got = estimator.cross_correlate(make_trace(ref), make_trace(delayed),
+                                    max_lag, allow_negative)
+    assert np.array_equal(got.coefficients, want.coefficients)
+    assert got.best_lag_ms == want.best_lag_ms
+
+
+def _kernel_digests():
+    """SHA-256 of a float `np.correlate` probe, whose bits follow the BLAS
+    kernel, and of the `estimate_remote` coefficients of four presets."""
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((2, 20_000))
+    probe = np.correlate(y, x[:19_800], "valid")
+    coefficients = hashlib.sha256()
+    for name in ("vive-baseline", "frame-delay-5", "zero-delay", "remote-default"):
+        sc = replace(scenario_mod.get_preset(name), duration_ms=20_000.0, seed=1)
+        if sc.net is None:
+            sender = receiver = rig.run_capture(sc)
+        else:
+            sender, receiver = netsim.remote_capture(sc)
+        result = estimator.estimate_remote(
+            estimator.decode_pot_trace(tracefile.quantize_capture(sender)),
+            estimator.decode_display_trace(tracefile.quantize_capture(receiver)),
+            allow_negative=True)
+        coefficients.update(result.coefficients.tobytes())
+    return {"probe": hashlib.sha256(probe.tobytes()).hexdigest(),
+            "coefficients": coefficients.hexdigest()}
+
+
+@pytest.mark.parametrize("setting", [
+    {"OPENBLAS_CORETYPE": "Prescott"},
+    {"NPY_ENABLE_CPU_FEATURES": "X86_V2", "OPENBLAS_CORETYPE": "Nehalem"},
+], ids=["prescott", "x86-v2-nehalem"])
+def test_coefficient_bits_do_not_depend_on_the_blas_kernel(setting):
+    # the setting goes to the child process only
+    paths = [os.path.dirname(os.path.dirname(vrlatsim.__file__)),
+             os.path.dirname(__file__), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, **setting,
+           "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    code = ("import json, test_estimator; "
+            "print(json.dumps(test_estimator._kernel_digests()))")
+    child = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    got = json.loads(child.stdout.splitlines()[-1])
+    want = _kernel_digests()
+    if got["probe"] == want["probe"]:
+        pytest.skip(f"{setting} selects no other kernel on this machine")
+    assert got["coefficients"] == want["coefficients"]
 
 
 def test_short_traces_are_rejected():

@@ -625,6 +625,93 @@ def test_both_trace_readers_agree(edit, n, seed):
         assert want[2:] == _outcome(_per_row_parse_trace, text)[2:]
 
 
+# ---------------------------------------------------------------------------
+# the float32 digit product of the fixed-width reader is exact: every cell
+# the template accepts reads back as float() of its text, bit for bit
+
+def _free_rows(rng, first, count):
+    """Rows in the canonical layout whose value digits are drawn freely,
+    leading digits up to 9 and the extreme cells included, and their cells'
+    text."""
+    cells = rng.integers(0, 10 ** 7, size=(count, tracebody.COLUMNS))
+    cells[rng.random(cells.shape) < 0.05] = 0
+    cells[rng.random(cells.shape) < 0.05] = 10 ** 7 - 1
+    text = [[f"{c // 10 ** 6}.{c % 10 ** 6:06d}" for c in row] for row in cells]
+    rows = "".join(f"{first + i},{','.join(t)}\n" for i, t in enumerate(text))
+    return rows.encode(), text
+
+
+def _float_of_text(text):
+    return np.array([[float(c) for c in row] for row in text]).reshape(
+        -1, tracebody.COLUMNS)
+
+
+# lengths that cross the decades of the index width and the block edges
+@pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001,
+                               tracebody.BLOCK_ROWS - 1, tracebody.BLOCK_ROWS,
+                               tracebody.BLOCK_ROWS + 1, 2 * tracebody.BLOCK_ROWS,
+                               9999, 10000, 10001])
+@settings(max_examples=3)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_parse_rows_equals_float_of_every_accepted_cell(n, seed):
+    rng = np.random.default_rng(seed)
+    body, text = _free_rows(rng, 0, n)
+    prefix = b"# any header\n"
+    pot, photo = tracebody.parse_rows(prefix + body, len(prefix))
+    want = _float_of_text(text)
+    assert pot.tobytes() == want[:, 0].tobytes()
+    assert photo.tobytes() == np.ascontiguousarray(want[:, 1:]).tobytes()
+
+
+def _block(body, digits):
+    width = digits + 1 + tracebody.COLUMNS * (tracebody.DECIMALS + 3)
+    return np.frombuffer(body, np.uint8).reshape(-1, width)
+
+
+@settings(max_examples=60)
+@given(digits=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
+       count=st.integers(1, tracebody.BLOCK_ROWS), top=st.booleans())
+def test_block_digit_product_is_exact_for_every_index_width_up_to_7(digits, seed,
+                                                                    count, top):
+    # indices of up to 7 digits go through float32; the top of each decade
+    # (9 999 999 at 7 digits) is the largest sum the product makes
+    rng = np.random.default_rng(seed)
+    lo, hi = (0 if digits == 1 else 10 ** (digits - 1)), 10 ** digits
+    count = min(count, hi - lo)
+    first = hi - count if top else int(rng.integers(lo, hi - count + 1))
+    body, text = _free_rows(rng, first, count)
+    numbers = tracebody._block_numbers(_block(body, digits), digits, first)
+    assert np.array_equal(numbers[:, 0], np.arange(first, first + count))
+    assert np.array_equal(numbers[:, 1:],
+                          np.rint(_float_of_text(text) * tracebody._SCALE))
+
+
+def test_eight_digit_indices_are_checked_exactly_around_2_to_the_24():
+    # float32 holds 16 777 216 and 16 777 218 but not 16 777 217, so a
+    # float32 product would reject the exact rows and accept a wrong index
+    first = 2 ** 24 - 1
+    rng = np.random.default_rng(0)
+    body, text = _free_rows(rng, first, 4)
+    numbers = tracebody._block_numbers(_block(body, 8), 8, first)
+    assert numbers is not None
+    assert np.array_equal(numbers[:, 0], np.arange(first, first + 4))
+    for row, wrong in ((1, 2 ** 24 + 1), (1, 2 ** 24 - 1), (2, 2 ** 24)):
+        lines = body.decode().splitlines(keepends=True)
+        lines[row] = f"{wrong}" + lines[row][8:]
+        edited = "".join(lines).encode()
+        assert tracebody._block_numbers(_block(edited, 8), 8, first) is None, \
+            (row, wrong)
+
+
+def test_row_templates_are_cached_and_read_only():
+    assert tracebody._row_template(5) is tracebody._row_template(5)
+    for array in tracebody._row_template(5):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    assert tracebody._row_template(7)[2].dtype == np.float32
+    assert tracebody._row_template(8)[2].dtype == np.float64
+
+
 def test_long_trace_io_peak_memory_stays_small():
     # the fixed-width paths work in bounded blocks; the loadtxt reader
     # peaked at 14.0 MB here
@@ -632,15 +719,19 @@ def test_long_trace_io_peak_memory_stays_small():
         rig.run_capture(replace(scenario_mod.get_preset("vive-baseline"),
                                 duration_ms=60_000.0)))
     text = tracefile.format_trace(capture)
+    data = text.encode()
+    # the float64 digit product peaked at 6.59 MB on str and 3.54 MB on
+    # bytes input; the float32 one peaks at 6.07 and 3.02 MB
     for call, arg, limit in ((tracefile.format_trace, capture, 8e6),
-                             (tracefile.parse_trace, text, 13.4e6)):
+                             (tracefile.parse_trace, text, 6.3e6),
+                             (tracefile.parse_trace, data, 3.3e6)):
         tracemalloc.start()
         try:
             call(arg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < limit, call.__name__
+        assert peak < limit, (call.__name__, type(arg).__name__, peak)
 
 
 # ---------------------------------------------------------------------------
