@@ -15,16 +15,22 @@ Latency is the lag, in whole milliseconds, that maximizes the Pearson
 correlation between the reference and the delayed series.  Both series
 are centred once on their global means, rounded to the nearest integer
 when both are integer codes so that every sum below is exact and its
-bits do not depend on the BLAS kernel; the window sums and sums of
-squares of every lag come from prefix sums.  The cross products of all
-lags come from one pass: a `np.correlate` over the head of the trace,
-where every lag stays in range, plus a second, short `np.correlate` for
-the triangle of products at the end of the trace that shorter lags
-still reach.  Whether a window is constant is decided exactly, from a
-prefix count of value changes, never from a floating-point variance.
+bits do not depend on the BLAS kernel.  Every window misses at most the
+largest lag's samples at either end, so its sum and sum of squares are
+the whole series' total less a short prefix sum of the cut head and a
+short suffix sum of the cut tail.  The cross products of all lags come
+from blocked matrix products: both series are cut into rows of
+`_LAG_BLOCK` samples, and the product of x's rows with y's rows
+shifted by k rows sums the pairs of samples k rows apart, give or take
+one row, so a handful of BLAS calls serve all lags and each reads the
+series once instead of once per lag.  On integer codes every entry and every sum is
+an integer below 2**53, so the blocking changes no bit.  Whether a
+window is constant is decided exactly, by counting the value changes
+inside it, never from a floating-point variance.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,29 +150,85 @@ def decode_display_trace(capture: RawCapture) -> DecodedTrace:
 
 
 def _window_sums(x: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """Sum of x[lo:lo+length] for every (lo, length) pair, from one prefix sum."""
-    prefix = np.concatenate(([0.0], np.cumsum(x)))
-    return prefix[lo + length] - prefix[lo]
+    """Sum of x[lo:lo+length] for every (lo, length) pair, from the edges.
+
+    Each window is the whole series less a cut head x[:lo] and a cut
+    tail x[lo+length:], and neither is longer than the largest lag, so
+    the sums need the total plus a prefix sum of the first and a suffix
+    sum of the last max(lo) and max(n - lo - length) values only.
+    """
+    cut = x.shape[0] - lo - length
+    head = np.concatenate(([0.0], np.cumsum(x[:lo.max()])))
+    tail = np.concatenate(([0.0], np.cumsum(x[::-1][:cut.max()])))
+    return x.sum() - head[lo] - tail[cut]
 
 
 def _constant_windows(x: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """True where x[lo:lo+length] holds a single value, compared exactly."""
-    changes = np.concatenate(([0], np.cumsum(x[1:] != x[:-1])))
-    return changes[lo + length - 1] == changes[lo]
+    """True where x[lo:lo+length] holds a single value, compared exactly.
+
+    A window is constant when no change position p, where x[p + 1] !=
+    x[p], falls in lo <= p < lo + length - 1; two binary searches over
+    the sorted change positions count them.
+    """
+    changes = np.flatnonzero(x[1:] != x[:-1])
+    return (np.searchsorted(changes, lo + length - 1)
+            == np.searchsorted(changes, lo))
+
+
+# samples per row of the blocked lag products, chosen by measurement: at
+# 200 lags, 16 beat 8, 32 and 64 on 3 s, 20 s and 60 s traces (at 60 s,
+# 32 took 40% longer)
+_LAG_BLOCK = 16
+
+
+@functools.lru_cache(maxsize=8)
+def _lag_index(max_lag: int) -> np.ndarray:
+    """Lag of every entry of the blocked products, max_lag + 1 if unused.
+
+    Entry (r, s) of block k pairs samples k * _LAG_BLOCK + s - r apart;
+    the lags outside 0..max_lag all go to the one spare bin max_lag + 1.
+    The array is shared between calls, so it is read-only.
+    """
+    k, r, s = np.ogrid[:max_lag // _LAG_BLOCK + 2, :_LAG_BLOCK, :_LAG_BLOCK]
+    lag = k * _LAG_BLOCK + s - r
+    index = np.where((lag >= 0) & (lag <= max_lag), lag, max_lag + 1).ravel()
+    index.flags.writeable = False
+    return index
 
 
 def _lagged_dots(x: np.ndarray, y: np.ndarray, max_lag: int) -> np.ndarray:
     """sum(x[i] * y[i + L] for i < n - L) for every L in 0..max_lag.
 
-    Below n - max_lag every lag stays inside y, so one `np.correlate`
-    covers that span.  The last max_lag values of x meet a zero-padded
-    tail of y, one window per lag; a second `np.correlate` takes each of
-    those max_lag + 1 sums as one BLAS dot product.
+    Both series, zero-padded, are cut into rows of _LAG_BLOCK samples.
+    With X the rows of x and Y_k those of y from row k on, entry (r, s)
+    of the matrix product X.T @ Y_k sums every pair of samples
+    k * _LAG_BLOCK + s - r apart, and blocks k = 0 .. max_lag //
+    _LAG_BLOCK + 1 hold every pair of every lag exactly once.  Each
+    block streams both series once for _LAG_BLOCK**2 outputs, where one
+    dot product per lag streams them once per lag.  A `np.bincount`
+    over the cached `_lag_index` adds up each lag's entries.
+
+    On integer codes centred on an integer, |x|, |y| <= 4095, every
+    block entry and every partial sum of the bincount is an integer no
+    larger than sum(|x| |y|) <= n * 4095**2, which is below 2**53 for
+    any trace shorter than 5e8 samples (an hour is 3.6e6).  So each is
+    exact, and the bits depend neither on the BLAS kernel nor on the
+    block width or the summation order.
     """
     n = x.shape[0]
-    head = np.correlate(y, x[:n - max_lag], "valid")
-    tail = np.concatenate((y[n - max_lag:], np.zeros(max_lag)))
-    return head + np.correlate(tail, x[n - max_lag:], "valid")
+    blocks = max_lag // _LAG_BLOCK + 2
+    rows = -(-n // _LAG_BLOCK)
+    xr = np.zeros(rows * _LAG_BLOCK)
+    xr[:n] = x
+    xr = xr.reshape(rows, _LAG_BLOCK).T
+    yr = np.zeros((rows + blocks - 1) * _LAG_BLOCK)
+    yr[:n] = y
+    yr = yr.reshape(-1, _LAG_BLOCK)
+    products = np.empty((blocks, _LAG_BLOCK, _LAG_BLOCK))
+    for k in range(blocks):
+        np.matmul(xr, yr[k:k + rows], out=products[k])
+    return np.bincount(_lag_index(max_lag), weights=products.ravel(),
+                       minlength=max_lag + 2)[:max_lag + 1]
 
 
 def cross_correlate(reference: DecodedTrace, delayed: DecodedTrace,
@@ -201,7 +263,7 @@ def cross_correlate(reference: DecodedTrace, delayed: DecodedTrace,
     lo_del = np.maximum(lags, 0)
     m = n - np.abs(lags)
     if integral:
-        # centred on integers, every product and every prefix and lag sum
+        # centred on integers, every product and every window and lag sum
         # is an exact integer below 2**53 (4095**2 x 3.6e6 samples = 6.0e13),
         # so any summation order, i.e. any BLAS kernel, gives the same bits
         a = ref - np.rint(ref.mean())

@@ -1,8 +1,9 @@
 """Decoding and cross-correlation tests.
 
 scipy.stats.pearsonr and np.corrcoef serve as independent correlation
-oracles; a plain per-burst loop serves as the burst-decode oracle, and
-one np.dot per lag as the lag-product oracle.
+oracles; a plain per-burst loop serves as the burst-decode oracle, one
+np.dot per lag as the lag-product oracle, and full-length prefix sums
+as the window-sum and constant-window oracles.
 """
 import hashlib
 import itertools
@@ -11,6 +12,7 @@ import operator
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -393,6 +395,88 @@ def _per_lag_dots(x, y, lags):
                      for i, j, k in zip(lo_x, lo_y, m)])
 
 
+def _prefix_window_sums(x, lo, length):
+    """Reference window sums: differences of one full-length prefix sum."""
+    prefix = np.concatenate(([0.0], np.cumsum(x)))
+    return prefix[lo + length] - prefix[lo]
+
+
+def _prefix_constant_windows(x, lo, length):
+    """Reference constancy test: a full-length prefix count of changes."""
+    changes = np.concatenate(([0], np.cumsum(x[1:] != x[:-1])))
+    return changes[lo + length - 1] == changes[lo]
+
+
+def _lag_windows(n, max_lag):
+    """(lo_ref, lo_del, m) for the lags -max_lag..max_lag, as
+    `cross_correlate` cuts its windows."""
+    lags = np.arange(-max_lag, max_lag + 1)
+    return np.maximum(-lags, 0), np.maximum(lags, 0), n - np.abs(lags)
+
+
+def _window_test_series(kind):
+    """A series and a lag range for the window oracles."""
+    if kind == "constant-tail":
+        # the reference of test_windows_constant_at_some_lags_score_exactly_zero
+        ref = np.full(2000, 0.1)
+        ref[:5] = [0.7, 0.3, 0.9, 0.2, 0.6]
+        return ref, 40
+    _, delayed = _lag_test_series(kind, 2777, seed=11)
+    return delayed.astype(float), 200
+
+
+@pytest.mark.parametrize("kind", ["codes", "noisy", "constant-tail"])
+def test_edge_window_sums_match_the_prefix_sum_oracle(kind):
+    x, max_lag = _window_test_series(kind)
+    lo_ref, lo_del, m = _lag_windows(x.shape[0], max_lag)
+    centred = x - (np.rint(x.mean()) if kind == "codes" else x.mean())
+    for series in (x, centred, centred * centred):
+        for lo in (lo_ref, lo_del):
+            got = estimator._window_sums(series, lo, m)
+            want = _prefix_window_sums(series, lo, m)
+            if kind == "codes":
+                # integer sums below 2**53 are exact in any order
+                assert np.array_equal(got, want)
+            else:
+                assert np.all(np.abs(got - want) <= 1e-12 * np.abs(series).sum())
+
+
+@pytest.mark.parametrize("kind", ["codes", "noisy", "constant-tail"])
+def test_constant_windows_match_the_prefix_count_oracle(kind):
+    x, max_lag = _window_test_series(kind)
+    lo_ref, lo_del, m = _lag_windows(x.shape[0], max_lag)
+    for lo in (lo_ref, lo_del):
+        assert np.array_equal(estimator._constant_windows(x, lo, m),
+                              _prefix_constant_windows(x, lo, m))
+    if kind == "constant-tail":
+        # lags -40..-5 cut the varying head off the reference window
+        assert np.array_equal(estimator._constant_windows(x, lo_ref, m),
+                              np.arange(-max_lag, max_lag + 1) <= -5)
+
+
+@given(st.lists(st.integers(-codec.CODE_MAX, codec.CODE_MAX), min_size=2,
+                max_size=300), st.data())
+def test_edge_window_sums_are_exact_on_integers(values, data):
+    x = np.array(values, dtype=float)
+    max_lag = data.draw(st.integers(1, x.shape[0] - 1))
+    lo_ref, lo_del, m = _lag_windows(x.shape[0], max_lag)
+    for series in (x, x * x):
+        for lo in (lo_ref, lo_del):
+            assert np.array_equal(estimator._window_sums(series, lo, m),
+                                  _prefix_window_sums(series, lo, m))
+
+
+@given(st.lists(st.sampled_from([0.0, 0.1, 1.0, np.nan]), min_size=2,
+                max_size=60), st.data())
+def test_constant_windows_match_the_oracle_on_runs_and_nans(values, data):
+    x = np.array(values)
+    max_lag = data.draw(st.integers(1, x.shape[0] - 1))
+    lo_ref, lo_del, m = _lag_windows(x.shape[0], max_lag)
+    for lo in (lo_ref, lo_del):
+        assert np.array_equal(estimator._constant_windows(x, lo, m),
+                              _prefix_constant_windows(x, lo, m))
+
+
 def _per_lag_cross_correlate(ref, delayed, max_lag, allow_negative):
     """Reference coefficients with the lag products taken one lag at a time."""
     ref = np.asarray(ref, dtype=float)
@@ -404,13 +488,13 @@ def _per_lag_cross_correlate(ref, delayed, max_lag, allow_negative):
     m = n - np.abs(lags)
     a = ref - ref.mean()
     b = delayed - delayed.mean()
-    sum_a = estimator._window_sums(a, lo_ref, m)
-    sum_b = estimator._window_sums(b, lo_del, m)
-    var_a = estimator._window_sums(a * a, lo_ref, m) - sum_a * sum_a / m
-    var_b = estimator._window_sums(b * b, lo_del, m) - sum_b * sum_b / m
+    sum_a = _prefix_window_sums(a, lo_ref, m)
+    sum_b = _prefix_window_sums(b, lo_del, m)
+    var_a = _prefix_window_sums(a * a, lo_ref, m) - sum_a * sum_a / m
+    var_b = _prefix_window_sums(b * b, lo_del, m) - sum_b * sum_b / m
     cov = _per_lag_dots(a, b, lags) - sum_a * sum_b / m
-    scored = ~(estimator._constant_windows(ref, lo_ref, m)
-               | estimator._constant_windows(delayed, lo_del, m))
+    scored = ~(_prefix_constant_windows(ref, lo_ref, m)
+               | _prefix_constant_windows(delayed, lo_del, m))
     coeffs = np.zeros(lags.shape[0])
     coeffs[scored] = cov[scored] / np.sqrt(var_a[scored] * var_b[scored])
     coeffs = np.clip(coeffs, -1.0, 1.0)
@@ -425,9 +509,29 @@ def _lag_test_series(kind, n, seed):
     return ref / 4095.0, delay_by(ref, 7) / 4095.0 + rng.normal(0.0, 0.01, n)
 
 
+def _lag_search_lengths():
+    """(extra, max_lag) pairs: a trace of the shortest length a search of
+    max_lag accepts, plus extra samples.  Past a grid of plain cases, the
+    pairs sit at the edges of the blocked lag products: lag ranges ending
+    next to one or two `_LAG_BLOCK` rows, and traces one sample short of,
+    at, or one past a whole number of double rows (n % (2 * _LAG_BLOCK)
+    in 0, 1 and 2 * _LAG_BLOCK - 1, i.e. n % 32 in 0, 1 and 31)."""
+    pairs = [(extra, max_lag) for max_lag in (1, 80, 200)
+             for extra in (0, 1, 4321)]
+    block = estimator._LAG_BLOCK
+    width = 2 * block
+    for max_lag in (1, block - 1, block, block + 1,
+                    width - 1, width, width + 1, 200):
+        shortest = estimator.MIN_LENGTH_FACTOR * max_lag
+        for remainder in (0, 1, width - 1):
+            pair = ((remainder - shortest) % width, max_lag)
+            if pair not in pairs:
+                pairs.append(pair)
+    return pairs
+
+
 @pytest.mark.parametrize("kind", ["codes", "noisy"])
-@pytest.mark.parametrize("max_lag", [1, 80, 200])
-@pytest.mark.parametrize("extra", [0, 1, 4321])
+@pytest.mark.parametrize("extra,max_lag", _lag_search_lengths())
 def test_lag_products_match_the_per_lag_oracle(kind, max_lag, extra):
     n = estimator.MIN_LENGTH_FACTOR * max_lag + extra
     x, y = _lag_test_series(kind, n, seed=max_lag + extra)
@@ -481,8 +585,7 @@ def _integer_code_series(kind, n, seed):
 
 
 @pytest.mark.parametrize("kind", ["walk", "full-scale"])
-@pytest.mark.parametrize("max_lag", [1, 80, 200])
-@pytest.mark.parametrize("extra", [0, 1, 4321])
+@pytest.mark.parametrize("extra,max_lag", _lag_search_lengths())
 def test_integer_centred_lag_products_equal_the_python_sum_bitwise(kind, max_lag,
                                                                    extra):
     n = estimator.MIN_LENGTH_FACTOR * max_lag + extra
@@ -491,6 +594,14 @@ def test_integer_centred_lag_products_equal_the_python_sum_bitwise(kind, max_lag
     y = delayed - np.rint(delayed.mean())
     got = estimator._lagged_dots(x, y, max_lag)
     assert np.array_equal(got, _python_sum_dots(x, y, max_lag))
+
+
+def test_lag_index_is_cached_and_read_only():
+    index = estimator._lag_index(200)
+    assert estimator._lag_index(200) is index
+    assert not index.flags.writeable
+    with pytest.raises(ValueError):
+        index[0] = 0
 
 
 @pytest.mark.parametrize("allow_negative", [False, True])
@@ -551,6 +662,27 @@ def test_coefficient_bits_do_not_depend_on_the_blas_kernel(setting):
     if got["probe"] == want["probe"]:
         pytest.skip(f"{setting} selects no other kernel on this machine")
     assert got["coefficients"] == want["coefficients"]
+
+
+@pytest.mark.parametrize("search", ["positive", "both-signs", "self"])
+def test_long_lag_search_peak_memory_stays_small(search):
+    # a 60 s trace is 0.48 MB per float series; full-length prefix sums
+    # and change counts peaked at 3.37 MB here, edge-only sums at 2.96 MB,
+    # and a copy of the sliding windows of every lag would add 1.9 MB
+    sc = replace(scenario_mod.get_preset("vive-baseline"), duration_ms=60_000.0)
+    capture = tracefile.quantize_capture(rig.run_capture(sc))
+    pot = estimator.decode_pot_trace(capture)
+    other = pot if search == "self" else estimator.decode_display_trace(capture)
+    allow_negative = search == "both-signs"
+    # the first search fills the lag index cache
+    estimator.cross_correlate(pot, other, 200, allow_negative)
+    tracemalloc.start()
+    try:
+        estimator.cross_correlate(pot, other, 200, allow_negative)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.2e6, f"{search} search peaked at {peak / 1e6:.2f} MB"
 
 
 def test_short_traces_are_rejected():

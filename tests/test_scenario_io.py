@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vrlatsim import rig
+from vrlatsim import cli, netsim, rig
 from vrlatsim import scenario as scenario_mod
 from vrlatsim import tracebody, tracefile
 from vrlatsim.audio import AudioPathConfig
@@ -18,6 +18,7 @@ from vrlatsim.estimator import LatencyReport
 from vrlatsim.netsim import NetworkConfig
 from vrlatsim.rig import MotionProfile, PipelineConfig, RawCapture, SensorConfig
 from vrlatsim.scenario import Scenario
+from test_golden import DURATION_MS, SEEDS
 
 
 def test_default_scenario_is_valid():
@@ -264,6 +265,28 @@ def test_quantize_capture_rounds_to_file_precision():
     rounded = tracefile.quantize_capture(capture)
     assert np.array_equal(rounded.pot, np.round(capture.pot, 6))
     assert np.array_equal(rounded.photo, np.round(capture.photo, 6))
+
+
+def test_golden_values_sit_far_from_a_rounding_tie():
+    # quantize_capture rounds to 1e-6, so a sensor value a few ulps from
+    # a tie (k + 0.5) * 1e-6 could round the other way, and change the
+    # trace bytes, where np.exp differs by its 1-4 ulps between SIMD
+    # kernels.  The closest pre-rounding value of the golden runs sits
+    # 12 405 ulps from its tie (the seed 2 station A pot of both remote
+    # presets, 1.38e-12 below 0.5659895).
+    scale = 10.0 ** tracefile.VALUE_DECIMALS
+    closest = np.inf
+    for preset in scenario_mod.preset_names():
+        for seed in SEEDS:
+            sc = cli.load_scenario(preset, seed=seed, duration_ms=DURATION_MS)
+            captures = (netsim.remote_capture(sc) if sc.net is not None
+                        else [rig.run_capture(sc)])
+            for capture in captures:
+                for values in (capture.pot, capture.photo):
+                    tie = (np.floor(values * scale) + 0.5) / scale
+                    ulps = np.abs(values - tie) / np.spacing(np.abs(tie))
+                    closest = min(closest, ulps.min())
+    assert closest >= 1000, f"a golden value sits {closest:.0f} ulps from a tie"
 
 
 def test_trace_parser_reports_the_offending_row():
