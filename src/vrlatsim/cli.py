@@ -8,10 +8,16 @@ Subcommands:
 
 Exit codes: 0 success, 1 invalid scenario or usage, 2 unreadable or
 malformed files, 3 simulation or estimation failure.
+
+`main` builds its argument parser on its first call and reuses it for
+every later call in the process; `build_parser()` returns a new parser
+each time, so a caller may extend its own copy without changing what
+`main` accepts.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -341,6 +347,7 @@ def _add_estimation_options(parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for every subcommand and option of `main`."""
     parser = argparse.ArgumentParser(
         prog="vrlatsim",
         description="simulated motion-to-photon and mouth-to-ear latency "
@@ -380,9 +387,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use, not on import, and shared by every later call:
+    # parsing leaves a parser unchanged, and help reads its width from
+    # the terminal when it is formatted, not when the parser is built
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except tuple(EXIT_CODES) as exc:

@@ -379,14 +379,20 @@ sys.exit(1 if loaded else 0)
 """
 
 
-def test_simulate_and_estimate_run_without_scipy(tmp_path):
+def _child_env(**overrides):
+    """The environment of a child interpreter that imports this vrlatsim."""
     src = str(Path(vrlatsim.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = dict(os.environ, **overrides)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_simulate_and_estimate_run_without_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT,
                            str(tmp_path / "run")],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_child_env(), capture_output=True, text=True,
+                          timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
     assert "scipy modules: []" in done.stdout
 
@@ -472,3 +478,105 @@ def test_export_plot_bytes_match_the_row_by_row_writer(tmp_path, preset):
 def test_main_requires_a_subcommand():
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+@pytest.fixture
+def fresh_parser():
+    """cli.main builds its parser again on its next call, and again after
+    the test, so no test sees a parser another one built."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_main_builds_its_parser_once(fresh_parser, tmp_path, monkeypatch):
+    build, built = cli.build_parser, []
+
+    def counting_build_parser():
+        built.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    for _ in range(3):
+        assert cli.main(["estimate", str(tmp_path / "nope.csv")]) == 2
+    with pytest.raises(SystemExit):
+        cli.main(["simulate", "--help"])
+    assert len(built) == 1
+
+
+def test_build_parser_returns_a_new_parser_each_call(tmp_path):
+    assert cli.build_parser() is not cli.build_parser()
+    # an option added to a caller's own parser is not one main accepts
+    own = cli.build_parser()
+    own.add_argument("--extra")
+    assert own.parse_args(["--extra", "1", "simulate"]).extra == "1"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--extra", "1", "estimate", str(tmp_path / "nope.csv")])
+    assert exc.value.code == 2
+
+
+def test_a_failed_parse_leaves_the_parser_usable(tmp_path, capsys):
+    args = ["simulate", "--duration-ms", "2000", "--seed", "3"]
+    assert cli.main(args + ["--out", str(tmp_path / "a")]) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["estimate"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert cli.main(args + ["--out", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out == first
+    for name in ("trace_A.csv", "report.txt"):
+        assert ((tmp_path / "b" / name).read_bytes()
+                == (tmp_path / "a" / name).read_bytes())
+
+
+def test_an_option_value_does_not_outlive_its_call(tmp_path, capsys):
+    simdir = tmp_path / "sim"
+    assert cli.main(["simulate", "--duration-ms", "1500", "--max-lag", "50",
+                     "--out", str(simdir)]) == 0
+    trace = str(simdir / "trace_A.csv")
+    assert cli.main(["estimate", trace, "--max-lag", "50"]) == 0
+    capsys.readouterr()
+    # the default window of 200 ms needs 2000 samples, so 1500 fail
+    assert estimator.DEFAULT_MAX_LAG_MS == 200
+    assert cli.main(["estimate", trace]) == 3
+    assert "lag search of 200 ms" in capsys.readouterr().err
+    assert cli._parser().parse_args(["simulate"]).max_lag == 200
+
+
+def test_each_subcommand_reaches_its_handler(tmp_path):
+    handlers = {"simulate": cli.cmd_simulate, "estimate": cli.cmd_estimate,
+                "batch": cli.cmd_batch, "export-plot": cli.cmd_export_plot}
+    assert cli.main(["estimate", str(tmp_path / "nope.csv")]) == 2
+    for _ in range(2):
+        for command, handler in handlers.items():
+            argv = [command, "t.csv"] if command == "estimate" else [command]
+            assert cli._parser().parse_args(argv).func is handler
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+def test_help_matches_a_fresh_interpreter(argv, fresh_parser, monkeypatch,
+                                          capsys):
+    done = subprocess.run([sys.executable, "-m", "vrlatsim", *argv],
+                          env=_child_env(COLUMNS="100"), capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    want = done.stdout
+    assert "usage: vrlatsim" in want
+
+    def help_text():
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    monkeypatch.setenv("COLUMNS", "100")
+    # the first call builds the parser and the second reuses it
+    assert help_text() == want
+    assert help_text() == want
+    # a parser built at another width prints at the width of the call
+    cli._parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "40")
+    assert help_text() != want
+    monkeypatch.setenv("COLUMNS", "100")
+    assert help_text() == want
