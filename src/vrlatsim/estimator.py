@@ -149,28 +149,18 @@ def decode_display_trace(capture: RawCapture) -> DecodedTrace:
     )
 
 
-def _window_sums(x: np.ndarray, lo: np.ndarray, length: np.ndarray,
-                 squares: bool = False) -> np.ndarray:
-    """Sum of x[lo:lo+length], or of its squares, for every (lo, length)
-    pair, from the edges.
+def _window_sums(x: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Sum of x[lo:lo+length] for every (lo, length) pair, from the edges.
 
     Each window is the whole series less a cut head x[:lo] and a cut
     tail x[lo+length:], and neither is longer than the largest lag, so
     the sums need the total plus a prefix sum of the first and a suffix
-    sum of the last max(lo) and max(n - lo - length) values only.  The
-    total of the squares is one dot product, so only the cut edges are
-    ever squared.
+    sum of the last max(lo) and max(n - lo - length) values only.
     """
     cut = x.shape[0] - lo - length
-    head = x[:lo.max()]
-    tail = x[::-1][:cut.max()]
-    if squares:
-        total, head, tail = np.dot(x, x), head * head, tail * tail
-    else:
-        total = x.sum()
-    head = np.concatenate(([0.0], np.cumsum(head)))
-    tail = np.concatenate(([0.0], np.cumsum(tail)))
-    return total - head[lo] - tail[cut]
+    head = np.concatenate(([0.0], np.cumsum(x[:lo.max()])))
+    tail = np.concatenate(([0.0], np.cumsum(x[::-1][:cut.max()])))
+    return x.sum() - head[lo] - tail[cut]
 
 
 def _constant_windows(x: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -283,8 +273,8 @@ def cross_correlate(reference: DecodedTrace, delayed: DecodedTrace,
         b = del_ - del_.mean()
     sum_a = _window_sums(a, lo_ref, m)
     sum_b = _window_sums(b, lo_del, m)
-    var_a = _window_sums(a, lo_ref, m, squares=True) - sum_a * sum_a / m
-    var_b = _window_sums(b, lo_del, m, squares=True) - sum_b * sum_b / m
+    var_a = _window_sums(a * a, lo_ref, m) - sum_a * sum_a / m
+    var_b = _window_sums(b * b, lo_del, m) - sum_b * sum_b / m
     sum_ab = _lagged_dots(a, b, max_lag_ms)
     if allow_negative:
         # lag -L is lag L with the roles swapped

@@ -430,18 +430,15 @@ def test_edge_window_sums_match_the_prefix_sum_oracle(kind):
     x, max_lag = _window_test_series(kind)
     lo_ref, lo_del, m = _lag_windows(x.shape[0], max_lag)
     centred = x - (np.rint(x.mean()) if kind == "codes" else x.mean())
-    for series, squares in ((x, False), (centred, False),
-                            (centred * centred, False), (x, True),
-                            (centred, True)):
-        summed = series * series if squares else series
+    for series in (x, centred, centred * centred):
         for lo in (lo_ref, lo_del):
-            got = estimator._window_sums(series, lo, m, squares=squares)
-            want = _prefix_window_sums(summed, lo, m)
+            got = estimator._window_sums(series, lo, m)
+            want = _prefix_window_sums(series, lo, m)
             if kind == "codes":
                 # integer sums below 2**53 are exact in any order
                 assert np.array_equal(got, want)
             else:
-                assert np.all(np.abs(got - want) <= 1e-12 * np.abs(summed).sum())
+                assert np.all(np.abs(got - want) <= 1e-12 * np.abs(series).sum())
 
 
 @pytest.mark.parametrize("kind", ["codes", "noisy", "constant-tail"])
@@ -463,12 +460,10 @@ def test_edge_window_sums_are_exact_on_integers(values, data):
     x = np.array(values, dtype=float)
     max_lag = data.draw(st.integers(1, x.shape[0] - 1))
     lo_ref, lo_del, m = _lag_windows(x.shape[0], max_lag)
-    for series, squares in ((x, False), (x * x, False), (x, True)):
-        summed = series * series if squares else series
+    for series in (x, x * x):
         for lo in (lo_ref, lo_del):
-            assert np.array_equal(
-                estimator._window_sums(series, lo, m, squares=squares),
-                _prefix_window_sums(summed, lo, m))
+            assert np.array_equal(estimator._window_sums(series, lo, m),
+                                  _prefix_window_sums(series, lo, m))
 
 
 @given(st.lists(st.sampled_from([0.0, 0.1, 1.0, np.nan]), min_size=2,
