@@ -1,25 +1,29 @@
-"""Canonical trace bodies as fixed-width byte matrices.
+"""Trace bodies as fixed-width byte matrices.
 
-A sample that is finite, in [0, 1], not -0.0 and on the 1e-6 grid, as
-`tracefile.quantize_capture` output is, prints under `%.6f` as exactly
-`d.dddddd`.  A body row of such samples is the index, a comma and 5 x 9
-bytes, so all rows in one decade of indices have the same length, and a
-whole body can be written and read as uint8 matrices, one decade and one
-bounded block of rows at a time.
+A sample on the 1e-6 grid in [0, 1] prints under `%.6f` as exactly
+`d.dddddd`.  A body row is the index, a comma and 5 x 9 bytes of such
+samples, so all rows in one decade of indices have the same length, and
+a whole body can be written and read as uint8 matrices, one decade and
+one bounded block of rows at a time.  This is the only spelling of a
+trace body, in each direction.
 
-`format_rows` writes index digits by integer division and value text
-from two lookup tables of 3-digit groups, straight into one buffer.
-`parse_rows` accepts only exactly such rows up to the end of the data:
-one uint8 comparison against a row template checks the separators, `.`,
-LF and digits, and one matrix product of the digits with their place
-values gives each index and each value as an integer times 1e-6.  The
-product runs in float32: a value cell spells at most 9 999 999 and an
-index of up to 7 digits at most as much, both below 2**24, so every
-product and partial sum is an integer float32 holds exactly, in any
-summation order.  Indices of 8 digits and more take a float64 product.
-Dividing the integer by 1e6 in float64 is correctly rounded, so it
-equals `float()` of the text.  `tracefile` uses these for canonical
-traces and its `%` writer and `loadtxt` reader for everything else.
+`format_rows` rounds each block of samples to integers times 1e-6 and,
+in the same pass, checks that each is finite, in 0 ... 10**6 and not
+-0.0 (which prints as `-0.000000`); it raises ValueError naming the row
+and column of the first that is not.  It writes index digits by integer
+division and value text from two lookup tables of 3-digit groups,
+straight into one buffer.  `parse_rows` accepts only exactly such rows
+up to the end of the data: one uint8 comparison against a row template
+checks the separators, `.`, LF and digits, and one matrix product of the
+digits with their place values gives each index and each value as an
+integer times 1e-6.  The product runs in float32: a value cell spells at
+most 9 999 999 and an index of up to 7 digits at most as much, both
+below 2**24, so every product and partial sum is an integer float32
+holds exactly, in any summation order.  Indices of 8 digits and more
+take a float64 product.  Dividing the integer by 1e6 in float64 is
+correctly rounded, so it equals `float()` of the text.  Anything else
+raises `RowError` at the first row that is not what `format_rows`
+writes.
 """
 from __future__ import annotations
 
@@ -28,7 +32,8 @@ import functools
 import numpy as np
 
 DECIMALS = 6
-COLUMNS = 5                      # pot and four photosensors
+COLUMN_NAMES = ("pot_raw", "photo0", "photo1", "photo2", "photo3")
+COLUMNS = len(COLUMN_NAMES)
 _SCALE = 10 ** DECIMALS
 _CELL_BYTES = DECIMALS + 3       # "d.dddddd" and its separator
 _ROW_BYTES_AFTER_INDEX = 1 + COLUMNS * _CELL_BYTES
@@ -37,6 +42,10 @@ _ROW_BYTES_AFTER_INDEX = 1 + COLUMNS * _CELL_BYTES
 BLOCK_ROWS = 2048
 # widest index whose digit product float32 holds exactly: 10**7 - 1 < 2**24
 _FLOAT32_INDEX_DIGITS = 7
+
+
+class RowError(ValueError):
+    """Raised with (row, byte offset) of the first row that is not canonical."""
 
 
 def _ascii_digits(numbers: np.ndarray, width: int) -> np.ndarray:
@@ -75,15 +84,18 @@ def _decades(n: int):
         lo, width = hi, width + 1
 
 
-def _row_count(size: int):
-    """Rows in a canonical body of `size` bytes, or None if no count fits."""
+def _whole_rows(size: int):
+    """(rows, bytes left over) of a body of `size` bytes in the row layout."""
+    rows = 0
     # a row takes more than one byte, so the decades below `size` hold
-    # every candidate
+    # every row there is room for
     for lo, hi, width in _decades(size):
-        if size <= (hi - lo) * width:
-            return lo + size // width if size % width == 0 else None
-        size -= (hi - lo) * width
-    return None
+        count = min(hi - lo, size // width)
+        rows += count
+        size -= count * width
+        if count < hi - lo:
+            break
+    return rows, size
 
 
 @functools.lru_cache(maxsize=None)        # one entry per index width
@@ -138,21 +150,26 @@ def _block_numbers(block: np.ndarray, digits: int, first: int):
     return numbers
 
 
-def is_canonical(pot: np.ndarray, photo: np.ndarray) -> bool:
-    """Whether every sample prints as `d.dddddd` in [0, 1] under `%.6f`."""
-    for lo in range(0, len(pot), BLOCK_ROWS):
-        for values in (pot[lo:lo + BLOCK_ROWS], photo[lo:lo + BLOCK_ROWS]):
-            # -0.0 passes the other tests but prints as "-0.000000"; nan
-            # fails the grid test
-            ok = ((values >= 0.0) & (values <= 1.0) & ~np.signbit(values)
-                  & (np.rint(values * _SCALE) / _SCALE == values))
-            if not ok.all():
-                return False
-    return True
+def _first_bad_row(block: np.ndarray, digits: int, first: int) -> int:
+    """Position in `block` of its first row with a byte off the template,
+    an index out of order or a value above 1."""
+    offset, bound, places = _row_template(digits)
+    found = block - offset
+    # a row with a byte off the template may sum to anything, but it is
+    # bad already
+    numbers = found.astype(places.dtype) @ places
+    good = ((found < bound).all(axis=1)
+            & (numbers[:, 0] == np.arange(first, first + len(block)))
+            & (numbers[:, 1:] <= _SCALE).all(axis=1))
+    return int(np.argmin(good))
 
 
 def format_rows(prefix: bytes, pot: np.ndarray, photo: np.ndarray) -> bytearray:
-    """`prefix` followed by the rows of canonical samples, in one buffer."""
+    """`prefix` followed by the rows of the samples rounded to 1e-6, in one buffer.
+
+    Raises ValueError naming the row and column of the first sample that
+    does not round to `d.dddddd` in [0, 1].
+    """
     n = len(pot)
     out = bytearray(len(prefix)
                     + sum((hi - lo) * width for lo, hi, width in _decades(n)))
@@ -174,36 +191,60 @@ def format_rows(prefix: bytes, pot: np.ndarray, photo: np.ndarray) -> bytearray:
             v = values[:b - a]
             v[:, 0] = pot[a:b]
             v[:, 1:] = photo[a:b]
-            high, low = np.divmod(np.rint(v * _SCALE).astype(np.uint32), 1000)
+            np.rint(np.multiply(v, _SCALE, out=v), out=v)
+            # nan fails the bound; a negative value, and -0.0, which every
+            # value from -5e-7 up to 0 rounds to, has its sign bit set
+            if np.signbit(v).any() or not v.max() <= _SCALE:
+                raise _off_range_error(v, a, pot, photo)
+            high, low = np.divmod(v.astype(np.uint32), 1000)
             words[a - lo:b - lo] = np.take(_HIGH_WORDS, high) | np.take(_LOW_WORDS, low)
     return out
 
 
+def _off_range_error(rounded: np.ndarray, first: int, pot, photo) -> ValueError:
+    """The error for the first sample of a rounded block, rows `first`
+    onwards, that is not in 0 ... 10**6 or is -0.0."""
+    row, col = divmod(int(np.argmax(np.signbit(rounded) | ~(rounded <= _SCALE))),
+                      COLUMNS)
+    row += first
+    value = float(pot[row] if col == 0 else photo[row, col - 1])
+    return ValueError(f"row {row}, column {COLUMN_NAMES[col]}: {value!r} does "
+                      f"not round to a sample in [0, 1] on the 1e-6 grid")
+
+
 def parse_rows(data: bytes, start: int):
-    """(pot, photo) from canonical rows that fill `data[start:]`, else None.
+    """(pot, photo) from the canonical rows that fill `data[start:]`.
 
     Rows are canonical when they are what `format_rows` writes: the
-    indices 0 ... n-1, ASCII digits, and the separators, `.` and LF at
-    their fixed columns.  Each block of rows becomes integers in one
-    float32 digit product (float64 from 8 index digits on, where float32
-    would round an index), divided by 1e6 in float64.
+    indices 0 ... n-1, ASCII digits, the separators, `.` and LF at their
+    fixed columns, and values up to 1.  Each block of rows becomes
+    integers in one float32 digit product (float64 from 8 index digits
+    on, where float32 would round an index), divided by 1e6 in float64.
+    Raises RowError with the number and byte offset of the first row
+    that is not canonical: an empty body fails at row 0, and one that
+    ends inside a row or runs on past its last whole row fails at the
+    row where it does so.
     """
-    n = _row_count(len(data) - start)
-    if not n:
-        return None
+    n, left_over = _whole_rows(len(data) - start)
     pot = np.empty(n)
     photo = np.empty((n, COLUMNS - 1))
     for lo, hi, width in _decades(n):
         rows = np.frombuffer(data, np.uint8, (hi - lo) * width, start).reshape(-1, width)
-        start += rows.size
+        digits = width - _ROW_BYTES_AFTER_INDEX
         for a in range(lo, hi, BLOCK_ROWS):
             b = min(a + BLOCK_ROWS, hi)
-            numbers = _block_numbers(rows[a - lo:b - lo],
-                                     width - _ROW_BYTES_AFTER_INDEX, a)
-            if numbers is None:
-                return None
-            # a float32 quotient would round twice; in float64 it is
-            # correctly rounded, as float() of the text is
-            np.divide(numbers[:, 1], _SCALE, out=pot[a:b], dtype=np.float64)
-            np.divide(numbers[:, 2:], _SCALE, out=photo[a:b], dtype=np.float64)
+            block = rows[a - lo:b - lo]
+            numbers = _block_numbers(block, digits, a)
+            if numbers is not None:
+                # a float32 quotient would round twice; in float64 it is
+                # correctly rounded, as float() of the text is
+                np.divide(numbers[:, 1], _SCALE, out=pot[a:b], dtype=np.float64)
+                np.divide(numbers[:, 2:], _SCALE, out=photo[a:b], dtype=np.float64)
+                if max(pot[a:b].max(), photo[a:b].max()) <= 1.0:
+                    continue
+            bad = _first_bad_row(block, digits, a)
+            raise RowError(a + bad, start + (a - lo + bad) * width)
+        start += rows.size
+    if left_over or not n:
+        raise RowError(n, start)
     return pot, photo

@@ -8,38 +8,33 @@ are written as UTF-8 bytes in binary mode (ASCII for everything this
 package writes), so their bytes do not depend on the platform's locale
 or line separator.
 
-Canonical traces take a fast path in each direction.  A capture is
-canonical when every value is finite, in [0, 1], not -0.0 and on the
-1e-6 grid, as `quantize_capture` output is; `format_trace` then fills its
-rows as fixed-width byte matrices (`tracebody`).  Any other capture goes
-down the `%` path, which applies one row template with a single `%` per
-chunk of rows: the same `%.6f` conversion a per-row loop makes.
+A trace has one spelling, and the reader accepts exactly what the writer
+writes:
 
-`parse_trace` takes the fast path only when the file is exactly what
-the writer makes of a canonical capture: an exact column header line,
-only `#` and blank lines above it, then fixed-width rows with indices
-0, 1, 2, ... up to the end of the file.  Everything else goes down the
-general path, which is the spec: it sorts the lines in one pass (blank
-lines are skipped, `#` lines are metadata wherever they stand, the
-column header is checked) and converts every body row with one
-`np.loadtxt` call.  Only when that call fails are the rows searched
-again, to name the file line of the first bad one.  Both paths read the
-metadata with the same code.
+    # station_id = <any text but LF>
+    # start_utc_us = <integer: ASCII digits, an optional minus, no leading zeros>
+    # interval_ms = 1.0
+    interval_index,pot_raw,photo0,photo1,photo2,photo3
+    0,d.dddddd,d.dddddd,d.dddddd,d.dddddd,d.dddddd
 
-The reader is strict, because the estimator takes every row as one 1 ms
-sample of sensors that read in [0, 1].  `interval_ms` must be spelled
-`1.0`, `start_utc_us` must be an integer spelled as the writer spells it
-(ASCII digits, an optional minus, no leading zeros), so a rewrite keeps
-the bytes, the indices must run 0, 1, 2, ... and every sample must be
-finite and inside [0, 1].  Both paths share these checks, so they raise
-the same `TraceFormatError` for the same file.
+with one fixed-width row per sample, indices 0, 1, 2, ... and every
+value in [0, 1], each line ending in LF, up to the end of the file
+(`tracebody`).  `format_trace` and `write_trace` round every capture to
+the 1e-6 grid as they spell it, so they write `quantize_capture`'s
+bytes, and raise ValueError for a sample that does not round into
+[0, 1] or rounds to -0.0.  `parse_trace` raises `TraceFormatError` for
+anything else, CRLF line ends, blank or comment lines, padded fields,
+metadata below the body and other spellings of a number included,
+naming the file line of the first byte off the template.  The reader is
+strict because the estimator takes every row as one 1 ms sample of
+sensors that read in [0, 1], and because every file it accepts then
+rewrites to the same bytes.
 """
 from __future__ import annotations
 
 import os
 import re
 import tempfile
-from itertools import chain
 
 import numpy as np
 
@@ -48,21 +43,17 @@ from .errors import TraceFormatError
 from .rig import RawCapture
 
 VALUE_DECIMALS = tracebody.DECIMALS
-_PHOTO_COLUMNS = ("photo0", "photo1", "photo2", "photo3")
-_HEADER_COLUMNS = ("interval_index", "pot_raw") + _PHOTO_COLUMNS
+_HEADER_COLUMNS = ("interval_index",) + tracebody.COLUMN_NAMES
 _HEADER_LINE = ",".join(_HEADER_COLUMNS)
 _HEADER_BYTES = (_HEADER_LINE + "\n").encode()
-_VALUE_COLUMNS = len(_HEADER_COLUMNS) - 1
-_START_LITERAL = re.compile(r"0|-?[1-9][0-9]*")
+# the file line of row 0, below three metadata lines and the column header
+_FIRST_ROW_LINE = 5
+# int() would also take "1_000", "+5", "007" and non-ASCII digits, which a
+# rewrite spells differently
+_START_LITERAL = re.compile(rb"0|-?[1-9][0-9]*")
 # the only interval the estimator reads, spelled as the writer spells it
 _INTERVAL_LITERAL = "1.0"
-_ROW_TEMPLATE = "%d," + ",".join([f"%.{VALUE_DECIMALS}f"] * _VALUE_COLUMNS) + "\n"
-_ROW_DTYPE = np.dtype([("interval_index", np.int64),
-                       ("values", np.float64, (_VALUE_COLUMNS,))])
-# rows per `%` call.  Each call builds an argument tuple of six entries per
-# row; 4096-row chunks raised the peak RSS of repeated 20 s simulate runs
-# by about 1 MB, 512 rows did not, and both format equally fast
-_FORMAT_CHUNK_ROWS = 512
+_ROW_PATTERN = ",".join(["{row}"] + ["d.dddddd"] * tracebody.COLUMNS)
 
 
 def quantize_capture(capture: RawCapture) -> RawCapture:
@@ -99,17 +90,12 @@ def atomic_write_text(path: str, text: str | bytes):
 
 
 def format_trace(capture: RawCapture) -> str:
-    if tracebody.is_canonical(capture.pot, capture.photo):
-        return _format_fixed_width(capture).decode()
-    return _format_percent(capture)
+    return _trace_bytes(capture).decode()
 
 
 def write_trace(path: str, capture: RawCapture):
-    # the fixed-width buffer goes to the file as it is, without a str copy
-    if tracebody.is_canonical(capture.pot, capture.photo):
-        atomic_write_text(path, _format_fixed_width(capture))
-    else:
-        atomic_write_text(path, _format_percent(capture))
+    # the buffer goes to the file as it is, without a str copy
+    atomic_write_text(path, _trace_bytes(capture))
 
 
 def read_trace(path: str) -> RawCapture:
@@ -122,23 +108,48 @@ def read_trace(path: str) -> RawCapture:
 
 
 def parse_trace(text: str | bytes, source: str = "<string>") -> RawCapture:
-    """Read a trace from its text, as a str or as the file's bytes."""
-    if isinstance(text, str):
-        # the fast path reads bytes; a str with non-ASCII metadata is left
-        # to the general path rather than encoded
-        data = text.encode("ascii") if text.isascii() else None
-    else:
-        data = text
-    parsed = None if data is None else _parse_fixed_width(data, source)
-    if parsed is None:
-        if not isinstance(text, str):
-            text = _decode(text, source)
-        parsed = _parse_rows(text, source)
-    return _checked_capture(*parsed, source)
+    """Read a trace from its text, as a str or as the file's bytes.
+
+    A str is read as its UTF-8 encoding (a lone surrogate stays an
+    invalid byte sequence, and so an error).  Each line is checked in
+    file order, so the error names the first bad one.
+    """
+    data = text.encode(errors="surrogatepass") if isinstance(text, str) else text
+    station_id, at = _meta_value(data, 0, 1, "station_id", source)
+    try:
+        station_id = station_id.decode()
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{source}:1: not UTF-8 text: {exc}") from None
+    start, at = _meta_value(data, at, 2, "start_utc_us", source)
+    if not _START_LITERAL.fullmatch(start):
+        raise TraceFormatError(
+            f"{source}:2: bad header value: start_utc_us must be a plain "
+            f"integer, got {_text(start)!r}"
+        )
+    interval, at = _meta_value(data, at, 3, "interval_ms", source)
+    if interval != _INTERVAL_LITERAL.encode():
+        raise TraceFormatError(
+            f"{source}:3: interval_ms must be 1.0, got {_text(interval)!r}; "
+            f"the estimator reads every row as one 1 ms sample"
+        )
+    if not data.startswith(_HEADER_BYTES, at):
+        raise TraceFormatError(f"{source}:4: expected column header "
+                               f"{_HEADER_LINE!r}, got {_line_at(data, at)}")
+    try:
+        pot, photo = tracebody.parse_rows(data, at + len(_HEADER_BYTES))
+    except tracebody.RowError as exc:
+        row, at = exc.args
+        raise TraceFormatError(
+            f"{source}:{_FIRST_ROW_LINE + row}: expected row "
+            f"'{_ROW_PATTERN.format(row=row)}' with every value in [0, 1], "
+            f"got {_line_at(data, at)}"
+        ) from None
+    return RawCapture(station_id=station_id, start_utc_us=int(start),
+                      pot=pot, photo=photo)
 
 
 # ---------------------------------------------------------------------------
-# the writer and reader paths
+# the header
 
 
 def _header_text(capture: RawCapture) -> str:
@@ -150,190 +161,33 @@ def _header_text(capture: RawCapture) -> str:
     )
 
 
-def _format_percent(capture: RawCapture) -> str:
-    chunks = [_header_text(capture)]
-    n = len(capture)
-    for lo in range(0, n, _FORMAT_CHUNK_ROWS):
-        hi = min(lo + _FORMAT_CHUNK_ROWS, n)
-        rows = zip(range(lo, hi), capture.pot[lo:hi].tolist(),
-                   *capture.photo[lo:hi].T.tolist())
-        chunks.append(_ROW_TEMPLATE * (hi - lo) % tuple(chain.from_iterable(rows)))
-    return "".join(chunks)
-
-
-def _format_fixed_width(capture: RawCapture) -> bytearray:
+def _trace_bytes(capture: RawCapture) -> bytearray:
     return tracebody.format_rows(_header_text(capture).encode(),
                                  capture.pot, capture.photo)
 
 
-def _parse_fixed_width(data: bytes, source: str):
-    """(metadata, pot, photo) of a canonical trace, else None.
-
-    Canonical means an exact column header line, at the start of the file
-    or after a LF, with only `#` and blank lines above it, then canonical
-    rows up to the end of the file.
-    """
-    if data.startswith(_HEADER_BYTES):
-        start = len(_HEADER_BYTES)
-    else:
-        start = data.find(b"\n" + _HEADER_BYTES) + 1 + len(_HEADER_BYTES)
-        if start == len(_HEADER_BYTES):
-            return None
-    # the metadata is read by the general code, which also raises for any
-    # line above the header that is neither blank nor `#`, as it would on
-    # the whole file; a second header above this one is left to that path
-    meta, rows_above, _ = _sort_lines(_decode(data[:start], source), source)
-    if rows_above:
-        return None
-    columns = tracebody.parse_rows(data, start)
-    return None if columns is None else (meta, *columns)
+def _meta_value(data: bytes, at: int, lineno: int, key: str, source: str):
+    """The value of the `# key = value` line at offset `at`, as bytes, and
+    the offset of the next line."""
+    prefix = f"# {key} = ".encode()
+    end = data.find(b"\n", at)
+    if end < 0 or not data.startswith(prefix, at):
+        raise TraceFormatError(f"{source}:{lineno}: expected '# {key} = ...', "
+                               f"got {_line_at(data, at)}")
+    return data[at + len(prefix):end], end + 1
 
 
-def _decode(data: bytes, source: str) -> str:
-    try:
-        return data.decode()
-    except UnicodeDecodeError as exc:
-        raise TraceFormatError(f"{source}: not UTF-8 text: {exc}") from None
+def _text(data: bytes) -> str:
+    return data.decode(errors="backslashreplace")
 
 
-def _sort_lines(text: str, source: str):
-    """Split trace text into metadata and body rows, checking the header.
-
-    Returns the `# key = value` metadata, the stripped body rows and the
-    file line of each row.
-    """
-    meta: dict = {}
-    rows = []
-    linenos = []
-    saw_header = False
-    for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1):
-        if not line:
-            continue
-        if line[0] == "#":
-            body = line[1:].strip()
-            if "=" in body:
-                key, value = body.split("=", 1)
-                meta[key.strip()] = value.strip()
-        elif saw_header:
-            rows.append(line)
-            linenos.append(lineno)
-        elif line == _HEADER_LINE:
-            saw_header = True
-        else:
-            raise TraceFormatError(
-                f"{source}:{lineno}: expected column header "
-                f"{_HEADER_LINE!r}, got {line!r}"
-            )
-    if not saw_header:
-        raise TraceFormatError(f"{source}: missing column header line")
-    return meta, rows, linenos
-
-
-def _parse_rows(text: str, source: str):
-    """The general reader: returns (metadata, pot, photo), unchecked."""
-    meta, rows, linenos = _sort_lines(text, source)
-    if not rows:
-        raise TraceFormatError(f"{source}: trace contains no samples")
-    try:
-        table = _load_rows(rows)
-    except ValueError:
-        _raise_first_bad_row(rows, linenos, source)
-    _check_order(table["interval_index"], linenos, source)
-    values = table["values"]
-    return meta, values[:, 0], values[:, 1:]
-
-
-def _checked_capture(meta: dict, pot: np.ndarray, photo: np.ndarray,
-                     source: str) -> RawCapture:
-    """The header and sample checks both reader paths share."""
-    for key in ("station_id", "start_utc_us", "interval_ms"):
-        if key not in meta:
-            raise TraceFormatError(f"{source}: missing '# {key} = ...' header")
-    # int() would also take "1_000", "+5", "007" and non-ASCII digits,
-    # which a rewrite spells differently
-    if not _START_LITERAL.fullmatch(meta["start_utc_us"]):
-        raise TraceFormatError(
-            f"{source}: bad header value: start_utc_us must be a plain "
-            f"integer, got {meta['start_utc_us']!r}"
-        )
-    # float() would also take "1", "1.000" and "01.0", which a rewrite
-    # spells "1.0"
-    if meta["interval_ms"] != _INTERVAL_LITERAL:
-        raise TraceFormatError(
-            f"{source}: interval_ms must be 1.0, got {meta['interval_ms']!r}; "
-            f"the estimator reads every row as one 1 ms sample"
-        )
-    # nan and inf would decode into a plausible but meaningless capture
-    if not (np.isfinite(pot).all() and np.isfinite(photo).all()):
-        finite = np.isfinite(pot) & np.isfinite(photo).all(axis=1)
-        raise TraceFormatError(
-            f"{source}: interval_index {np.argmin(finite)} holds a non-finite sample"
-        )
-    # every sensor reads in [0, 1] and traces are written clipped
-    if min(pot.min(), photo.min()) < 0.0 or max(pot.max(), photo.max()) > 1.0:
-        outside = (pot < 0.0) | (pot > 1.0) | ((photo < 0.0) | (photo > 1.0)).any(axis=1)
-        raise TraceFormatError(
-            f"{source}: interval_index {np.argmax(outside)} holds a sample outside [0, 1]"
-        )
-    return RawCapture(
-        station_id=meta["station_id"],
-        start_utc_us=int(meta["start_utc_us"]),
-        pot=np.ascontiguousarray(pot),
-        photo=np.ascontiguousarray(photo),
-    )
-
-
-def _load_rows(rows: list) -> np.ndarray:
-    # comments=None: a `#` inside a row is an error, not the start of a
-    # comment; the int64 field rejects "1.0" as int() does
-    return np.loadtxt(rows, delimiter=",", comments=None, ndmin=1,
-                      dtype=_ROW_DTYPE)
-
-
-def _check_order(index: np.ndarray, linenos: list, source: str):
-    wrong = index != np.arange(index.size)
-    if wrong.any():
-        pos = int(np.argmax(wrong))
-        raise TraceFormatError(
-            f"{source}:{linenos[pos]}: interval_index {index[pos]} out of order "
-            f"(expected {pos})"
-        )
-
-
-def _raise_first_bad_row(rows: list, linenos: list, source: str):
-    """Raise for the first row `np.loadtxt` rejects, at its file line.
-
-    loadtxt numbers rows from 1 in some messages and from 0 in others,
-    so the row is found by bisection over prefixes instead of read from
-    the message.
-    """
-    good, bad = 0, len(rows)  # rows[:good] convert, rows[:bad] do not
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        try:
-            _load_rows(rows[:mid])
-            good = mid
-        except ValueError:
-            bad = mid
-    if good:
-        # an out-of-order row above the bad one comes first in the file
-        _check_order(_load_rows(rows[:good])["interval_index"], linenos, source)
-    line = rows[good]
-    parts = line.split(",")
-    if len(parts) != len(_HEADER_COLUMNS):
-        problem = f"expected {len(_HEADER_COLUMNS)} columns, got {len(parts)}"
-    else:
-        try:
-            int(parts[0])
-            for part in parts[1:]:
-                float(part)
-        except ValueError as exc:
-            problem = str(exc)
-        else:
-            # e.g. "1_0", which int() and float() take but loadtxt does not
-            problem = f"cannot convert row {line!r}"
-    # from None: loadtxt's own message carries its misleading row number
-    raise TraceFormatError(f"{source}:{linenos[good]}: {problem}") from None
+def _line_at(data: bytes, at: int) -> str:
+    """The line of `data` from offset `at`, for a message."""
+    if at >= len(data):
+        return "the end of the file"
+    end = data.find(b"\n", at)
+    line = data[at:] if end < 0 else data[at:end + 1]
+    return repr(_text(line[:100]))
 
 
 # ---------------------------------------------------------------------------

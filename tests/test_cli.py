@@ -193,7 +193,7 @@ def test_non_finite_trace_sample_exits_2(tmp_path, capsys):
     with open(trace, "w") as handle:
         handle.write("\n".join(lines) + "\n")
     assert cli.main(["estimate", trace]) == 2
-    assert "non-finite" in capsys.readouterr().err
+    assert f"{trace}:{len(lines)}: expected row '1999," in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -220,12 +220,15 @@ def _last_row_replaced(text, row):
     (lambda t: t.replace("# interval_ms = 1.0", "# interval_ms = 1.000"),
      "interval_ms must be 1.0, got '1.000'"),
     (lambda t: _last_row_replaced(t, "1999,1.5,0,0,0,0"),
-     "interval_index 1999 holds a sample outside [0, 1]"),
+     ":2004: expected row '1999,d.dddddd,"),
     (lambda t: _last_row_replaced(
         t, "1999,0.000000,2.000000,0.000000,0.000000,0.000000"),
-     "interval_index 1999 holds a sample outside [0, 1]"),
+     ":2004: expected row '1999,d.dddddd,"),
+    (lambda t: t.replace("\n", "\r\n"), ":2: bad header value"),
+    (lambda t: t + "\n", ":2005: expected row '2000,"),
 ], ids=["interval-2", "interval-nan", "fractional-start", "separator-start",
-        "interval-1.000", "sample-1.5", "canonical-sample-2"])
+        "interval-1.000", "sample-1.5", "canonical-sample-2", "crlf",
+        "trailing-blank"])
 def test_strictly_rejected_trace_exits_2(vive_trace_text, tmp_path, capsys,
                                          edit, message):
     text = edit(vive_trace_text)

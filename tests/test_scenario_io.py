@@ -289,59 +289,50 @@ def test_golden_values_sit_far_from_a_rounding_tie():
     assert closest >= 1000, f"a golden value sits {closest:.0f} ulps from a tie"
 
 
+_ROW = "0.100000,0.200000,0.300000,0.400000,0.500000"
+_HEADER = ",".join(tracefile._HEADER_COLUMNS)
+_META = "# station_id = A\n# start_utc_us = 0\n# interval_ms = 1.0\n"
+
+
 def test_trace_parser_reports_the_offending_row():
-    text = (
-        "# station_id = A\n# start_utc_us = 0\n# interval_ms = 1.0\n"
-        "interval_index,pot_raw,photo0,photo1,photo2,photo3\n"
-        "0,0.1,0.2,0.3,0.4,0.5\n"
-        "1,0.1,0.2\n"
-    )
+    text = _META + _HEADER + "\n" + f"0,{_ROW}\n" + "1,0.100000,0.200000\n"
     with pytest.raises(TraceFormatError) as err:
         tracefile.parse_trace(text, source="broken.csv")
-    assert "broken.csv:6" in str(err.value)
+    assert str(err.value).startswith("broken.csv:6: ")
 
 
 def test_trace_parser_rejects_out_of_order_rows():
-    text = (
-        "# station_id = A\n# start_utc_us = 0\n# interval_ms = 1.0\n"
-        "interval_index,pot_raw,photo0,photo1,photo2,photo3\n"
-        "0,0.1,0.2,0.3,0.4,0.5\n"
-        "2,0.1,0.2,0.3,0.4,0.5\n"
-    )
+    text = _META + _HEADER + "\n" + f"0,{_ROW}\n" + f"2,{_ROW}\n"
     with pytest.raises(TraceFormatError) as err:
-        tracefile.parse_trace(text)
-    assert "out of order" in str(err.value)
+        tracefile.parse_trace(text, source="src.csv")
+    assert str(err.value).startswith(
+        "src.csv:6: expected row '1,d.dddddd,d.dddddd,d.dddddd,d.dddddd,d.dddddd'"
+        " with every value in [0, 1], got '2,")
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
 @pytest.mark.parametrize("column", [1, 3])
 def test_trace_parser_rejects_non_finite_samples(bad, column):
-    row = ["1", "0.1", "0.2", "0.3", "0.4", "0.5"]
+    row = ["1"] + _ROW.split(",")
     row[column] = bad
-    text = (
-        "# station_id = A\n# start_utc_us = 0\n# interval_ms = 1.0\n"
-        "interval_index,pot_raw,photo0,photo1,photo2,photo3\n"
-        "0,0.1,0.2,0.3,0.4,0.5\n" + ",".join(row) + "\n"
-    )
+    text = _META + _HEADER + "\n" + f"0,{_ROW}\n" + ",".join(row) + "\n"
     with pytest.raises(TraceFormatError) as err:
         tracefile.parse_trace(text, source="bad.csv")
-    assert "bad.csv: interval_index 1" in str(err.value)
-    assert "non-finite" in str(err.value)
+    assert str(err.value).startswith("bad.csv:6: expected row '1,")
 
 
 def test_trace_parser_requires_metadata_and_samples():
-    with pytest.raises(TraceFormatError):
-        tracefile.parse_trace(
-            "interval_index,pot_raw,photo0,photo1,photo2,photo3\n"
-            "0,0.1,0.2,0.3,0.4,0.5\n"
-        )
-    with pytest.raises(TraceFormatError):
-        tracefile.parse_trace(
-            "# station_id = A\n# start_utc_us = 0\n# interval_ms = 1.0\n"
-            "interval_index,pot_raw,photo0,photo1,photo2,photo3\n"
-        )
-    with pytest.raises(TraceFormatError):
-        tracefile.parse_trace("")
+    with pytest.raises(TraceFormatError) as err:
+        tracefile.parse_trace(f"{_HEADER}\n0,{_ROW}\n", source="src.csv")
+    assert str(err.value).startswith("src.csv:1: expected '# station_id = ...'")
+    with pytest.raises(TraceFormatError) as err:
+        tracefile.parse_trace(_META + _HEADER + "\n", source="src.csv")
+    assert str(err.value) == (
+        "src.csv:5: expected row '0,d.dddddd,d.dddddd,d.dddddd,d.dddddd,d.dddddd'"
+        " with every value in [0, 1], got the end of the file")
+    with pytest.raises(TraceFormatError) as err:
+        tracefile.parse_trace("", source="src.csv")
+    assert str(err.value).startswith("src.csv:1: ")
 
 
 # ---------------------------------------------------------------------------
@@ -363,302 +354,168 @@ def _per_row_format_trace(capture):
     return "\n".join(lines) + "\n"
 
 
-def _per_row_parse_trace(text, source="<string>"):
-    header = ",".join(tracefile._HEADER_COLUMNS)
-    meta = {}
-    pot = []
-    photo = []
-    saw_header = False
-    expected_index = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, value = body.split("=", 1)
-                meta[key.strip()] = value.strip()
-            continue
-        if not saw_header:
-            if line != header:
-                raise TraceFormatError(
-                    f"{source}:{lineno}: expected column header "
-                    f"{header!r}, got {line!r}"
-                )
-            saw_header = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise TraceFormatError(
-                f"{source}:{lineno}: expected 6 columns, got {len(parts)}"
-            )
-        try:
-            index = int(parts[0])
-            values = [float(p) for p in parts[1:]]
-        except ValueError as exc:
-            raise TraceFormatError(f"{source}:{lineno}: {exc}") from exc
-        if index != expected_index:
-            raise TraceFormatError(
-                f"{source}:{lineno}: interval_index {index} out of order "
-                f"(expected {expected_index})"
-            )
-        expected_index += 1
-        pot.append(values[0])
-        photo.append(values[1:])
-    raw_start = meta["start_utc_us"]
+def _per_row_parse_trace(text):
+    lines = text.split("\n")
+    meta = dict(line[2:].split(" = ", 1) for line in lines[:3])
+    rows = [[float(v) for v in line.split(",")[1:]] for line in lines[4:-1]]
     return RawCapture(
         station_id=meta["station_id"],
-        start_utc_us=float(raw_start) if "." in raw_start else int(raw_start),
-        pot=np.asarray(pot, dtype=float),
-        photo=np.asarray(photo, dtype=float),
+        start_utc_us=int(meta["start_utc_us"]),
+        pot=np.array([row[0] for row in rows]),
+        photo=np.array([row[1:] for row in rows]).reshape(-1, 4),
     )
 
 
-# values whose %.6f text is easy to get wrong: signed zero and tiny
-# negatives ("-0.000000"), decimal near-ties, exact binary ties (2**-7 =
-# 0.0078125 rounds half to even), and values far outside the sensor range
+# samples in [0, 1] whose %.6f text is easy to get wrong: decimal
+# near-ties, exact binary ties (2**-7 = 0.0078125 rounds half to even),
+# subnormals and the ends of the range
 _AWKWARD_VALUES = [
-    0.0, -0.0, -1e-9, -4.9e-7, -5e-7, 0.0000005, 0.0000015, 0.0000025,
-    0.1234565, 1.0000005, 2.0 ** -7, 3 * 2.0 ** -7, 1 + 2.0 ** -7,
-    2.0 ** -21, 1.0, 0.5, 5e-324, 1e-300, -3.25, 123456.7890125,
+    0.0, 0.0000005, 0.0000015, 0.0000025, 0.1234565, 2.0 ** -7, 3 * 2.0 ** -7,
+    2.0 ** -21, 1.0, 0.5, 0.9999995, 5e-324, 1e-300,
 ]
-_CHUNK = tracefile._FORMAT_CHUNK_ROWS
 
 
-def _awkward_capture(n, seed):
-    rng = np.random.default_rng(seed)
-    # unquantized floats of mixed magnitude, then awkward values spliced in
-    values = rng.uniform(-0.1, 1.1, size=(n, 5))
-    wide = rng.random((n, 5)) < 0.2
-    values[wide] = (rng.standard_normal(int(wide.sum()))
-                    * 10.0 ** rng.integers(-9, 5, size=int(wide.sum())))
-    awkward = rng.random((n, 5)) < 0.4
-    values[awkward] = rng.choice(_AWKWARD_VALUES, size=int(awkward.sum()))
-    return RawCapture(
-        station_id="B",
-        start_utc_us=int(rng.integers(0, 2**53)),
-        pot=values[:, 0].copy(),
-        photo=values[:, 1:].copy(),
-    )
-
-
-# lengths that cross the writer's chunk edges
-@pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
-                               4095, 4096, 4097, 9000])
-@settings(max_examples=4)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_trace_writer_matches_the_per_row_oracle(n, seed):
-    capture = _awkward_capture(n, seed)
-    assert tracefile.format_trace(capture) == _per_row_format_trace(capture)
-
-
-def _field_text(rng, value):
-    # every spelling float() accepts for a sample in [0, 1]
-    style = rng.integers(5)
-    if style == 0:
-        return repr(float(value))
-    if style == 1:
-        return f"{value:.6f}"
-    if style == 2:
-        return f"{value:.3e}"
-    if style == 3:
-        return f"{value:.{rng.integers(0, 20)}f}"
-    return str(rng.choice(["0", "1", "-0.0", "1.", ".5", "+0.25", "1e-3"]))
-
-
-@settings(max_examples=40)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200),
-       crlf=st.booleans(), meta_last=st.booleans())
-def test_trace_reader_matches_the_per_row_oracle(seed, n, crlf, meta_last):
-    rng = np.random.default_rng(seed)
-    pads = ["", " ", "  ", "\t"]
-    meta = ["# station_id = A", f"# start_utc_us = {int(rng.integers(0, 2**53))}",
-            "# interval_ms = 1.0"]
-    lines = [] if meta_last else list(meta)
-    lines.append(",".join(tracefile._HEADER_COLUMNS))
-    for i in range(n):
-        if rng.random() < 0.1:
-            lines.append(str(rng.choice(["", "   ", "#", "# note", "#x = 1",
-                                         "  # indented comment"])))
-        fields = [str(i)] + [_field_text(rng, v) for v in rng.uniform(0, 1, 5)]
-        if rng.random() < 0.3:
-            fields = [f"{rng.choice(pads)}{f}{rng.choice(pads)}" for f in fields]
-        lines.append(",".join(fields))
-    if meta_last:
-        lines.extend(meta)
-    text = ("\r\n" if crlf else "\n").join(lines) + "\n"
-    got = tracefile.parse_trace(text)
-    want = _per_row_parse_trace(text)
-    assert (got.station_id, got.start_utc_us) == (want.station_id, want.start_utc_us)
-    assert type(got.start_utc_us) is type(want.start_utc_us)
-    for channel in ("pot", "photo"):
-        g, w = getattr(got, channel), getattr(want, channel)
-        assert (g.dtype, g.shape) == (w.dtype, w.shape)
-        assert g.tobytes() == w.tobytes()      # -0.0 and 0.0 differ here
-
-
-# ---------------------------------------------------------------------------
-# the fixed-width paths for canonical traces, against the % writer and the
-# loadtxt reader
-
-# lengths that cross the decades of the index width and the block edges
-_CANONICAL_LENGTHS = [1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001,
-                      tracebody.BLOCK_ROWS + 1, 9999, 10000, 10001]
-
-
-def _canonical_capture(n, seed):
-    # what quantize_capture makes of sensor values, the ends of the range
-    # included
+def _unit_capture(n, seed):
+    # unquantized sensor values, the ends of the range and awkward values
+    # spliced in
     rng = np.random.default_rng(seed)
     values = rng.uniform(0.0, 1.0, size=(n, 5))
     values[rng.random((n, 5)) < 0.1] = 0.0
     values[rng.random((n, 5)) < 0.1] = 1.0
-    return tracefile.quantize_capture(RawCapture(
+    awkward = rng.random((n, 5)) < 0.2
+    values[awkward] = rng.choice(_AWKWARD_VALUES, size=int(awkward.sum()))
+    return RawCapture(
         station_id="A",
         start_utc_us=int(rng.integers(-2**53, 2**53)),
         pot=values[:, 0].copy(),
         photo=values[:, 1:].copy(),
-    ))
+    )
 
 
-def _must_not_run(*args, **kwargs):
-    raise AssertionError("the other writer path ran")
+def _canonical_capture(n, seed):
+    return tracefile.quantize_capture(_unit_capture(n, seed))
+
+
+# lengths that cross the decades of the index width and the block edges
+_CANONICAL_LENGTHS = [1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001,
+                      tracebody.BLOCK_ROWS - 1, tracebody.BLOCK_ROWS,
+                      tracebody.BLOCK_ROWS + 1, 9999, 10000, 10001]
 
 
 @pytest.mark.parametrize("n", [0] + _CANONICAL_LENGTHS)
-def test_quantized_captures_take_the_fixed_width_writer(n, monkeypatch, tmp_path):
-    capture = _canonical_capture(n, seed=n)
-    want = _per_row_format_trace(capture)
-    monkeypatch.setattr(tracefile, "_format_percent", _must_not_run)
-    assert tracefile.format_trace(capture) == want
+@settings(max_examples=3)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_trace_writer_matches_the_per_row_oracle(n, seed):
+    # the writer rounds as it spells: an unquantized capture is written as
+    # its quantize_capture is
+    capture = _unit_capture(n, seed)
+    assert tracefile.format_trace(capture) == _per_row_format_trace(
+        tracefile.quantize_capture(capture))
+
+
+@pytest.mark.parametrize("n", [0, 1, 10001])
+def test_write_trace_writes_the_formatted_bytes(n, tmp_path):
+    capture = _unit_capture(n, seed=n)
     tracefile.write_trace(str(tmp_path / "t.csv"), capture)
+    want = _per_row_format_trace(tracefile.quantize_capture(capture))
     assert (tmp_path / "t.csv").read_bytes() == want.encode()
 
 
-@pytest.mark.parametrize("value", [-0.0, -1e-6, 1.000001, 1.0000001, 0.1234565,
-                                   2.0 ** -21, float("nan"), float("inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                   -0.0, -4e-7, -1e-6, 1.000001])
 @pytest.mark.parametrize("row,column", [(0, 0), (2 * tracebody.BLOCK_ROWS + 5, 4)])
-def test_off_grid_captures_take_the_percent_writer(value, row, column,
-                                                   monkeypatch, tmp_path):
+def test_writer_refuses_samples_that_do_not_round_into_the_unit_range(
+        value, row, column, tmp_path):
+    # -4e-7 rounds to -0.0, which %.6f spells "-0.000000"
     capture = _canonical_capture(3 * tracebody.BLOCK_ROWS, seed=row)
     if column == 0:
         capture.pot[row] = value
     else:
         capture.photo[row, column - 1] = value
-    want = _per_row_format_trace(capture)
-    monkeypatch.setattr(tracefile, "_format_fixed_width", _must_not_run)
-    assert tracefile.format_trace(capture) == want
-    tracefile.write_trace(str(tmp_path / "t.csv"), capture)
-    assert (tmp_path / "t.csv").read_bytes() == want.encode()
+    message = f"row {row}, column {tracefile._HEADER_COLUMNS[column + 1]}: {value!r} "
+    with pytest.raises(ValueError) as err:
+        tracefile.format_trace(capture)
+    assert str(err.value).startswith(message)
+    with pytest.raises(ValueError) as err:
+        tracefile.write_trace(str(tmp_path / "t.csv"), capture)
+    assert str(err.value).startswith(message)
+    assert os.listdir(tmp_path) == []
 
 
-_HEADER = ",".join(tracefile._HEADER_COLUMNS)
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200))
+def test_trace_reader_matches_the_per_row_oracle(seed, n):
+    text = _per_row_format_trace(_canonical_capture(n, seed))
+    want = _per_row_parse_trace(text)
+    for got in (tracefile.parse_trace(text), tracefile.parse_trace(text.encode())):
+        assert (got.station_id, got.start_utc_us) == (want.station_id, want.start_utc_us)
+        for channel in ("pot", "photo"):
+            g, w = getattr(got, channel), getattr(want, channel)
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert g.tobytes() == w.tobytes()
 
 
-def _body_lines(text):
-    lines = text.split("\n")
-    first = lines.index(_HEADER) + 1
-    return lines, first
+# ---------------------------------------------------------------------------
+# one dialect: every one-byte edit of a canonical trace either reads back to
+# a capture that rewrites to the edited bytes, or is refused at its line
+
+def _lines_touched(data, lo, hi, moves_a_line_end):
+    """The file lines of data[lo:hi], and the line after them when the edit
+    adds or removes an LF: that moves where the next line starts."""
+    lines = {data.count(b"\n", 0, at) + 1
+             for at in range(max(lo, 0), min(hi, len(data)))}
+    if moves_a_line_end:
+        lines.add(max(lines) + 1)
+    return lines
 
 
-def _edit_row(text, rng, edit, *args):
-    lines, first = _body_lines(text)
-    i = int(rng.integers(first, len(lines) - 1))
-    lines[i] = edit(lines[i], rng, *args)
-    return "\n".join(lines)
-
-
-def _changed_char(line, rng, alphabet):
-    k = int(rng.integers(len(line)))
-    return line[:k] + str(rng.choice([c for c in alphabet if c != line[k]])) + line[k + 1:]
-
-
-def _value_above_one(line, rng):
-    fields = line.split(",")
-    fields[int(rng.integers(1, len(fields)))] = str(rng.choice(["1.000001", "2.000000"]))
-    return ",".join(fields)
-
-
-def _padded(line, rng):
-    k = int(rng.integers(len(line) + 1))
-    return line[:k] + " " + line[k:]
-
-
-def _swap_rows(text, rng):
-    lines, first = _body_lines(text)
-    if len(lines) - first < 3:
-        # one row: repeat it, which puts index 0 out of order
-        lines.insert(first, lines[first])
-        return "\n".join(lines)
-    i, j = rng.choice(np.arange(first, len(lines) - 1), size=2, replace=False)
-    lines[i], lines[j] = lines[j], lines[i]
-    return "\n".join(lines)
-
-
-_EDITS = {
-    "none": lambda t, rng: t,
-    "digit": lambda t, rng: _edit_row(t, rng, _changed_char, "0123456789"),
-    "non-digit": lambda t, rng: _edit_row(t, rng, _changed_char, "x -+e.,#\t\u0663"),
-    "above one": lambda t, rng: _edit_row(t, rng, _value_above_one),
-    "leading zero": lambda t, rng: _edit_row(t, rng, lambda line, r: "0" + line),
-    "crlf": lambda t, rng: t.replace("\n", "\r\n"),
-    "padding": lambda t, rng: _edit_row(t, rng, _padded),
-    "no final newline": lambda t, rng: t[:-1],
-    "trailing blank": lambda t, rng: t + "\n",
-    "trailing comment": lambda t, rng: t + "# end\n",
-    "extra column": lambda t, rng: _edit_row(t, rng, lambda line, r: line + ",0.500000"),
-    "missing column": lambda t, rng: _edit_row(
-        t, rng, lambda line, r: line.rsplit(",", 1)[0]),
-    "swapped rows": _swap_rows,
-    # a padded copy of the column header is the header; the exact line
-    # below it is then a bad row
-    "header above": lambda t, rng: t.replace(
-        _HEADER + "\n", f" {_HEADER}\n{_HEADER}\n", 1),
-}
-
-
-def _outcome(read, text):
+@settings(max_examples=400, deadline=None)
+@given(n=st.sampled_from([1, 2, 10, 11, 101, tracebody.BLOCK_ROWS + 1]),
+       seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["substitute", "insert", "delete"]),
+       where=st.integers(0, 2**20),
+       byte=st.one_of(st.sampled_from(b"\n\r\t #=,.-_0123456789"),
+                      st.integers(0, 255)))
+def test_every_one_byte_edit_reads_back_or_names_its_line(n, seed, kind, where,
+                                                          byte):
+    canonical = tracefile.format_trace(_canonical_capture(n, seed)).encode()
+    at = where % (len(canonical) + (kind == "insert"))
+    lf = ord("\n")
+    if kind == "delete":
+        edited = canonical[:at] + canonical[at + 1:]
+        lines = _lines_touched(edited, at - 1, at + 1, canonical[at] == lf)
+    elif kind == "substitute":
+        edited = canonical[:at] + bytes([byte]) + canonical[at + 1:]
+        lines = _lines_touched(edited, at, at + 1, lf in (canonical[at], byte))
+    else:
+        edited = canonical[:at] + bytes([byte]) + canonical[at:]
+        lines = _lines_touched(edited, at, at + 1, byte == lf)
+    texts = [edited]
     try:
-        capture = read(text)
-    except TraceFormatError as err:
-        return str(err)
-    return (capture.station_id, capture.start_utc_us,
-            capture.pot.dtype, capture.pot.shape, capture.pot.tobytes(),
-            capture.photo.dtype, capture.photo.shape, capture.photo.tobytes())
-
-
-def _loadtxt_path(text, source="src.csv"):
-    return tracefile._checked_capture(*tracefile._parse_rows(text, source), source)
-
-
-@pytest.mark.parametrize("edit", sorted(_EDITS))
-@settings(max_examples=10)
-@given(n=st.sampled_from(_CANONICAL_LENGTHS), seed=st.integers(0, 2**32 - 1))
-def test_both_trace_readers_agree(edit, n, seed):
-    rng = np.random.default_rng(seed)
-    canonical = tracefile.format_trace(_canonical_capture(n, seed))
-    assert tracefile._parse_fixed_width(canonical.encode(), "src.csv") is not None
-    text = _EDITS[edit](canonical, rng)
-    want = _outcome(_loadtxt_path, text)
-    assert _outcome(lambda t: tracefile.parse_trace(t, "src.csv"), text) == want
-    assert _outcome(lambda b: tracefile.parse_trace(b, "src.csv"),
-                    text.encode()) == want
-    if edit == "none":
-        assert want[2:] == _outcome(_per_row_parse_trace, text)[2:]
+        texts.append(edited.decode())
+    except UnicodeDecodeError:
+        pass
+    for text in texts:
+        try:
+            capture = tracefile.parse_trace(text, source="src.csv")
+        except TraceFormatError as err:
+            source, line, _ = str(err).split(":", 2)
+            assert source == "src.csv" and int(line) in lines, (str(err), lines)
+        else:
+            written = tracefile.format_trace(capture)
+            assert written == (text if isinstance(text, str) else text.decode())
 
 
 # ---------------------------------------------------------------------------
 # the float32 digit product of the fixed-width reader is exact: every cell
 # the template accepts reads back as float() of its text, bit for bit
 
-def _free_rows(rng, first, count):
-    """Rows in the canonical layout whose value digits are drawn freely,
-    leading digits up to 9 and the extreme cells included, and their cells'
-    text."""
-    cells = rng.integers(0, 10 ** 7, size=(count, tracebody.COLUMNS))
+def _free_rows(rng, first, count, top):
+    """Rows in the canonical layout whose value cells are drawn freely up to
+    `top` times 1e-6, 0 and `top` included, and their cells' text."""
+    cells = rng.integers(0, top + 1, size=(count, tracebody.COLUMNS))
     cells[rng.random(cells.shape) < 0.05] = 0
-    cells[rng.random(cells.shape) < 0.05] = 10 ** 7 - 1
+    cells[rng.random(cells.shape) < 0.05] = top
     text = [[f"{c // 10 ** 6}.{c % 10 ** 6:06d}" for c in row] for row in cells]
     rows = "".join(f"{first + i},{','.join(t)}\n" for i, t in enumerate(text))
     return rows.encode(), text
@@ -669,7 +526,6 @@ def _float_of_text(text):
         -1, tracebody.COLUMNS)
 
 
-# lengths that cross the decades of the index width and the block edges
 @pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001,
                                tracebody.BLOCK_ROWS - 1, tracebody.BLOCK_ROWS,
                                tracebody.BLOCK_ROWS + 1, 2 * tracebody.BLOCK_ROWS,
@@ -678,7 +534,7 @@ def _float_of_text(text):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_parse_rows_equals_float_of_every_accepted_cell(n, seed):
     rng = np.random.default_rng(seed)
-    body, text = _free_rows(rng, 0, n)
+    body, text = _free_rows(rng, 0, n, top=10 ** 6)
     prefix = b"# any header\n"
     pot, photo = tracebody.parse_rows(prefix + body, len(prefix))
     want = _float_of_text(text)
@@ -697,16 +553,21 @@ def _block(body, digits):
 def test_block_digit_product_is_exact_for_every_index_width_up_to_7(digits, seed,
                                                                     count, top):
     # indices of up to 7 digits go through float32; the top of each decade
-    # (9 999 999 at 7 digits) is the largest sum the product makes
+    # (9 999 999 at 7 digits) is the largest sum the product makes.  Cells
+    # above 1 are spelled too: the product must tell 1.000001 from 1
     rng = np.random.default_rng(seed)
     lo, hi = (0 if digits == 1 else 10 ** (digits - 1)), 10 ** digits
     count = min(count, hi - lo)
     first = hi - count if top else int(rng.integers(lo, hi - count + 1))
-    body, text = _free_rows(rng, first, count)
-    numbers = tracebody._block_numbers(_block(body, digits), digits, first)
+    body, text = _free_rows(rng, first, count, top=10 ** 7 - 1)
+    block = _block(body, digits)
+    numbers = tracebody._block_numbers(block, digits, first)
     assert np.array_equal(numbers[:, 0], np.arange(first, first + count))
-    assert np.array_equal(numbers[:, 1:],
-                          np.rint(_float_of_text(text) * tracebody._SCALE))
+    want = np.rint(_float_of_text(text) * tracebody._SCALE)
+    assert np.array_equal(numbers[:, 1:], want)
+    above = (want > tracebody._SCALE).any(axis=1)
+    if above.any():
+        assert tracebody._first_bad_row(block, digits, first) == np.argmax(above)
 
 
 def test_eight_digit_indices_are_checked_exactly_around_2_to_the_24():
@@ -714,7 +575,7 @@ def test_eight_digit_indices_are_checked_exactly_around_2_to_the_24():
     # float32 product would reject the exact rows and accept a wrong index
     first = 2 ** 24 - 1
     rng = np.random.default_rng(0)
-    body, text = _free_rows(rng, first, 4)
+    body, text = _free_rows(rng, first, 4, top=10 ** 6)
     numbers = tracebody._block_numbers(_block(body, 8), 8, first)
     assert numbers is not None
     assert np.array_equal(numbers[:, 0], np.arange(first, first + 4))
@@ -724,6 +585,7 @@ def test_eight_digit_indices_are_checked_exactly_around_2_to_the_24():
         edited = "".join(lines).encode()
         assert tracebody._block_numbers(_block(edited, 8), 8, first) is None, \
             (row, wrong)
+        assert tracebody._first_bad_row(_block(edited, 8), 8, first) == row
 
 
 def test_row_templates_are_cached_and_read_only():
@@ -758,29 +620,32 @@ def test_long_trace_io_peak_memory_stays_small():
 
 
 # ---------------------------------------------------------------------------
-# a bad row is named by its file line, which differs from its body index
-# because comment and blank lines stand above it
+# a bad row is named by its own file line, the four header lines counted
 
 def _trace_lines_with(bad_row, at, n=60):
-    lines = ["# station_id = A", "# start_utc_us = 0", "# interval_ms = 1.0",
-             ",".join(tracefile._HEADER_COLUMNS)]
-    for i in range(n):
-        if i == at:
-            lines += ["", "# the next row is bad", "   ", bad_row]
-        else:
-            lines.append(f"{i},0.1,0.2,0.3,0.4,0.5")
+    lines = _META.splitlines() + [_HEADER]
+    lines += [bad_row if i == at else f"{i},{_ROW}" for i in range(n)]
     return lines
 
 
 _BAD_ROWS = {
-    "short": "{i},0.1,0.2",
-    "long": "{i},0.1,0.2,0.3,0.4,0.5,0.6",
-    "trailing comma": "{i},0.1,0.2,0.3,0.4,0.5,",
-    "fractional index": "{i}.0,0.1,0.2,0.3,0.4,0.5",
-    "word": "{i},0.1,x,0.3,0.4,0.5",
-    "inline comment": "{i},0.1#c,0.2,0.3,0.4,0.5",
-    "trailing comment": "{i},0.1,0.2,0.3,0.4,0.5#c",
-    "out of order": "{j},0.1,0.2,0.3,0.4,0.5",
+    "short": "{i},0.100000,0.200000",
+    "long": "{i}," + _ROW + ",0.600000",
+    "trailing comma": "{i}," + _ROW + ",",
+    "fractional index": "{i}.0," + _ROW,
+    "word": "{i},0.100000,x.200000,0.300000,0.400000,0.500000",
+    "inline comment": "{i},0.100000#c,0.200000,0.300000,0.400000,0.500000",
+    "trailing comment": "{i}," + _ROW + "#c",
+    "out of order": "{j}," + _ROW,
+    "digit separator": "{i}_0," + _ROW,
+    "short value": "{i},0.1,0.200000,0.300000,0.400000,0.500000",
+    "exponent": "{i},1e-3,0.200000,0.300000,0.400000,0.500000",
+    "negative zero": "{i},-0.000000,0.200000,0.300000,0.400000,0.500000",
+    "above one": "{i},1.000001,0.200000,0.300000,0.400000,0.500000",
+    "crlf": "{i}," + _ROW + "\r",
+    "padded field": "{i}, 0.100000,0.200000,0.300000,0.400000,0.500000",
+    "blank line": "",
+    "comment line": "# station_id = B",
 }
 
 
@@ -790,59 +655,67 @@ def test_trace_parser_names_the_file_line_of_a_bad_row(kind, at):
     bad_row = _BAD_ROWS[kind].format(i=at, j=at + 1)
     lines = _trace_lines_with(bad_row, at)
     text = "\n".join(lines) + "\n"
-    with pytest.raises(TraceFormatError) as want:
-        _per_row_parse_trace(text, source="src.csv")
-    with pytest.raises(TraceFormatError) as got:
-        tracefile.parse_trace(text, source="src.csv")
-    assert f"src.csv:{lines.index(bad_row) + 1}: " in str(got.value)
-    assert str(got.value) == str(want.value)
+    for data in (text, text.encode()):
+        with pytest.raises(TraceFormatError) as got:
+            tracefile.parse_trace(data, source="src.csv")
+        assert str(got.value).startswith(f"src.csv:{at + 5}: expected row '{at},")
+        assert str(got.value).endswith(f"got {bad_row + chr(10)!r}")
 
 
 def test_trace_parser_names_an_out_of_order_row_above_a_bad_value():
-    lines = _trace_lines_with("40,0.1,0.2,0.3,0.4,0.5", at=10)
-    lines[lines.index("50,0.1,0.2,0.3,0.4,0.5")] = "50,0.1,x,0.3,0.4,0.5"
+    lines = _trace_lines_with(f"40,{_ROW}", at=10)
+    lines[lines.index(f"50,{_ROW}")] = "50,0.100000,x,0.300000,0.400000,0.500000"
     text = "\n".join(lines) + "\n"
     with pytest.raises(TraceFormatError) as got:
         tracefile.parse_trace(text, source="src.csv")
-    assert str(got.value).startswith(f"src.csv:{lines.index('40,0.1,0.2,0.3,0.4,0.5') + 1}: ")
-    assert "interval_index 40 out of order (expected 10)" in str(got.value)
+    assert str(got.value).startswith("src.csv:15: expected row '10,")
+    assert str(got.value).endswith(f"got '40,{_ROW}\\n'")
 
 
-def test_trace_parser_rejects_digit_separators_that_int_accepts():
-    # int("3_0") is 30, but a trace never holds "_"; loadtxt refuses it
-    lines = _trace_lines_with("3_0,0.1,0.2,0.3,0.4,0.5", at=30)
-    with pytest.raises(TraceFormatError) as err:
-        tracefile.parse_trace("\n".join(lines) + "\n", source="src.csv")
-    assert str(err.value).startswith(f"src.csv:{lines.index('3_0,0.1,0.2,0.3,0.4,0.5') + 1}: ")
+@pytest.mark.parametrize("edit,line", [
+    # "A\r" is a station id; the first line off the template is the next
+    (lambda t: t.replace("\n", "\r\n"), 2),
+    (lambda t: t[:-1], 7),
+    (lambda t: t + "\n", 8),
+    (lambda t: t + "# station_id = A\n", 8),
+    (lambda t: "\n" + t, 1),
+    (lambda t: t.replace("# interval_ms = 1.0\n", ""), 3),
+    (lambda t: t.replace(_HEADER, " " + _HEADER), 4),
+], ids=["crlf", "no final newline", "trailing blank", "metadata below the body",
+        "blank line above", "metadata missing", "padded column header"])
+def test_trace_parser_names_the_first_line_off_the_template(edit, line):
+    text = _per_row_format_trace(_canonical_capture(3, seed=0))
+    with pytest.raises(TraceFormatError) as got:
+        tracefile.parse_trace(edit(text), source="src.csv")
+    assert str(got.value).startswith(f"src.csv:{line}: ")
 
 
 # ---------------------------------------------------------------------------
 # strict header and range rules
 
-def _one_row_trace(start="0", interval="1.0", row="0,0.1,0.2,0.3,0.4,0.5"):
+def _one_row_trace(start="0", interval="1.0", row=f"0,{_ROW}"):
     return (
         f"# station_id = A\n# start_utc_us = {start}\n# interval_ms = {interval}\n"
-        "interval_index,pot_raw,photo0,photo1,photo2,photo3\n"
-        f"{row}\n"
+        f"{_HEADER}\n{row}\n"
     )
 
 
 @pytest.mark.parametrize("interval", ["2.0", "0.5", "0.001", "nan", "inf",
                                       "1", "1.000", "01.0", "1.", "1e0",
-                                      "+1.0", "1_0", "one"])
+                                      "+1.0", "1_0", "one", " 1.0", "1.0 "])
 def test_trace_parser_requires_one_millisecond_intervals(interval):
     with pytest.raises(TraceFormatError) as err:
         tracefile.parse_trace(_one_row_trace(interval=interval), source="src.csv")
-    assert f"interval_ms must be 1.0, got '{interval}'" in str(err.value)
+    assert str(err.value).startswith(f"src.csv:3: interval_ms must be 1.0, got {interval!r}")
 
 
 @pytest.mark.parametrize("start", ["1.5", "1000000.0", "1e6", "nan", "soon",
                                    "1_000", "+1000", "\u0663", "007", "-0",
-                                   "- 5", "0x10", ""])
+                                   "- 5", "0x10", "", " 5", "5 "])
 def test_trace_parser_requires_an_integer_start(start):
     with pytest.raises(TraceFormatError) as err:
         tracefile.parse_trace(_one_row_trace(start=start), source="src.csv")
-    assert "src.csv: bad header value" in str(err.value)
+    assert str(err.value).startswith("src.csv:2: bad header value")
     assert repr(start) in str(err.value)
 
 
@@ -852,19 +725,12 @@ def test_trace_parser_requires_an_integer_start(start):
     st.text(alphabet="0123456789-+_ .e\u0663", max_size=8),
 ))
 def test_every_accepted_start_round_trips_byte_for_byte(start):
-    # the reader strips the whitespace around a header value, as the
-    # writer never puts any there; everything else must be kept or refused
-    written = tracefile.format_trace(tracefile.parse_trace(_one_row_trace()))
-
-    def with_start(value):
-        return written.replace("# start_utc_us = 0\n",
-                               f"# start_utc_us = {value}\n", 1)
-
+    written = _one_row_trace(start=start)
     try:
-        capture = tracefile.parse_trace(with_start(start))
+        capture = tracefile.parse_trace(written)
     except TraceFormatError:
         return
-    assert tracefile.format_trace(capture) == with_start(start.strip())
+    assert tracefile.format_trace(capture) == written
 
 
 @settings(max_examples=200)
@@ -874,35 +740,34 @@ def test_every_accepted_start_round_trips_byte_for_byte(start):
     st.sampled_from(["1.0", " 1.0 ", "1", "1.000", "01.0", "1.", "1e0"]),
 ))
 def test_every_accepted_interval_round_trips_byte_for_byte(interval):
-    written = tracefile.format_trace(tracefile.parse_trace(_one_row_trace()))
-
-    def with_interval(value):
-        return written.replace("# interval_ms = 1.0\n",
-                               f"# interval_ms = {value}\n", 1)
-
+    written = _one_row_trace(interval=interval)
     try:
-        capture = tracefile.parse_trace(with_interval(interval))
+        capture = tracefile.parse_trace(written)
     except TraceFormatError as err:
-        assert f"interval_ms must be 1.0, got {interval.strip()!r}" in str(err)
+        assert f"interval_ms must be 1.0, got {interval!r}" in str(err)
         return
-    assert tracefile.format_trace(capture) == with_interval(interval.strip())
+    assert tracefile.format_trace(capture) == written
 
 
-@pytest.mark.parametrize("value", ["-0.001", "-1e-7", "1.000001", "2", "-5"])
+@pytest.mark.parametrize("value", ["1.000001", "2.000000", "9.999999",
+                                   "-0.001", "-1e-7", "2", "-5"])
 @pytest.mark.parametrize("column", [1, 2, 5])
 def test_trace_parser_rejects_samples_outside_the_unit_range(value, column):
-    row = ["1", "0.1", "0.2", "0.3", "0.4", "0.5"]
+    row = ["1"] + _ROW.split(",")
     row[column] = value
-    text = _one_row_trace(row="0,0.1,0.2,0.3,0.4,0.5\n" + ",".join(row))
+    text = _one_row_trace(row=f"0,{_ROW}\n" + ",".join(row))
     with pytest.raises(TraceFormatError) as err:
         tracefile.parse_trace(text, source="src.csv")
-    assert "src.csv: interval_index 1 holds a sample outside [0, 1]" in str(err.value)
+    assert str(err.value).startswith(
+        "src.csv:6: expected row '1,d.dddddd,d.dddddd,d.dddddd,d.dddddd,d.dddddd'"
+        " with every value in [0, 1]")
 
 
 def test_trace_parser_accepts_the_ends_of_the_unit_range():
     capture = tracefile.parse_trace(
-        _one_row_trace(row="0,0,1,-0.000000,1.000000,0.0"))
+        _one_row_trace(row="0,0.000000,1.000000,0.000000,1.000000,0.000000"))
     assert capture.pot.tolist() == [0.0]
+    assert not np.signbit(capture.pot).any()
     assert capture.photo.tolist() == [[1.0, 0.0, 1.0, 0.0]]
 
 
@@ -932,14 +797,32 @@ def test_report_formatting_lists_warnings():
 
 
 def test_trace_bytes_are_read_as_utf8():
-    text = _one_row_trace(row="0,0.100000,0.200000,0.300000,0.400000,0.500000")
-    text = text.replace("station_id = A", "station_id = \u00c5")
+    text = _one_row_trace().replace("station_id = A", "station_id = \u00c5")
     capture = tracefile.parse_trace(text.encode())
     assert capture.station_id == "\u00c5"
     assert tracefile.format_trace(capture) == text
     with pytest.raises(TraceFormatError) as err:
         tracefile.parse_trace(text.encode("latin-1"), source="src.csv")
-    assert str(err.value).startswith("src.csv: not UTF-8 text: ")
+    assert str(err.value).startswith("src.csv:1: not UTF-8 text: ")
+    # a str has no UTF-8 spelling of a lone surrogate
+    with pytest.raises(TraceFormatError) as err:
+        tracefile.parse_trace(text.replace("\u00c5", "\ud800"), source="src.csv")
+    assert str(err.value).startswith("src.csv:1: not UTF-8 text: ")
+
+
+def test_a_non_ascii_station_id_reads_back_from_str_and_from_bytes(tmp_path):
+    # a str is read as its UTF-8 bytes, which is what write_trace writes
+    capture = replace(_canonical_capture(3, seed=0), station_id="\u00c4")
+    path = str(tmp_path / "t.csv")
+    tracefile.write_trace(path, capture)
+    for back in (tracefile.parse_trace(tracefile.format_trace(capture)),
+                 tracefile.read_trace(path)):
+        assert back.station_id == "\u00c4"
+        assert back.start_utc_us == capture.start_utc_us
+        assert back.pot.tobytes() == capture.pot.tobytes()
+        assert back.photo.tobytes() == capture.photo.tobytes()
+    with open(path, "rb") as handle:
+        assert handle.read() == tracefile.format_trace(capture).encode()
 
 
 def test_atomic_write_writes_utf8_bytes_without_newline_translation(tmp_path):
