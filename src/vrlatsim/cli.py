@@ -100,42 +100,78 @@ class RunResult:
     audio_result: MouthToEarResult | None
 
 
-def estimate_captures(primary: RawCapture, secondary: RawCapture | None = None, *,
-                      max_lag_ms: int = estimator.DEFAULT_MAX_LAG_MS,
+@dataclass(frozen=True)
+class StationCodes:
+    """The code series estimation reads of one station's capture."""
+    station_id: str
+    pot: estimator.DecodedTrace | None      # the reference channel
+    display: estimator.DecodedTrace | None  # the observed channel
+
+
+def decode_station(capture: RawCapture, *, reference: bool,
+                   self_check: bool = False) -> StationCodes:
+    """Decode what estimation reads of a capture, so its samples can go.
+
+    The reference (first) station gives its potentiometer channel and,
+    unless for a self check, its display; a second station only its
+    display.
+    """
+    return StationCodes(
+        station_id=capture.station_id,
+        pot=estimator.decode_pot_trace(capture) if reference else None,
+        display=(None if self_check
+                 else estimator.decode_display_trace(capture)),
+    )
+
+
+def estimate_stations(primary: StationCodes, secondary: StationCodes | None = None,
+                      *, max_lag_ms: int = estimator.DEFAULT_MAX_LAG_MS,
                       allow_negative: bool = False,
-                      audio_result: MouthToEarResult | None = None,
-                      self_check: bool = False) -> LatencyReport:
+                      audio_result: MouthToEarResult | None = None) -> LatencyReport:
     """Shared estimation path for fresh captures and re-read trace files.
 
-    With two captures the first supplies the reference potentiometer
-    channel and the second the observed display, on top of the first
-    station's own local loop estimate.
+    The first station supplies the reference potentiometer channel and
+    its own local loop estimate; a second one the observed display of
+    the remote estimate.  A first station decoded for a self check has
+    no display, and its reference channel is correlated against itself:
+    anything but lag 0 at coefficient 1 means the toolchain itself is
+    broken.
     """
-    if self_check:
-        # correlate the reference channel against itself; anything but
-        # lag 0 at coefficient 1 means the toolchain itself is broken
-        ref = estimator.decode_pot_trace(primary)
-        corr = estimator.cross_correlate(ref, ref, max_lag_ms, allow_negative)
+    pot = primary.pot
+    if primary.display is None:
+        corr = estimator.cross_correlate(pot, pot, max_lag_ms, allow_negative)
         return estimator.build_report(local=corr)
 
-    pot = estimator.decode_pot_trace(primary)
-    display = estimator.decode_display_trace(primary)
-    local = estimator.cross_correlate(pot, display, max_lag_ms, allow_negative)
+    local = estimator.cross_correlate(pot, primary.display, max_lag_ms,
+                                      allow_negative)
     remote = None
     direction = None
-    diag_trace = display
+    diag_trace = primary.display
     if secondary is not None:
-        remote_display = estimator.decode_display_trace(secondary)
-        remote = estimator.estimate_remote(pot, remote_display,
+        remote = estimator.estimate_remote(pot, secondary.display,
                                            max_lag_ms, allow_negative)
         direction = f"{primary.station_id}->{secondary.station_id}"
-        diag_trace = remote_display
+        diag_trace = secondary.display
     return estimator.build_report(
         local=local,
         remote=remote,
         remote_direction=direction,
         mouth_to_ear=audio_result,
         display_trace=diag_trace,
+    )
+
+
+def estimate_captures(primary: RawCapture, secondary: RawCapture | None = None, *,
+                      max_lag_ms: int = estimator.DEFAULT_MAX_LAG_MS,
+                      allow_negative: bool = False,
+                      audio_result: MouthToEarResult | None = None) -> LatencyReport:
+    """`decode_station` on each capture, then `estimate_stations`."""
+    return estimate_stations(
+        decode_station(primary, reference=True),
+        None if secondary is None else decode_station(secondary, reference=False),
+        max_lag_ms=max_lag_ms,
+        allow_negative=allow_negative,
+        audio_result=audio_result,
     )
 
 
@@ -258,13 +294,18 @@ def _check_trace_count(args):
 def cmd_estimate(args) -> int:
     _check_max_lag(args)
     _check_trace_count(args)
-    primary = tracefile.read_trace(args.traces[0])
-    secondary = tracefile.read_trace(args.traces[1]) if len(args.traces) > 1 else None
-    report = estimate_captures(
+    # each capture's samples go once its codes exist, before the next
+    # file is read, so at most one capture is held at a time
+    primary = decode_station(tracefile.read_trace(args.traces[0]),
+                             reference=True, self_check=args.self_check)
+    secondary = None
+    if len(args.traces) > 1:
+        secondary = decode_station(tracefile.read_trace(args.traces[1]),
+                                   reference=False)
+    report = estimate_stations(
         primary, secondary,
         max_lag_ms=args.max_lag,
         allow_negative=args.allow_negative_lag,
-        self_check=args.self_check,
     )
     if args.out is not None:
         tracefile.write_report(args.out, report)

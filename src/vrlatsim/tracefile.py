@@ -6,7 +6,12 @@ the sampling interval.  Values are written with 6 decimal places, which
 is below sensor noise and keeps files byte-stable across rewrite.  Files
 are written as UTF-8 bytes in binary mode (ASCII for everything this
 package writes), so their bytes do not depend on the platform's locale
-or line separator.
+or line separator.  `read_trace` maps the file read-only and parses the
+map in place, so it makes no heap copy of the file; only a file that
+cannot be mapped (an empty file, a FIFO, a file under /proc) is read
+with read().  A file truncated by another process while it is mapped
+can end the process with SIGBUS; this package's writers only ever
+replace a file by rename, which leaves a mapped file as it was.
 
 A trace has one spelling, and the reader accepts exactly what the writer
 writes:
@@ -22,7 +27,8 @@ value in [0, 1], each line ending in LF, up to the end of the file
 (`tracebody`).  `format_trace` and `write_trace` round every capture to
 the 1e-6 grid as they spell it, so they write `quantize_capture`'s
 bytes, and raise ValueError for a sample that does not round into
-[0, 1] or rounds to -0.0.  `parse_trace` raises `TraceFormatError` for
+[0, 1] or rounds to -0.0, a station id that holds LF or a start that
+is not an integer.  `parse_trace` raises `TraceFormatError` for
 anything else, CRLF line ends, blank or comment lines, padded fields,
 metadata below the body and other spellings of a number included,
 naming the file line of the first byte off the template.  The reader is
@@ -32,6 +38,8 @@ rewrites to the same bytes.
 """
 from __future__ import annotations
 
+import mmap
+import operator
 import os
 import re
 import tempfile
@@ -101,18 +109,40 @@ def write_trace(path: str, capture: RawCapture):
 def read_trace(path: str) -> RawCapture:
     try:
         with open(path, "rb") as handle:
-            data = handle.read()
+            data = _file_data(handle)
     except OSError as exc:
         raise TraceFormatError(f"cannot read trace file {path}: {exc}") from exc
-    return parse_trace(data, source=path)
+    try:
+        return parse_trace(data, source=path)
+    except TraceFormatError as exc:
+        # the frames of exc's traceback hold views of the map; a new error
+        # without them lets the map go as soon as `data` goes too, however
+        # long the caller keeps the error.  close() instead would raise
+        # BufferError while a view is alive, masking the error.
+        error = TraceFormatError(*exc.args)
+    del data
+    raise error
 
 
-def parse_trace(text: str | bytes, source: str = "<string>") -> RawCapture:
+def _file_data(handle):
+    """The bytes of an open file: a read-only map of it, or for a file that
+    cannot be mapped (an empty file, a FIFO, a file under /proc) what
+    read() returns."""
+    try:
+        return mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    except (OSError, ValueError):
+        return handle.read()
+
+
+def parse_trace(text: str | bytes | bytearray | mmap.mmap,
+                source: str = "<string>") -> RawCapture:
     """Read a trace from its text, as a str or as the file's bytes.
 
-    A str is read as its UTF-8 encoding (a lone surrogate stays an
-    invalid byte sequence, and so an error).  Each line is checked in
-    file order, so the error names the first bad one.
+    The bytes may be bytes, a bytearray or a read-only mmap: the parser
+    only finds, slices and views them.  A str is read as its UTF-8
+    encoding (a lone surrogate stays an invalid byte sequence, and so an
+    error).  Each line is checked in file order, so the error names the
+    first bad one.
     """
     data = text.encode(errors="surrogatepass") if isinstance(text, str) else text
     station_id, at = _meta_value(data, 0, 1, "station_id", source)
@@ -132,7 +162,7 @@ def parse_trace(text: str | bytes, source: str = "<string>") -> RawCapture:
             f"{source}:3: interval_ms must be 1.0, got {_text(interval)!r}; "
             f"the estimator reads every row as one 1 ms sample"
         )
-    if not data.startswith(_HEADER_BYTES, at):
+    if data[at:at + len(_HEADER_BYTES)] != _HEADER_BYTES:
         raise TraceFormatError(f"{source}:4: expected column header "
                                f"{_HEADER_LINE!r}, got {_line_at(data, at)}")
     try:
@@ -153,9 +183,18 @@ def parse_trace(text: str | bytes, source: str = "<string>") -> RawCapture:
 
 
 def _header_text(capture: RawCapture) -> str:
+    """The four header lines, or ValueError for a value the reader refuses."""
+    if "\n" in capture.station_id:
+        raise ValueError(f"station_id {capture.station_id!r} holds a line feed, "
+                         f"which would end its header line")
+    try:
+        start = operator.index(capture.start_utc_us)
+    except TypeError:
+        raise ValueError(f"start_utc_us must be an integer, "
+                         f"got {capture.start_utc_us!r}") from None
     return (
         f"# station_id = {capture.station_id}\n"
-        f"# start_utc_us = {capture.start_utc_us!r}\n"
+        f"# start_utc_us = {start}\n"
         f"# interval_ms = {_INTERVAL_LITERAL}\n"
         f"{_HEADER_LINE}\n"
     )
@@ -171,7 +210,7 @@ def _meta_value(data: bytes, at: int, lineno: int, key: str, source: str):
     the offset of the next line."""
     prefix = f"# {key} = ".encode()
     end = data.find(b"\n", at)
-    if end < 0 or not data.startswith(prefix, at):
+    if end < 0 or data[at:at + len(prefix)] != prefix:
         raise TraceFormatError(f"{source}:{lineno}: expected '# {key} = ...', "
                                f"got {_line_at(data, at)}")
     return data[at + len(prefix):end], end + 1

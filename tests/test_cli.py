@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -80,6 +81,29 @@ def test_estimate_matches_simulate_for_remote_pairs(tmp_path):
                      "--max-lag", "80", "--out", out])
     assert code == 0
     assert _read(out) == sim_report
+
+
+def test_estimate_holds_one_capture_and_no_copy_of_a_file(tmp_path, capsys):
+    # a 20 s remote pair: each file is 1.0 MB and each capture's samples
+    # 0.8 MB.  Reading both files into the heap and holding both captures
+    # peaked at 3.23 MB; a mapped file and one capture at a time stay
+    # below 2.0 MB
+    simdir = str(tmp_path / "sim")
+    assert cli.main(["simulate", "--config", "remote-default",
+                     "--duration-ms", "20000", "--out", simdir]) == 0
+    argv = ["estimate", os.path.join(simdir, "trace_A.csv"),
+            os.path.join(simdir, "trace_B.csv")]
+    # the first call fills the parser and lag index caches
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == _read(os.path.join(simdir, "report.txt"))
+    assert peak < 2.0e6, f"estimate peaked at {peak / 1e6:.2f} MB"
 
 
 def test_estimate_self_check_reports_zero_lag(tmp_path):
@@ -179,6 +203,43 @@ def test_oversized_lag_window_exits_3(tmp_path, capsys):
                      "--max-lag", "400"])
     assert code == 3
     assert capsys.readouterr().err
+
+
+def _dark_copy(trace, path):
+    """Write `trace` with its photosensor channels all black to `path`."""
+    capture = tracefile.read_trace(trace)
+    tracefile.write_trace(path, replace(capture, photo=capture.photo * 0))
+    return path
+
+
+def test_estimate_reports_a_decode_error_before_later_errors(tmp_path, capsys):
+    # each capture is decoded before the next file is read, and a second
+    # station's display before the first station's lag search
+    simdir = str(tmp_path / "sim")
+    assert cli.main(["simulate", "--config", "remote-default",
+                     "--duration-ms", "1500", "--max-lag", "100",
+                     "--out", simdir]) == 0
+    trace_a = os.path.join(simdir, "trace_A.csv")
+    dark_a = _dark_copy(trace_a, str(tmp_path / "dark_A.csv"))
+    dark_b = _dark_copy(os.path.join(simdir, "trace_B.csv"),
+                        str(tmp_path / "dark_B.csv"))
+    broken = str(tmp_path / "broken.csv")
+    with open(broken, "w") as handle:
+        handle.write("not,a,trace\n")
+    capsys.readouterr()
+
+    assert cli.main(["estimate", dark_a, broken]) == 3
+    assert "never exceeds" in capsys.readouterr().err
+    # too short for a 400 ms window, and B is dark: B's error comes first
+    assert cli.main(["estimate", trace_a, dark_b, "--max-lag", "400"]) == 3
+    assert "never exceeds" in capsys.readouterr().err
+    with pytest.raises(estimator.DecodeError):
+        cli.estimate_captures(tracefile.read_trace(trace_a),
+                              tracefile.read_trace(dark_b), max_lag_ms=400)
+    # with B readable, the lag search's own error shows
+    assert cli.main(["estimate", trace_a, os.path.join(simdir, "trace_B.csv"),
+                     "--max-lag", "400"]) == 3
+    assert "too short" in capsys.readouterr().err
 
 
 def test_non_finite_trace_sample_exits_2(tmp_path, capsys):

@@ -596,6 +596,93 @@ def test_integer_centred_lag_products_equal_the_python_sum_bitwise(kind, max_lag
     assert np.array_equal(got, _python_sum_dots(x, y, max_lag))
 
 
+def _loop_lagged_dots(x, y, max_lag):
+    """Blocked lag products, one matmul call per block."""
+    block = estimator._LAG_BLOCK
+    n = x.shape[0]
+    blocks = max_lag // block + 2
+    rows = -(-n // block)
+    xr = np.zeros(rows * block)
+    xr[:n] = x
+    xr = xr.reshape(rows, block).T
+    yr = np.zeros((rows + blocks - 1) * block)
+    yr[:n] = y
+    yr = yr.reshape(-1, block)
+    products = np.empty((blocks, block, block))
+    for k in range(blocks):
+        np.matmul(xr, yr[k:k + rows], out=products[k])
+    return np.bincount(estimator._lag_index(max_lag), weights=products.ravel(),
+                       minlength=max_lag + 2)[:max_lag + 1]
+
+
+def _loop_cross_correlate(reference, delayed, max_lag_ms, allow_negative):
+    """The lag search before it centred float copies of the series in place
+    and took its lag products from one matmul call: the reference for
+    bitwise equality."""
+    integral = all(np.issubdtype(np.asarray(t.values).dtype, np.integer)
+                   for t in (reference, delayed))
+    ref = np.asarray(reference.values, dtype=float)
+    del_ = np.asarray(delayed.values, dtype=float)
+    n = min(ref.shape[0], del_.shape[0])
+    ref, del_ = ref[:n], del_[:n]
+    first = -max_lag_ms if allow_negative else 0
+    lags = np.arange(first, max_lag_ms + 1)
+    lo_ref = np.maximum(-lags, 0)
+    lo_del = np.maximum(lags, 0)
+    m = n - np.abs(lags)
+    if integral:
+        a = ref - np.rint(ref.mean())
+        b = del_ - np.rint(del_.mean())
+    else:
+        a = ref - ref.mean()
+        b = del_ - del_.mean()
+    sum_a = estimator._window_sums(a, lo_ref, m)
+    sum_b = estimator._window_sums(b, lo_del, m)
+    var_a = estimator._window_sums(a * a, lo_ref, m) - sum_a * sum_a / m
+    var_b = estimator._window_sums(b * b, lo_del, m) - sum_b * sum_b / m
+    sum_ab = _loop_lagged_dots(a, b, max_lag_ms)
+    if allow_negative:
+        sum_ab = np.concatenate((_loop_lagged_dots(b, a, max_lag_ms)[:0:-1],
+                                 sum_ab))
+    cov = sum_ab - sum_a * sum_b / m
+    scored = ~(estimator._constant_windows(ref, lo_ref, m)
+               | estimator._constant_windows(del_, lo_del, m))
+    coeffs = np.zeros(lags.shape[0])
+    coeffs[scored] = cov[scored] / np.sqrt(var_a[scored] * var_b[scored])
+    coeffs = np.clip(coeffs, -1.0, 1.0)
+    best = int(np.argmax(coeffs))
+    return estimator.CorrelationResult(
+        lags_ms=lags,
+        coefficients=coeffs,
+        best_lag_ms=int(lags[best]),
+        peak_coefficient=float(coeffs[best]),
+        trace_length=n,
+    )
+
+
+@pytest.mark.parametrize("allow_negative", [False, True])
+@pytest.mark.parametrize("kind", ["walk", "full-scale", "noisy"])
+@pytest.mark.parametrize("extra,max_lag", _lag_search_lengths())
+def test_lag_search_gives_the_bits_of_the_loop_search(kind, max_lag, extra,
+                                                      allow_negative):
+    # the sums are taken in the same order, so float series keep their
+    # bits too, not only exact integer codes
+    n = estimator.MIN_LENGTH_FACTOR * max_lag + extra
+    if kind == "noisy":
+        ref, delayed = _lag_test_series(kind, n, seed=max_lag + extra)
+    else:
+        ref, delayed = _integer_code_series(kind, n, seed=max_lag + extra)
+    traces = make_trace(ref), make_trace(delayed)
+    got = estimator.cross_correlate(*traces, max_lag, allow_negative)
+    want = _loop_cross_correlate(*traces, max_lag, allow_negative)
+    assert got.lags_ms.tobytes() == want.lags_ms.tobytes()
+    assert got.coefficients.tobytes() == want.coefficients.tobytes()
+    assert (got.best_lag_ms, got.trace_length) == (want.best_lag_ms,
+                                                    want.trace_length)
+    assert np.float64(got.peak_coefficient).tobytes() == \
+        np.float64(want.peak_coefficient).tobytes()
+
+
 def test_lag_index_is_cached_and_read_only():
     index = estimator._lag_index(200)
     assert estimator._lag_index(200) is index

@@ -1,5 +1,8 @@
 """Scenario validation, flat config parsing and file format tests."""
 import os
+import re
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -823,6 +826,114 @@ def test_a_non_ascii_station_id_reads_back_from_str_and_from_bytes(tmp_path):
         assert back.photo.tobytes() == capture.photo.tobytes()
     with open(path, "rb") as handle:
         assert handle.read() == tracefile.format_trace(capture).encode()
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"station_id": "A\nB"}, "station_id 'A\\nB' holds a line feed"),
+    ({"start_utc_us": 5.0}, "start_utc_us must be an integer, got 5.0"),
+    ({"start_utc_us": "5"}, "start_utc_us must be an integer, got '5'"),
+])
+def test_writer_refuses_header_values_its_reader_refuses(change, message,
+                                                         tmp_path):
+    capture = replace(_canonical_capture(3, seed=0), **change)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tracefile.format_trace(capture)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tracefile.write_trace(str(tmp_path / "t.csv"), capture)
+    # nothing written, and no temp file left
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_numpy_integer_start_is_written_as_a_plain_integer(tmp_path):
+    capture = replace(_canonical_capture(3, seed=0), start_utc_us=np.int64(5))
+    text = tracefile.format_trace(capture)
+    assert "\n# start_utc_us = 5\n" in text
+    path = str(tmp_path / "t.csv")
+    tracefile.write_trace(path, capture)
+    with open(path, "rb") as handle:
+        assert handle.read() == text.encode()
+    back = tracefile.read_trace(path)
+    assert type(back.start_utc_us) is int and back.start_utc_us == 5
+
+
+# ---------------------------------------------------------------------------
+# the mapped reader
+
+_CANONICAL_BYTES = tracefile.format_trace(_canonical_capture(2500, seed=3)).encode()
+_READ_CASES = {
+    "canonical": _CANONICAL_BYTES,
+    # the error is raised where views of the map are alive
+    "bad row": _CANONICAL_BYTES.replace(b"\n2300,", b"\n2300;"),
+    "bad header": b"# station_id = A\n# start_utc_us = 007\n",
+    "empty": b"",
+}
+
+
+def _read_and_parse(path, data):
+    """What read_trace(path) and parse_trace(data) give: a capture's
+    fields or the error text.  No error is held when this returns."""
+    outcomes = []
+    for read in (lambda: tracefile.read_trace(path),
+                 lambda: tracefile.parse_trace(data, source=path)):
+        try:
+            capture = read()
+        except TraceFormatError as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append((capture.station_id, capture.start_utc_us,
+                             capture.pot.tobytes(), capture.photo.tobytes()))
+    return outcomes
+
+
+def _mapped(path):
+    """Whether this process maps `path` (Linux only)."""
+    with open("/proc/self/maps") as handle:
+        return os.path.realpath(path) in handle.read()
+
+
+@pytest.mark.parametrize("case", sorted(_READ_CASES))
+def test_read_trace_matches_parse_trace_and_lets_the_file_go(case, tmp_path):
+    path = str(tmp_path / "t.csv")
+    with open(path, "wb") as handle:
+        handle.write(_READ_CASES[case])
+    from_file, from_bytes = _read_and_parse(path, _READ_CASES[case])
+    assert from_file == from_bytes
+    assert isinstance(from_file, str) == (case != "canonical")
+    if case == "canonical":
+        held = tracefile.read_trace(path)
+    else:
+        with pytest.raises(TraceFormatError) as held:
+            tracefile.read_trace(path)
+    # neither the capture nor an error still held keeps the map
+    if sys.platform.startswith("linux"):
+        assert not _mapped(path)
+    del held
+    replacement = _canonical_capture(3, seed=1)
+    tracefile.write_trace(path, replacement)
+    with open(path, "rb") as handle:
+        assert handle.read() == tracefile.format_trace(replacement).encode()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+@pytest.mark.parametrize("case", sorted(_READ_CASES))
+def test_read_trace_reads_a_fifo_it_cannot_map(case, tmp_path):
+    path = str(tmp_path / "t.csv")
+    data = _READ_CASES[case]
+    os.mkfifo(path)
+
+    def feed():
+        # blocks until read_trace opens the pipe
+        with open(path, "wb") as handle:
+            handle.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        from_fifo, from_bytes = _read_and_parse(path, data)
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert from_fifo == from_bytes
 
 
 def test_atomic_write_writes_utf8_bytes_without_newline_translation(tmp_path):
