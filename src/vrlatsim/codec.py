@@ -7,6 +7,10 @@ between neighbours; the decoder classifies each photosensor reading back
 to the nearest level.
 
 All functions accept scalars or numpy arrays, return arrays and are pure.
+They run once per trace on every run, so they call ndarray methods and
+ufuncs directly: numpy's Python-level helpers (`np.clip` on integers,
+`np.any`, a `sum` over the short digit axis) cost more than the
+arithmetic on arrays of this size.
 """
 from __future__ import annotations
 
@@ -30,7 +34,8 @@ def quantize_angle_clamped(angle_deg, angle_range_deg):
     a real application would clamp before encoding, so this does too.
     """
     a = np.asarray(angle_deg, dtype=float)
-    return np.clip((a / angle_range_deg * CODE_COUNT).astype(np.int64), 0, CODE_MAX)
+    codes = (a / angle_range_deg * CODE_COUNT).astype(np.int64)
+    return np.minimum(np.maximum(codes, 0), CODE_MAX)
 
 
 def encode(code):
@@ -39,7 +44,7 @@ def encode(code):
     Array input of shape (...,) yields digits of shape (..., 4).
     """
     c = np.asarray(code, dtype=np.int64)
-    if np.any(c < 0) or np.any(c > CODE_MAX):
+    if c.size and (c.min() < 0 or c.max() > CODE_MAX):
         raise ValueError(f"code outside 0..{CODE_MAX}: {code!r}")
     return (c[..., None] // _PLACES) % DIGIT_BASE
 
@@ -49,15 +54,15 @@ def decode(digits):
     d = np.asarray(digits, dtype=np.int64)
     if d.shape[-1] != DIGIT_COUNT:
         raise ValueError(f"expected {DIGIT_COUNT} digits, got shape {d.shape}")
-    if np.any(d < 0) or np.any(d > DIGIT_MAX):
+    if d.size and (d.min() < 0 or d.max() > DIGIT_MAX):
         raise ValueError(f"digit outside 0..{DIGIT_MAX}: {digits!r}")
-    return (d * _PLACES).sum(axis=-1)
+    return d @ _PLACES
 
 
 def digits_to_luminance(digits):
     """Grey level for each digit: k maps to k/7 so 0 is black and 7 is white."""
     d = np.asarray(digits, dtype=np.int64)
-    if np.any(d < 0) or np.any(d > DIGIT_MAX):
+    if d.size and (d.min() < 0 or d.max() > DIGIT_MAX):
         raise ValueError(f"digit outside 0..{DIGIT_MAX}: {digits!r}")
     return d / float(DIGIT_MAX)
 
@@ -67,9 +72,10 @@ def classify_luminance(luminance):
 
     Values are clamped to [0, 1] first since sensor noise can push a
     reading slightly outside the display range.  A value exactly halfway
-    between two levels resolves to the lower one.
+    between two levels resolves to the lower one.  A NaN reading casts
+    to an unspecified integer, which the final clamp keeps in 0..7.
     """
     lum = np.clip(np.asarray(luminance, dtype=float), 0.0, 1.0)
     # ceil(7x - 0.5) picks the nearest level and sends exact midpoints down
     digits = np.ceil(lum * DIGIT_MAX - 0.5).astype(np.int64)
-    return np.clip(digits, 0, DIGIT_MAX)
+    return np.minimum(np.maximum(digits, 0), DIGIT_MAX)

@@ -32,6 +32,7 @@ floating-point variance.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,33 +121,35 @@ def decode_display_trace(capture: RawCapture) -> DecodedTrace:
             f"photosensor trace never exceeds {BLACK_THRESHOLD:.4f} "
             f"in {n} intervals; the display looks permanently dark"
         )
-    padded = np.concatenate(([False], lit, [False]))
-    edges = np.diff(padded.astype(np.int8))
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1)
+    padded = np.concatenate(([False], lit, [False])).astype(np.int8)
+    edges = padded[1:] - padded[:-1]
+    starts = (edges == 1).nonzero()[0]
+    ends = (edges == -1).nonzero()[0]
+    lengths = ends - starts
 
     # segmented argmax of summed luminance over the lit rows; the first
     # maximal row of a burst wins, as np.argmax would pick it, and so does
     # a NaN total (a lit row holding both inf and -inf)
-    rows = np.flatnonzero(lit)
+    rows = lit.nonzero()[0]
     totals = ((c0[rows] + c1[rows]) + c2[rows]) + c3[rows]
-    offsets = np.concatenate(([0], np.cumsum(ends - starts)[:-1]))
-    burst_of_row = np.repeat(np.arange(starts.shape[0]), ends - starts)
+    offsets = np.concatenate(([0], lengths.cumsum()[:-1]))
+    burst_of_row = np.arange(starts.shape[0]).repeat(lengths)
     peak = np.maximum.reduceat(totals, offsets)
-    candidates = np.flatnonzero((totals == peak[burst_of_row]) | np.isnan(totals))
-    first = np.concatenate(([True], np.diff(burst_of_row[candidates]) != 0))
+    candidates = ((totals == peak[burst_of_row]) | np.isnan(totals)).nonzero()[0]
+    burst = burst_of_row[candidates]
+    first = np.concatenate(([True], burst[1:] != burst[:-1]))
     picks = rows[candidates[first]]
     burst_codes = codec.decode(codec.classify_luminance(lum[picks]))
 
     # each code holds from its burst's start to the next one; the first
     # also covers the intervals before it
-    values = np.repeat(burst_codes,
-                       np.diff(np.concatenate(([0], starts[1:], [n]))))
+    bounds = np.concatenate(([0], starts[1:], [n]))
+    values = burst_codes.repeat(bounds[1:] - bounds[:-1])
     return DecodedTrace(
         values=values,
         source="display",
         start_utc_us=capture.start_utc_us,
-        held_fraction=float(1.0 - lit.mean()),
+        held_fraction=float(1.0 - np.count_nonzero(lit) / n),
     )
 
 
@@ -159,8 +162,8 @@ def _window_sums(x: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.ndarra
     sum of the last max(lo) and max(n - lo - length) values only.
     """
     cut = x.shape[0] - lo - length
-    head = np.concatenate(([0.0], np.cumsum(x[:lo.max()])))
-    tail = np.concatenate(([0.0], np.cumsum(x[::-1][:cut.max()])))
+    head = np.concatenate(([0.0], x[:lo.max()].cumsum()))
+    tail = np.concatenate(([0.0], x[::-1][:cut.max()].cumsum()))
     return x.sum() - head[lo] - tail[cut]
 
 
@@ -171,9 +174,8 @@ def _constant_windows(x: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.n
     x[p], falls in lo <= p < lo + length - 1; two binary searches over
     the sorted change positions count them.
     """
-    changes = np.flatnonzero(x[1:] != x[:-1])
-    return (np.searchsorted(changes, lo + length - 1)
-            == np.searchsorted(changes, lo))
+    changes = (x[1:] != x[:-1]).nonzero()[0]
+    return changes.searchsorted(lo + length - 1) == changes.searchsorted(lo)
 
 
 # samples per row of the blocked lag products, chosen by measurement: at
@@ -248,7 +250,7 @@ def cross_correlate(reference: DecodedTrace, delayed: DecodedTrace,
         raise EstimationError("max_lag_ms must be positive")
     ref = np.asarray(reference.values)
     dly = np.asarray(delayed.values)
-    integral = all(np.issubdtype(v.dtype, np.integer) for v in (ref, dly))
+    integral = ref.dtype.kind in "iu" and dly.dtype.kind in "iu"
     n = min(ref.shape[0], dly.shape[0])
     # float copies, centred in place below
     a = np.array(ref[:n], dtype=float)
@@ -259,10 +261,6 @@ def cross_correlate(reference: DecodedTrace, delayed: DecodedTrace,
             f"traces of {n} intervals are too short for a lag search of "
             f"{max_lag_ms} ms (need at least {MIN_LENGTH_FACTOR * max_lag_ms})"
         )
-    if np.ptp(a) == 0 or np.ptp(b) == 0:
-        raise CorrelationUndefinedError(
-            "correlation is undefined for a constant trace"
-        )
     first = -max_lag_ms if allow_negative else 0
     lags = np.arange(first, max_lag_ms + 1)
     # lag L compares a[lo_ref:lo_ref+m] with b[lo_del:lo_del+m]
@@ -271,16 +269,28 @@ def cross_correlate(reference: DecodedTrace, delayed: DecodedTrace,
     m = n - np.abs(lags)
     # a constant window carries no alignment information and scores 0;
     # decided on the values, before centring can round two of them equal
-    scored = ~(_constant_windows(a, lo_ref, m) | _constant_windows(b, lo_del, m))
+    constant_a = _constant_windows(a, lo_ref, m)
+    constant_b = _constant_windows(b, lo_del, m)
+    # lag 0's windows are the whole traces.  A whole trace without a change
+    # holds one value; its range max - min is 0 if that value is finite,
+    # which makes the trace constant, and NaN (inf - inf) if not, which
+    # leaves it to be scored like any other (NaN itself is a change)
+    zero = -first
+    if ((constant_a[zero] and math.isfinite(a[0]))
+            or (constant_b[zero] and math.isfinite(b[0]))):
+        raise CorrelationUndefinedError(
+            "correlation is undefined for a constant trace"
+        )
+    scored = ~(constant_a | constant_b)
     if integral:
         # centred on integers, every product and every window and lag sum
         # is an exact integer below 2**53 (4095**2 x 3.6e6 samples = 6.0e13),
         # so any summation order, i.e. any BLAS kernel, gives the same bits
-        a -= np.rint(a.mean())
-        b -= np.rint(b.mean())
+        a -= np.rint(a.sum() / n)
+        b -= np.rint(b.sum() / n)
     else:
-        a -= a.mean()
-        b -= b.mean()
+        a -= a.sum() / n
+        b -= b.sum() / n
     sum_a = _window_sums(a, lo_ref, m)
     sum_b = _window_sums(b, lo_del, m)
     var_a = _window_sums(a * a, lo_ref, m) - sum_a * sum_a / m
@@ -293,7 +303,7 @@ def cross_correlate(reference: DecodedTrace, delayed: DecodedTrace,
     coeffs = np.zeros(lags.shape[0])
     coeffs[scored] = cov[scored] / np.sqrt(var_a[scored] * var_b[scored])
     coeffs = np.clip(coeffs, -1.0, 1.0)
-    best = int(np.argmax(coeffs))  # first occurrence, i.e. the smallest lag
+    best = int(coeffs.argmax())  # first occurrence, i.e. the smallest lag
     return CorrelationResult(
         lags_ms=lags,
         coefficients=coeffs,

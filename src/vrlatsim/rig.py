@@ -96,12 +96,12 @@ class SteppedAngleHistory:
         self._angles = np.asarray(angles_deg, dtype=float)
         if self._times.size == 0:
             raise SimulationError("angle history needs at least one sample")
-        if np.any(np.diff(self._times) < 0):
+        if (self._times[1:] < self._times[:-1]).any():
             raise SimulationError("angle history timestamps must be sorted")
 
     def __call__(self, t_us):
         t = np.asarray(t_us, dtype=float)
-        idx = np.searchsorted(self._times, t, side="right") - 1
+        idx = self._times.searchsorted(t, side="right") - 1
         return self._angles[np.maximum(idx, 0)]
 
 
@@ -201,9 +201,9 @@ def photosensor_read(sample_us, frame_lum, first_frame_us: float,
     if k.min() < 0 or k.max() >= levels.shape[0]:
         raise SimulationError("frame schedule does not cover every sample")
     offset = (t - (first_frame_us + k * frame_us))[:, None]
-    # np.take, not levels[k]: numpy's fancy-index gather of 2-D rows is
+    # take, not levels[k]: numpy's fancy-index gather of 2-D rows is
     # several times slower
-    level = np.take(levels, k, axis=0)
+    level = levels.take(k, axis=0)
     tau = sensors.rise_time_us / RISE_LN9
     if tau == 0.0:
         return np.where(offset < persist_us, level, 0.0)
@@ -216,7 +216,7 @@ def photosensor_read(sample_us, frame_lum, first_frame_us: float,
     del offset  # not needed below; freeing it lowers the peak by n floats
     # (level + (s_k - level) * lit_part) * dark_part, evaluated in place
     # on the gathered states: the same operations in the same order
-    out = np.take(frame_start_states(levels, a, b), k, axis=0)
+    out = frame_start_states(levels, a, b).take(k, axis=0)
     out -= level
     out *= lit_part
     out += level

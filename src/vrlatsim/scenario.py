@@ -13,10 +13,10 @@ import typing
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 
-from .audio import AudioPathConfig
+from .audio import DEFAULT_HORIZON_MS, AudioPathConfig
 from .clock import SimClock
 from .errors import ScenarioValidationError
-from .netsim import NetworkConfig
+from .netsim import SEND_WARMUP_MS, NetworkConfig
 from .rig import MotionProfile, PipelineConfig, SensorConfig, sample_count
 
 # time for the sensor to move within half a level of its target,
@@ -26,6 +26,11 @@ _SETTLE_PER_RISE = math.log(14.0) / math.log(9.0)
 # with its duration (a remote simulate peaks near 15 MB of arrays per
 # minute), so the cap keeps one run near 1 GB
 MAX_DURATION_MS = 3_600_000.0
+# longest array a run may ask for, in elements: four times the ADC
+# samples of the longest capture.  The duration cap bounds the samples,
+# but frames, network updates and audio polls grow with rates that it
+# does not bound; at 8 bytes an element, one array stays near 115 MB
+MAX_ARRAY_LENGTH = 4 * sample_count(MAX_DURATION_MS)
 
 
 def sampling_margin_ms(sensors: SensorConfig) -> float:
@@ -85,9 +90,38 @@ def _check_pipeline(label: str, p: PipelineConfig, sensors: SensorConfig,
         )
     if p.frame_delay_queue_len < 0 or int(p.frame_delay_queue_len) != p.frame_delay_queue_len:
         violations.append(f"{label}.frame_delay_queue_len must be a non-negative integer")
+    elif p.frame_delay_queue_len > MAX_ARRAY_LENGTH:
+        # the frame schedule reaches back one frame per queued frame
+        violations.append(
+            f"{label}.frame_delay_queue_len={p.frame_delay_queue_len} "
+            f"exceeds the maximum of {MAX_ARRAY_LENGTH} queued frames"
+        )
     for name in ("tracking_delay_ms", "render_compute_ms", "extrapolation_ms"):
         if getattr(p, name) < 0:
             violations.append(f"{label}.{name} must be >= 0")
+
+
+def _array_lengths(scenario: Scenario):
+    """(key, its value, length, what) of every array length a run of the
+    scenario implies, up to a few elements of warm-up."""
+    seconds = scenario.duration_ms / 1000.0
+    lengths = [("duration_ms", scenario.duration_ms,
+                sample_count(scenario.duration_ms), "ADC samples")]
+    for label in ("pipeline", "pipeline_b"):
+        p = getattr(scenario, label)
+        if p is not None:
+            lengths.append((f"{label}.refresh_hz", p.refresh_hz,
+                            seconds * p.refresh_hz, "frames"))
+    if scenario.net is not None:
+        rate = scenario.net.send_rate_hz
+        lengths.append(("net.send_rate_hz", rate,
+                        (scenario.duration_ms + SEND_WARMUP_MS) / 1000.0 * rate,
+                        "network updates"))
+    if scenario.audio is not None:
+        rate = scenario.audio.sample_hz
+        lengths.append(("audio.sample_hz", rate,
+                        DEFAULT_HORIZON_MS / 1000.0 * rate, "audio polls"))
+    return lengths
 
 
 def validate(scenario: Scenario) -> list:
@@ -160,6 +194,14 @@ def validate(scenario: Scenario) -> list:
         elif duration > MAX_DURATION_MS:
             v.append(f"duration_ms={duration} exceeds the maximum of "
                      f"{MAX_DURATION_MS:.0f} ms (one hour)")
+        else:
+            # a non-finite value is reported above; a finite one can
+            # still overflow its length to inf, which is reported here
+            for key, value, length, what in _array_lengths(scenario):
+                if math.isfinite(value) and length > MAX_ARRAY_LENGTH:
+                    v.append(f"{key}={value} implies {length:.4g} {what}, "
+                             f"above the maximum of {MAX_ARRAY_LENGTH} "
+                             "array elements")
     if scenario.seed < 0 or int(scenario.seed) != scenario.seed:
         v.append("seed must be a non-negative integer")
     if scenario.start_utc_second <= 0:

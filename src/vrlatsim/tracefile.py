@@ -73,8 +73,8 @@ def quantize_capture(capture: RawCapture) -> RawCapture:
     return RawCapture(
         station_id=capture.station_id,
         start_utc_us=capture.start_utc_us,
-        pot=np.round(capture.pot, VALUE_DECIMALS),
-        photo=np.round(capture.photo, VALUE_DECIMALS),
+        pot=capture.pot.round(VALUE_DECIMALS),
+        photo=capture.photo.round(VALUE_DECIMALS),
     )
 
 

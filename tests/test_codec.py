@@ -3,6 +3,8 @@
 The digit oracle is Python's own octal string formatting, so the
 round-trip check does not reuse the codec's arithmetic.
 """
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -26,17 +28,46 @@ def test_round_trip_exhaustive():
 
 
 def test_encode_rejects_out_of_range_codes():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^code outside 0\.\.4095: 4096$"):
         codec.encode(4096)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^code outside 0\.\.4095: -1$"):
         codec.encode(-1)
+    codes = np.array([[5, 4095], [-1, 7]])
+    with pytest.raises(ValueError, match=re.escape(f"code outside 0..4095: {codes!r}")):
+        codec.encode(codes)
 
 
 def test_decode_rejects_bad_digits():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("digit outside 0..7: [0, 0, 8, 0]")):
         codec.decode([0, 0, 8, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("expected 4 digits, got shape (3,)")):
         codec.decode([1, 2, 3])
+    digits = [[1, 2, 3, 4], [0, -1, 0, 0]]
+    with pytest.raises(ValueError, match=re.escape(f"digit outside 0..7: {digits!r}")):
+        codec.decode(digits)
+
+
+def test_luminance_rejects_bad_digits():
+    with pytest.raises(ValueError, match=r"^digit outside 0\.\.7: 8$"):
+        codec.digits_to_luminance(8)
+    with pytest.raises(ValueError, match=re.escape("digit outside 0..7: [7, 0, -1]")):
+        codec.digits_to_luminance([7, 0, -1])
+
+
+def test_empty_and_zero_dimensional_inputs_are_accepted():
+    none = np.zeros(0, dtype=np.int64)
+    digits = codec.encode(none)
+    assert (digits.shape, digits.dtype) == ((0, 4), np.int64)
+    codes = codec.decode(digits)
+    assert (codes.shape, codes.dtype) == ((0,), np.int64)
+    lum = codec.digits_to_luminance(none)
+    assert (lum.shape, lum.dtype) == ((0,), np.float64)
+    assert codec.encode(np.asarray(1234)).tolist() == [2, 3, 2, 2]
+    # four digits decode to one 0-d code, as encode takes one
+    code = codec.decode(np.asarray([2, 3, 2, 2]))
+    assert (np.ndim(code), code) == (0, 1234)
+    assert codec.digits_to_luminance(np.asarray(7)) == 1.0
+    assert np.ndim(codec.digits_to_luminance(np.asarray(7))) == 0
 
 
 def test_quantize_clamped_saturates_instead():

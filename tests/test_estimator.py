@@ -139,7 +139,8 @@ _ROW_POOL = [
 @given(st.lists(st.sampled_from(range(len(_ROW_POOL))), min_size=1, max_size=80))
 @example([4])                       # one one-sample burst spanning the trace
 @example([4, 5, 0, 2, 0, 3])        # burst at index 0; one-sample bursts
-@example([0, 0, 7, 7, 7])           # exact tie, burst runs to the last row
+@example([0, 0, 7, 7, 7])           # exact tie, burst runs to the last row;
+                                    # 3 lit of 5, held 0.4 inexact in binary
 @example([1, 4, 5, 6, 5, 4])        # equal sums, different digits
 def test_burst_decode_matches_the_per_burst_oracle(row_ids):
     lum = np.array([_ROW_POOL[i] for i in row_ids], dtype=float)
@@ -324,6 +325,30 @@ def test_constant_trace_has_no_correlation():
     with pytest.raises(CorrelationUndefinedError):
         estimator.cross_correlate(make_trace(varying), make_trace(const),
                                   max_lag_ms=50)
+
+
+def test_constant_float_trace_has_no_correlation():
+    varying = random_walk_codes(np.random.default_rng(0), 2000) / 7.0
+    signed_zeros = np.zeros(2000)
+    signed_zeros[::3] = -0.0            # -0.0 == 0.0: still one value
+    for const in (np.full(2000, 0.1), signed_zeros):
+        with pytest.raises(CorrelationUndefinedError):
+            estimator.cross_correlate(make_trace(const), make_trace(varying),
+                                      max_lag_ms=50)
+        with pytest.raises(CorrelationUndefinedError):
+            estimator.cross_correlate(make_trace(varying), make_trace(const),
+                                      max_lag_ms=50, allow_negative=True)
+
+
+def test_infinite_constant_trace_scores_zero_at_every_lag():
+    # its range inf - inf is NaN, not 0, so it is not refused as constant;
+    # every window of it is constant, so every lag scores exactly 0
+    varying = random_walk_codes(np.random.default_rng(0), 2000) / 7.0
+    with np.errstate(invalid="ignore"):     # centring computes inf - inf
+        result = estimator.cross_correlate(make_trace(np.full(2000, np.inf)),
+                                           make_trace(varying), max_lag_ms=50)
+    assert result.coefficients.tobytes() == np.zeros(51).tobytes()
+    assert (result.best_lag_ms, result.peak_coefficient) == (0, 0.0)
 
 
 def test_constant_window_is_scored_zero_not_undefined():
@@ -615,6 +640,19 @@ def _loop_lagged_dots(x, y, max_lag):
                        minlength=max_lag + 2)[:max_lag + 1]
 
 
+def _edge_series(kind, n, seed):
+    """Float series where a lag search meets a constant window or a NaN."""
+    ref, delayed = _lag_test_series("noisy", n, seed)
+    if kind == "constant-tail":
+        # varies only in its first 5 samples, so every lag from 5 on
+        # compares a constant delayed window
+        delayed = np.full(n, 0.1)
+        delayed[:5] = [0.7, 0.3, 0.9, 0.2, 0.6]
+    else:
+        ref[n // 3] = np.nan
+    return ref, delayed
+
+
 def _loop_cross_correlate(reference, delayed, max_lag_ms, allow_negative):
     """The lag search before it centred float copies of the series in place
     and took its lag products from one matmul call: the reference for
@@ -661,15 +699,19 @@ def _loop_cross_correlate(reference, delayed, max_lag_ms, allow_negative):
 
 
 @pytest.mark.parametrize("allow_negative", [False, True])
-@pytest.mark.parametrize("kind", ["walk", "full-scale", "noisy"])
+@pytest.mark.parametrize("kind", ["walk", "full-scale", "noisy",
+                                  "constant-tail", "nan"])
 @pytest.mark.parametrize("extra,max_lag", _lag_search_lengths())
 def test_lag_search_gives_the_bits_of_the_loop_search(kind, max_lag, extra,
                                                       allow_negative):
     # the sums are taken in the same order, so float series keep their
-    # bits too, not only exact integer codes
+    # bits too, not only exact integer codes, and so do the zeros of
+    # constant windows and the NaNs of a series holding one
     n = estimator.MIN_LENGTH_FACTOR * max_lag + extra
     if kind == "noisy":
         ref, delayed = _lag_test_series(kind, n, seed=max_lag + extra)
+    elif kind in ("constant-tail", "nan"):
+        ref, delayed = _edge_series(kind, n, seed=max_lag + extra)
     else:
         ref, delayed = _integer_code_series(kind, n, seed=max_lag + extra)
     traces = make_trace(ref), make_trace(delayed)

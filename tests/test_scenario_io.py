@@ -83,6 +83,53 @@ def test_duration_beyond_the_cap_is_named():
     assert "exceeds the maximum" in violations[0]
 
 
+def test_a_network_rate_beyond_the_array_cap_is_named(tmp_path):
+    # would ask numpy for 2.3e9 send times (17.9 GiB) in sample_and_send
+    config = tmp_path / "fast-link.cfg"
+    config.write_text("net.send_rate_hz = 1e9\n")
+    with pytest.raises(ScenarioValidationError) as err:
+        cli.load_scenario(str(config), duration_ms=2000.0)
+    assert [v for v in err.value.violations
+            if v.startswith("net.send_rate_hz=") and "network updates" in v]
+
+
+def test_an_audio_poll_rate_beyond_the_array_cap_is_named():
+    # would ask numpy for 1e13 poll instants in detect_first_crossing
+    flat = {**scenario_mod.PRESETS["audio-local"], "audio.sample_hz": 1e12}
+    violations = scenario_mod.validate(scenario_mod.scenario_from_flat(flat))
+    assert len(violations) == 1
+    assert violations[0].startswith("audio.sample_hz=")
+    assert "audio polls" in violations[0]
+
+
+@pytest.mark.parametrize("key,value", [
+    ("pipeline.refresh_hz", 1e9),
+    ("pipeline_b.refresh_hz", 1e9),
+    ("pipeline.frame_delay_queue_len", 10**8),
+    ("pipeline_b.frame_delay_queue_len", 10**400),
+], ids=["refresh", "refresh-b", "queue", "queue-b-401-digits"])
+def test_a_frame_count_beyond_the_array_cap_is_named(key, value):
+    flat = {**scenario_mod.PRESETS["remote-default"], key: value}
+    violations = scenario_mod.validate(scenario_mod.scenario_from_flat(flat))
+    assert [v for v in violations if v.startswith(f"{key}=")]
+
+
+@pytest.mark.parametrize("factor,valid", [(0.999, True), (1.001, False)])
+def test_the_array_cap_sits_where_it_is_stated(factor, valid):
+    # 2000 ms plus the 300 ms send warm-up
+    rate = scenario_mod.MAX_ARRAY_LENGTH / 2.3 * factor
+    sc = Scenario(duration_ms=2000.0, net=NetworkConfig(send_rate_hz=rate))
+    assert (scenario_mod.validate(sc) == []) == valid
+
+
+def test_an_overflowing_length_is_named_not_skipped():
+    sc = Scenario(duration_ms=scenario_mod.MAX_DURATION_MS,
+                  net=NetworkConfig(send_rate_hz=1e308))
+    violations = scenario_mod.validate(sc)
+    assert len(violations) == 1
+    assert violations[0].startswith("net.send_rate_hz=1e+308 implies inf")
+
+
 def test_raise_if_invalid_raises_with_the_violation_list():
     bad = Scenario(duration_ms=0.0)
     with pytest.raises(ScenarioValidationError) as err:
@@ -196,6 +243,15 @@ def test_non_finite_values_are_rejected_with_their_key(key, value):
     # SimClock refuses an infinite drift itself, before validation runs
     assert (f"{key} must be finite" in joined
             or f"{key.replace('.', ': ')} must keep" in joined)
+
+
+@pytest.mark.parametrize("key", ["pipeline.refresh_hz", "pipeline_b.refresh_hz",
+                                 "net.send_rate_hz", "audio.sample_hz"])
+def test_an_infinite_rate_is_reported_once_not_as_a_length(key):
+    flat = {**scenario_mod.scenario_to_flat(_FULL_SCENARIO), key: "inf"}
+    violations = scenario_mod.validate(scenario_mod.scenario_from_flat(flat))
+    assert [v for v in violations if v.startswith(key)] == \
+        [f"{key} must be finite, got inf"]
 
 
 def test_section_fields_are_resolved_once_and_read_only():
