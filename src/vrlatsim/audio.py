@@ -73,7 +73,11 @@ def detect_first_crossing(cfg: AudioPathConfig, waveform, *, rng=None,
 def measure_mouth_to_ear(cfg: AudioPathConfig, seed=0,
                          horizon_ms=DEFAULT_HORIZON_MS) -> MouthToEarResult:
     """Count whole 1 ms polling intervals until the tone is detected."""
-    rng = np.random.default_rng(seed) if cfg.noise_sigma > 0 else None
+    rng = None
+    if cfg.noise_sigma > 0:
+        # tagged, so the detector noise is not the capture's stream:
+        # SeedSequence((seed, 0)) and a plain seed give the same one
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA0D1)))
     crossing_us = detect_first_crossing(
         cfg, lambda t: buzzer_waveform(cfg, t), rng=rng, horizon_ms=horizon_ms
     )

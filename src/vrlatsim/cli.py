@@ -94,85 +94,51 @@ def load_scenario(config: str, seed: int | None = None,
 
 @dataclass
 class RunResult:
-    scenario: scenario_mod.Scenario
     captures: dict                      # station id -> RawCapture, disk precision
     report: LatencyReport
     audio_result: MouthToEarResult | None
 
 
-@dataclass(frozen=True)
-class StationCodes:
-    """The code series estimation reads of one station's capture."""
-    station_id: str
-    pot: estimator.DecodedTrace | None      # the reference channel
-    display: estimator.DecodedTrace | None  # the observed channel
+def capture_run(sc: scenario_mod.Scenario) -> list[RawCapture]:
+    """Capture a scenario at file precision: the sender, then any receiver."""
+    if sc.net is not None:
+        return [tracefile.quantize_capture(c) for c in netsim.remote_capture(sc)]
+    return [tracefile.quantize_capture(rig.run_capture(sc))]
 
 
-def decode_station(capture: RawCapture, *, reference: bool,
-                   self_check: bool = False) -> StationCodes:
-    """Decode what estimation reads of a capture, so its samples can go.
-
-    The reference (first) station gives its potentiometer channel and,
-    unless for a self check, its display; a second station only its
-    display.
-    """
-    return StationCodes(
-        station_id=capture.station_id,
-        pot=estimator.decode_pot_trace(capture) if reference else None,
-        display=(None if self_check
-                 else estimator.decode_display_trace(capture)),
-    )
-
-
-def estimate_stations(primary: StationCodes, secondary: StationCodes | None = None,
-                      *, max_lag_ms: int = estimator.DEFAULT_MAX_LAG_MS,
-                      allow_negative: bool = False,
-                      audio_result: MouthToEarResult | None = None) -> LatencyReport:
+def estimate_run(captures, *, max_lag_ms: int = estimator.DEFAULT_MAX_LAG_MS,
+                 allow_negative: bool = False,
+                 audio_result: MouthToEarResult | None = None) -> LatencyReport:
     """Shared estimation path for fresh captures and re-read trace files.
 
-    The first station supplies the reference potentiometer channel and
-    its own local loop estimate; a second one the observed display of
-    the remote estimate.  A first station decoded for a self check has
-    no display, and its reference channel is correlated against itself:
-    anything but lag 0 at coefficient 1 means the toolchain itself is
-    broken.
+    `captures` yields the sender's capture and, for a remote run, the
+    receiver's.  Each is decoded and dropped before the next is taken,
+    so a generator of file reads holds one capture at a time.  The
+    sender's potentiometer channel is the reference of its own local
+    loop estimate and of the remote estimate on the receiver's display.
     """
-    pot = primary.pot
-    if primary.display is None:
-        corr = estimator.cross_correlate(pot, pot, max_lag_ms, allow_negative)
-        return estimator.build_report(local=corr)
-
-    local = estimator.cross_correlate(pot, primary.display, max_lag_ms,
-                                      allow_negative)
-    remote = None
+    captures = iter(captures)
+    sender = next(captures)
+    pot = estimator.decode_pot_trace(sender)
+    display = diag_trace = estimator.decode_display_trace(sender)
+    sender_id = sender.station_id
+    del sender
     direction = None
-    diag_trace = primary.display
-    if secondary is not None:
-        remote = estimator.estimate_remote(pot, secondary.display,
-                                           max_lag_ms, allow_negative)
-        direction = f"{primary.station_id}->{secondary.station_id}"
-        diag_trace = secondary.display
-    return estimator.build_report(
-        local=local,
-        remote=remote,
-        remote_direction=direction,
-        mouth_to_ear=audio_result,
-        display_trace=diag_trace,
-    )
+    receiver = next(captures, None)
+    if receiver is not None:
+        diag_trace = estimator.decode_display_trace(receiver)
+        direction = f"{sender_id}->{receiver.station_id}"
+        del receiver
 
-
-def estimate_captures(primary: RawCapture, secondary: RawCapture | None = None, *,
-                      max_lag_ms: int = estimator.DEFAULT_MAX_LAG_MS,
-                      allow_negative: bool = False,
-                      audio_result: MouthToEarResult | None = None) -> LatencyReport:
-    """`decode_station` on each capture, then `estimate_stations`."""
-    return estimate_stations(
-        decode_station(primary, reference=True),
-        None if secondary is None else decode_station(secondary, reference=False),
-        max_lag_ms=max_lag_ms,
-        allow_negative=allow_negative,
-        audio_result=audio_result,
-    )
+    local = estimator.cross_correlate(pot, display, max_lag_ms, allow_negative)
+    remote = None
+    if direction is not None:
+        remote = estimator.estimate_remote(pot, diag_trace, max_lag_ms,
+                                           allow_negative)
+    return estimator.build_report(local=local, remote=remote,
+                                  remote_direction=direction,
+                                  mouth_to_ear=audio_result,
+                                  display_trace=diag_trace)
 
 
 def simulate_scenario(sc: scenario_mod.Scenario, *,
@@ -184,30 +150,15 @@ def simulate_scenario(sc: scenario_mod.Scenario, *,
     report written here matches what `estimate` later computes from the
     trace files.
     """
-    captures = {}
-    if sc.net is not None:
-        sender, receiver = netsim.remote_capture(sc)
-        captures[sender.station_id] = tracefile.quantize_capture(sender)
-        captures[receiver.station_id] = tracefile.quantize_capture(receiver)
-        primary = captures[sender.station_id]
-        secondary = captures[receiver.station_id]
-    else:
-        capture = tracefile.quantize_capture(rig.run_capture(sc))
-        captures[capture.station_id] = capture
-        primary, secondary = capture, None
-
+    captures = capture_run(sc)
     audio_result = None
     if sc.audio is not None:
         audio_result = audio_path.measure_mouth_to_ear(sc.audio, seed=sc.seed)
 
-    report = estimate_captures(
-        primary, secondary,
-        max_lag_ms=max_lag_ms,
-        allow_negative=allow_negative,
-        audio_result=audio_result,
-    )
-    return RunResult(scenario=sc, captures=captures, report=report,
-                     audio_result=audio_result)
+    report = estimate_run(captures, max_lag_ms=max_lag_ms,
+                          allow_negative=allow_negative, audio_result=audio_result)
+    return RunResult(captures={c.station_id: c for c in captures},
+                     report=report, audio_result=audio_result)
 
 
 def run_batch(sc: scenario_mod.Scenario, runs: int, base_seed: int, *,
@@ -294,19 +245,19 @@ def _check_trace_count(args):
 def cmd_estimate(args) -> int:
     _check_max_lag(args)
     _check_trace_count(args)
-    # each capture's samples go once its codes exist, before the next
-    # file is read, so at most one capture is held at a time
-    primary = decode_station(tracefile.read_trace(args.traces[0]),
-                             reference=True, self_check=args.self_check)
-    secondary = None
-    if len(args.traces) > 1:
-        secondary = decode_station(tracefile.read_trace(args.traces[1]),
-                                   reference=False)
-    report = estimate_stations(
-        primary, secondary,
-        max_lag_ms=args.max_lag,
-        allow_negative=args.allow_negative_lag,
-    )
+    if args.self_check:
+        # the reference channel against itself: anything but lag 0 at
+        # coefficient 1 means the toolchain is broken.  The display is
+        # never decoded, so a dark one cannot fail the check
+        pot = estimator.decode_pot_trace(tracefile.read_trace(args.traces[0]))
+        report = estimator.build_report(local=estimator.cross_correlate(
+            pot, pot, args.max_lag, args.allow_negative_lag))
+    else:
+        report = estimate_run(
+            (tracefile.read_trace(path) for path in args.traces),
+            max_lag_ms=args.max_lag,
+            allow_negative=args.allow_negative_lag,
+        )
     if args.out is not None:
         tracefile.write_report(args.out, report)
         print(f"wrote {args.out}", file=sys.stderr)
@@ -337,15 +288,10 @@ def cmd_batch(args) -> int:
 
 def cmd_export_plot(args) -> int:
     sc = load_scenario(args.config, args.seed, args.duration_ms)
-    if sc.net is not None:
-        sender, receiver = netsim.remote_capture(sc)
-        sender = tracefile.quantize_capture(sender)
-        receiver = tracefile.quantize_capture(receiver)
-    else:
-        sender = receiver = tracefile.quantize_capture(rig.run_capture(sc))
+    captures = capture_run(sc)
     pot_vals, display_vals = estimator.align_on_utc(
-        estimator.decode_pot_trace(sender),
-        estimator.decode_display_trace(receiver),
+        estimator.decode_pot_trace(captures[0]),
+        estimator.decode_display_trace(captures[-1]),
     )
 
     n = pot_vals.shape[0]

@@ -257,20 +257,10 @@ def _section_fields(cls):
 
 
 def _coerce(value, hint):
+    # every config hint is int, float or float | None; int() and float()
+    # strip the whitespace around a string themselves
     if isinstance(value, str):
-        text = value.strip()
-        if hint is float or hint == (float | None):
-            return float(text)
-        if hint is int:
-            return int(text)
-        if hint is str:
-            return text
-        if text.lower() == "none":
-            return None
-        try:
-            return float(text) if "." in text or "e" in text.lower() else int(text)
-        except ValueError:
-            return text
+        return int(value) if hint is int else float(value)
     if hint is int and not isinstance(value, bool):
         return int(value)
     if hint is float:
@@ -304,9 +294,9 @@ def parse_config_text(text: str) -> dict:
     return flat
 
 
-def scenario_from_flat(flat: dict, base: Scenario | None = None) -> Scenario:
-    """Build a scenario from flat dotted keys applied over a base."""
-    sc = base if base is not None else Scenario()
+def scenario_from_flat(flat: dict) -> Scenario:
+    """Build a scenario from flat dotted keys applied over the defaults."""
+    sc = Scenario()
     grouped: dict = {}
     top: dict = {}
     problems = []
@@ -367,12 +357,6 @@ def scenario_to_flat(scenario: Scenario) -> dict:
 def format_config(scenario: Scenario) -> str:
     lines = [f"{key} = {value}" for key, value in scenario_to_flat(scenario).items()]
     return "\n".join(lines) + "\n"
-
-
-def load_config_text(text: str) -> Scenario:
-    scenario = scenario_from_flat(parse_config_text(text))
-    raise_if_invalid(scenario)
-    return scenario
 
 
 # ---------------------------------------------------------------------------

@@ -234,12 +234,30 @@ def test_estimate_reports_a_decode_error_before_later_errors(tmp_path, capsys):
     assert cli.main(["estimate", trace_a, dark_b, "--max-lag", "400"]) == 3
     assert "never exceeds" in capsys.readouterr().err
     with pytest.raises(estimator.DecodeError):
-        cli.estimate_captures(tracefile.read_trace(trace_a),
-                              tracefile.read_trace(dark_b), max_lag_ms=400)
+        cli.estimate_run([tracefile.read_trace(trace_a),
+                          tracefile.read_trace(dark_b)], max_lag_ms=400)
     # with B readable, the lag search's own error shows
     assert cli.main(["estimate", trace_a, os.path.join(simdir, "trace_B.csv"),
                      "--max-lag", "400"]) == 3
     assert "too short" in capsys.readouterr().err
+
+
+def test_estimate_self_check_never_decodes_the_display(tmp_path, capsys):
+    simdir = str(tmp_path / "sim")
+    assert cli.main(["simulate", "--config", "vive-baseline",
+                     "--duration-ms", "2000", "--out", simdir]) == 0
+    dark_a = _dark_copy(os.path.join(simdir, "trace_A.csv"),
+                        str(tmp_path / "dark_A.csv"))
+    capsys.readouterr()
+    # a dark display fails an estimate, but not a self check of the
+    # reference channel
+    assert cli.main(["estimate", dark_a]) == 3
+    assert "never exceeds" in capsys.readouterr().err
+    out = str(tmp_path / "self.txt")
+    assert cli.main(["estimate", dark_a, "--self", "--out", out]) == 0
+    report = _read(out)
+    assert _report_value(report, "motion_to_photon_ms") == "0"
+    assert float(_report_value(report, "peak_coefficient")) == 1.0
 
 
 def test_non_finite_trace_sample_exits_2(tmp_path, capsys):

@@ -137,7 +137,7 @@ def test_traces_read_back_reproduce_the_golden_digests(preset, seed):
     parsed = [tracefile.parse_trace(tracefile.format_trace(capture))
               for capture in result.captures.values()]
     got = {f"trace_{c.station_id}": _sha(tracefile.format_trace(c)) for c in parsed}
-    report = cli.estimate_captures(*parsed, audio_result=result.audio_result)
+    report = cli.estimate_run(parsed, audio_result=result.audio_result)
     got["report"] = _sha(tracefile.format_report(report))
     assert got == GOLDEN[(preset, seed)]
 

@@ -52,10 +52,11 @@ def _timepulse_normal():
 
 
 def _audio_normal():
-    # audio.measure_mouth_to_ear: the detector noise.  SeedSequence pads
-    # its entropy with zero words, so this is also the stream of
-    # SeedSequence((seed, 0)) and shares its digest
-    return _sha256(np.random.default_rng(SEED).normal(0.0, 1.0, size=DRAWS), "<f8")
+    # audio.measure_mouth_to_ear: the detector noise, under its own tag.
+    # SeedSequence pads its entropy with zero words, so a plain seed
+    # would draw the capture's stream of SeedSequence((seed, 0))
+    seed = np.random.SeedSequence((SEED, 0xA0D1))
+    return _sha256(np.random.default_rng(seed).normal(0.0, 1.0, size=DRAWS), "<f8")
 
 
 def _raw_stream():
@@ -77,9 +78,9 @@ STREAMS = {
     "normal via SeedSequence((seed, clock seed, 0xC10C))": (
         _timepulse_normal,
         "cbd13cfc44b3dc1373dddb43a95862dde5be1deff72eaf82eb61be7d55dcde47"),
-    "normal via default_rng(seed)": (
+    "normal via SeedSequence((seed, 0xA0D1))": (
         _audio_normal,
-        "cfb93dce296a0a6d7ee43e49984eb18919875117ddc41f847d1f26096563fe01"),
+        "2d177fe80228226d1fcda0d72aae60db999717daa7f4b74cea7553a1f6f1c312"),
     "PCG64.random_raw": (
         _raw_stream,
         "09fe140eb037b968ae7dc4ca68da157cb0ae09c2112d09c084bad3d01e2ce6d0"),
@@ -95,6 +96,12 @@ def test_random_stream_is_the_pinned_one(name):
         "depend on these streams and fail for this reason, not because "
         "vrlatsim changed."
     )
+
+
+def test_every_seed_path_draws_its_own_stream():
+    # two noise sources on one seed path would be one source, scaled
+    digests = [draw() for draw, _ in STREAMS.values()]
+    assert len(set(digests)) == len(digests), dict(zip(STREAMS, digests))
 
 
 if __name__ == "__main__":

@@ -156,20 +156,27 @@ def test_unknown_preset_is_a_validation_error():
         scenario_mod.get_preset("warp-drive")
 
 
-def test_config_text_round_trip():
+def _load_config_text(tmp_path, text):
+    """Load config text the way `--config file.cfg` does."""
+    path = tmp_path / "scenario.cfg"
+    path.write_text(text, encoding="utf-8")
+    return cli.load_scenario(str(path))
+
+
+def test_config_text_round_trip(tmp_path):
     sc = scenario_mod.get_preset("remote-default")
     text = scenario_mod.format_config(sc)
-    back = scenario_mod.load_config_text(text)
+    back = _load_config_text(tmp_path, text)
     assert back == sc
 
 
-def test_config_round_trip_for_every_preset():
+def test_config_round_trip_for_every_preset(tmp_path):
     for name in scenario_mod.preset_names():
         sc = scenario_mod.get_preset(name)
-        assert scenario_mod.load_config_text(scenario_mod.format_config(sc)) == sc
+        assert _load_config_text(tmp_path, scenario_mod.format_config(sc)) == sc
 
 
-def test_config_parsing_handles_comments_and_blanks():
+def test_config_parsing_handles_comments_and_blanks(tmp_path):
     text = """
 # a comment line
 pipeline.tracking_delay_ms = 2.5   # trailing comment
@@ -177,14 +184,14 @@ pipeline.tracking_delay_ms = 2.5   # trailing comment
 duration_ms = 2500
 seed = 9
 """
-    sc = scenario_mod.load_config_text(text)
+    sc = _load_config_text(tmp_path, text)
     assert sc.pipeline.tracking_delay_ms == 2.5
     assert sc.duration_ms == 2500.0
     assert sc.seed == 9
 
 
-def test_config_enables_optional_sections_on_first_key():
-    sc = scenario_mod.load_config_text("net.one_way_delay_ms = 1.25\n")
+def test_config_enables_optional_sections_on_first_key(tmp_path):
+    sc = _load_config_text(tmp_path, "net.one_way_delay_ms = 1.25\n")
     assert sc.net == NetworkConfig(one_way_delay_ms=1.25)
     assert sc.audio is None
     assert sc.pipeline_b is None
