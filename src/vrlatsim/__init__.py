@@ -9,11 +9,9 @@ traces.
 """
 from . import audio, cli, clock, codec, estimator, netsim, rig, scenario, tracefile
 from .audio import AudioPathConfig, MouthToEarResult, measure_mouth_to_ear
-from .clock import SimClock, SyncState, local_now, schedule_start, sync_to_gps
+from .clock import SimClock, local_now
 from .errors import (
     AlignmentError,
-    ClockStateError,
-    ClockSyncError,
     CorrelationUndefinedError,
     DecodeError,
     DetectionTimeoutError,
@@ -49,8 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlignmentError",
     "AudioPathConfig",
-    "ClockStateError",
-    "ClockSyncError",
     "CorrelationResult",
     "CorrelationUndefinedError",
     "DecodeError",
@@ -68,7 +64,6 @@ __all__ = [
     "SensorConfig",
     "SimClock",
     "SimulationError",
-    "SyncState",
     "TraceFormatError",
     "VrLatSimError",
     "audio",
@@ -91,8 +86,6 @@ __all__ = [
     "rig",
     "run_capture",
     "scenario",
-    "schedule_start",
-    "sync_to_gps",
     "tracefile",
     "validate",
     "__version__",

@@ -29,8 +29,6 @@ from . import estimator, netsim, rig, tracefile
 from . import scenario as scenario_mod
 from .audio import MouthToEarResult
 from .errors import (
-    ClockStateError,
-    ClockSyncError,
     DecodeError,
     DetectionTimeoutError,
     EstimationError,
@@ -52,8 +50,6 @@ EXIT_CODES = {
     DecodeError: 3,
     EstimationError: 3,
     SimulationError: 3,
-    ClockStateError: 3,
-    ClockSyncError: 3,
     DetectionTimeoutError: 3,
 }
 RUN_FAILURES = tuple(exc for exc, code in EXIT_CODES.items() if code == 3)

@@ -25,14 +25,6 @@ class SimulationError(VrLatSimError):
     """The simulated timeline cannot be produced (e.g. missing angle history)."""
 
 
-class ClockSyncError(VrLatSimError):
-    """Timepulse and UTC message do not belong together."""
-
-
-class ClockStateError(VrLatSimError):
-    """An operation needs a GPS-synced clock and the clock has no sync state."""
-
-
 class DecodeError(VrLatSimError):
     """A captured trace cannot be turned into a code series."""
 

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clock import (
-    SimClock,
-    generate_timepulses,
-    schedule_start,
-    sync_to_gps,
-    utc_messages_for,
-)
+from .clock import SimClock, synced_start_us, timepulse_edge_us
 from .errors import SimulationError
 from .rig import SteppedAngleHistory, platform_angle, simulate_station
 
@@ -64,11 +58,13 @@ def sample_and_send(angle_fn, net: NetworkConfig, t_start_us, t_end_us, rng):
     return deliveries, np.asarray(angle_fn(send_times), dtype=float)
 
 
-def _synced_clock(base: SimClock, scenario_seed: int, sync_second: int) -> SimClock:
-    pulse_seed = np.random.SeedSequence((scenario_seed, base.seed, 0xC10C))
-    pulses = generate_timepulses(pulse_seed, sync_second, 1)
-    messages = utc_messages_for(pulses)
-    return sync_to_gps(base, pulses[0], messages[0])
+def _synced_start_us(clock: SimClock, scenario) -> float:
+    """True instant at which a station starts: its clock is latched at the
+    timepulse sync_lead_s seconds before the start second."""
+    sync_second = scenario.start_utc_second - scenario.sync_lead_s
+    pulse_seed = np.random.SeedSequence((scenario.seed, clock.seed, 0xC10C))
+    edge_us = timepulse_edge_us(pulse_seed, sync_second)
+    return synced_start_us(clock, edge_us, sync_second, scenario.start_utc_second)
 
 
 def remote_capture(scenario):
@@ -89,11 +85,8 @@ def remote_capture(scenario):
     seed_root = np.random.SeedSequence(scenario.seed)
     rng_a, rng_b, rng_net = [np.random.default_rng(s) for s in seed_root.spawn(3)]
 
-    sync_second = scenario.start_utc_second - scenario.sync_lead_s
-    clock_a = _synced_clock(scenario.clock_a, scenario.seed, sync_second)
-    clock_b = _synced_clock(scenario.clock_b, scenario.seed, sync_second)
-    start_true_a = schedule_start(clock_a, scenario.start_utc_second)
-    start_true_b = schedule_start(clock_b, scenario.start_utc_second)
+    start_true_a = _synced_start_us(scenario.clock_a, scenario)
+    start_true_b = _synced_start_us(scenario.clock_b, scenario)
     nominal_start_us = scenario.start_utc_second * 1_000_000
 
     def sender_platform(t_us):
@@ -123,7 +116,7 @@ def remote_capture(scenario):
         pipeline=scenario.pipeline,
         sensors=scenario.sensors,
         angle_range_deg=scenario.angle_range_deg,
-        clock=clock_a,
+        clock=scenario.clock_a,
         true_start_us=start_true_a,
         start_utc_us=nominal_start_us,
         duration_ms=scenario.duration_ms,
@@ -142,7 +135,7 @@ def remote_capture(scenario):
         pipeline=receiver_pipeline(scenario),
         sensors=scenario.sensors,
         angle_range_deg=scenario.angle_range_deg,
-        clock=clock_b,
+        clock=scenario.clock_b,
         true_start_us=start_true_b,
         start_utc_us=nominal_start_us,
         duration_ms=scenario.duration_ms,

@@ -235,12 +235,9 @@ def test_4_clock_drift_and_sync_spread():
     for trial in range(trials):
         starts = []
         for station in (0, 1):
-            pulses = clock_mod.generate_timepulses(
-                (0xACCE, trial, station), sync_second, 1
-            )
-            messages = clock_mod.utc_messages_for(pulses)
-            clk = clock_mod.sync_to_gps(SimClock(), pulses[0], messages[0])
-            starts.append(clock_mod.schedule_start(clk, sync_second + 2))
+            edge = clock_mod.timepulse_edge_us((0xACCE, trial, station), sync_second)
+            starts.append(clock_mod.synced_start_us(SimClock(), edge, sync_second,
+                                                    sync_second + 2))
         diffs[trial] = starts[0] - starts[1]
     rms = float(np.sqrt(np.mean(diffs ** 2)))
     expected = 30.0 * np.sqrt(2.0)

@@ -329,7 +329,8 @@ def test_trace_that_is_not_utf8_exits_2(vive_trace_text, tmp_path, capsys):
 
 @pytest.mark.parametrize("line", ["sensors.adc_sample_hz = 1000.0",
                                   "sensors.adc_conversion_us = 800.0",
-                                  "motion.kind = sinusoidal"])
+                                  "motion.kind = sinusoidal",
+                                  "clock_a.epoch_offset_us = 0.0"])
 def test_config_naming_a_fixed_rig_setting_exits_1(line, tmp_path, capsys):
     cfg = str(tmp_path / "old.cfg")
     with open(cfg, "w") as handle:
@@ -339,6 +340,17 @@ def test_config_naming_a_fixed_rig_setting_exits_1(line, tmp_path, capsys):
     assert not os.path.exists(out)
     key = line.split(" = ")[0]
     assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+def test_config_with_a_stopped_oscillator_exits_1(tmp_path, capsys):
+    # -1e6 ppm stops the counter; it is one more drift outside the model
+    cfg = str(tmp_path / "stopped.cfg")
+    with open(cfg, "w") as handle:
+        handle.write("clock_a.drift_ppm = -1e6\n")
+    out = str(tmp_path / "run")
+    assert cli.main(["simulate", "--config", cfg, "--out", out]) == 1
+    assert not os.path.exists(out)
+    assert "clock_a.drift_ppm beyond +-1000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

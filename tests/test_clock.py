@@ -12,8 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vrlatsim import clock
-from vrlatsim.clock import SimClock, TimepulseEvent, UtcMessage
-from vrlatsim.errors import ClockStateError, ClockSyncError
+from vrlatsim.clock import SimClock
 
 
 def test_drift_offset_exact_at_five_seconds():
@@ -31,125 +30,61 @@ def test_drift_matches_rational_arithmetic(t_us, ppm):
     assert clock.local_now(c, float(t_us)) == pytest.approx(float(want), abs=1e-6)
 
 
-def test_epoch_offset_shifts_readings():
-    c = SimClock(drift_ppm=0.0, epoch_offset_us=1234.5)
-    assert clock.local_now(c, 1000.0) == 2234.5
-
-
 @given(st.floats(min_value=0.0, max_value=1e10,
                  allow_nan=False, allow_infinity=False),
        st.integers(min_value=-500, max_value=500),
-       st.floats(min_value=-1e6, max_value=1e6,
-                 allow_nan=False, allow_infinity=False))
-def test_true_time_inverts_local_now(t_us, ppm, offset):
-    c = SimClock(drift_ppm=float(ppm), epoch_offset_us=offset)
-    back = clock.true_time_of_local(c, clock.local_now(c, t_us))
-    assert back == pytest.approx(t_us, abs=1e-3)
+       st.integers(min_value=1, max_value=3600))
+def test_true_time_inverts_local_now(edge_us, ppm, seconds):
+    # the start is the true time at which the local counter reads the
+    # edge reading plus the seconds counted
+    c = SimClock(drift_ppm=float(ppm))
+    start = clock.synced_start_us(c, edge_us, 0, seconds)
+    want = clock.local_now(c, edge_us) + seconds * 1e6
+    assert clock.local_now(c, start) == pytest.approx(want, abs=1e-3)
 
 
 def test_timepulses_land_near_second_boundaries():
-    pulses = clock.generate_timepulses(seed=7, start_utc_second=50, count=10_000)
-    seconds = np.array([p.utc_second for p in pulses])
-    assert np.array_equal(seconds, np.arange(50, 10_050))
-    jitter = np.array([p.jittered_time_us - p.true_time_us for p in pulses])
+    seconds = np.arange(50, 10_050)
+    edges = np.array([clock.timepulse_edge_us((7, int(s)), int(s)) for s in seconds])
+    jitter = edges - seconds * 1_000_000
     assert abs(jitter.mean()) < 1.5
     assert 28.5 < jitter.std() < 31.5
 
 
-def test_timepulses_without_jitter_are_exact():
-    pulses = clock.generate_timepulses(seed=0, start_utc_second=9, count=3,
-                                       sigma_us=0.0)
-    for p in pulses:
-        assert p.jittered_time_us == p.utc_second * 1_000_000
-
-
-def test_utc_messages_trail_their_pulse():
-    pulses = clock.generate_timepulses(seed=3, start_utc_second=100, count=5)
-    messages = clock.utc_messages_for(pulses)
-    for p, m in zip(pulses, messages):
-        assert m.utc_second == p.utc_second
-        assert m.arrival_true_time_us == p.jittered_time_us + 100_000.0
-
-
-def _pulse(second: int, jitter_us: float = 0.0) -> TimepulseEvent:
-    nominal = second * 1_000_000
-    return TimepulseEvent(utc_second=second, true_time_us=nominal,
-                          jittered_time_us=nominal + jitter_us)
-
-
-def _message_for(pulse: TimepulseEvent, lag_us: float = 100_000.0) -> UtcMessage:
-    return UtcMessage(utc_second=pulse.utc_second,
-                      arrival_true_time_us=pulse.jittered_time_us + lag_us)
-
-
-def test_sync_rejects_mismatched_second():
-    pulse = _pulse(40)
-    wrong = UtcMessage(utc_second=41,
-                       arrival_true_time_us=pulse.jittered_time_us + 1.0)
-    with pytest.raises(ClockSyncError):
-        clock.sync_to_gps(SimClock(), pulse, wrong)
-
-
-def test_sync_rejects_message_outside_the_pulse_window():
-    pulse = _pulse(40)
-    early = UtcMessage(utc_second=40,
-                       arrival_true_time_us=pulse.jittered_time_us - 1.0)
-    late = UtcMessage(utc_second=40,
-                      arrival_true_time_us=pulse.jittered_time_us + 1_000_000.0)
-    with pytest.raises(ClockSyncError):
-        clock.sync_to_gps(SimClock(), pulse, early)
-    with pytest.raises(ClockSyncError):
-        clock.sync_to_gps(SimClock(), pulse, late)
-
-
 def test_sync_latches_the_local_reading_at_the_edge():
-    base = SimClock(drift_ppm=250.0, epoch_offset_us=77.0)
-    pulse = _pulse(40, jitter_us=12.5)
-    synced = clock.sync_to_gps(base, pulse, _message_for(pulse))
-    assert synced.sync_state.utc_second == 40
-    assert synced.sync_state.local_edge_us == clock.local_now(
-        base, pulse.jittered_time_us
-    )
-    again = clock.sync_to_gps(synced, pulse, _message_for(pulse))
-    assert again.sync_state == synced.sync_state
-
-
-def test_unsynchronized_clock_refuses_utc_operations():
-    with pytest.raises(ClockStateError):
-        clock.utc_now(SimClock(), 1.0)
-    with pytest.raises(ClockStateError):
-        clock.schedule_start(SimClock(), 10)
+    # the seconds are counted from the latched edge, wherever it rose
+    base = SimClock(drift_ppm=250.0)
+    counted = 2e6 / (1.0 + 250e-6)
+    for jitter in (12.5, -40.0):
+        edge = 40e6 + jitter
+        start = clock.synced_start_us(base, edge, 40, 42)
+        assert start - edge == pytest.approx(counted, abs=1e-6)
 
 
 def test_utc_estimate_error_is_pulse_jitter_plus_drift():
-    # the estimate anchors on the jittered edge: a late pulse makes all
-    # later estimates early, and uncorrected drift accumulates on top
+    # a station starts when its UTC estimate reads the start second.  The
+    # estimate anchors on the jittered edge, so a late pulse makes the
+    # start late, and uncorrected drift accumulates on top
     jitter = 25.0
     drift = 100.0
     base = SimClock(drift_ppm=drift)
-    pulse = _pulse(40, jitter_us=jitter)
-    synced = clock.sync_to_gps(base, pulse, _message_for(pulse))
-    for elapsed_s in (0.5, 2.0, 5.0):
-        t = pulse.jittered_time_us + elapsed_s * 1e6
-        want_error = -jitter + (t - pulse.jittered_time_us) * drift * 1e-6
-        assert clock.utc_now(synced, t) - t == pytest.approx(want_error, abs=1e-6)
+    edge = 40e6 + jitter
+    for counted_s in (1, 2, 5):
+        start = clock.synced_start_us(base, edge, 40, 40 + counted_s)
+        want_error = jitter - counted_s * 1e6 * drift * 1e-6 / (1.0 + drift * 1e-6)
+        assert start - (40 + counted_s) * 1e6 == pytest.approx(want_error, abs=1e-6)
 
 
 def test_scheduled_start_inherits_pulse_jitter():
     jitter = 40.0
-    pulse = _pulse(100, jitter_us=jitter)
-    synced = clock.sync_to_gps(SimClock(), pulse, _message_for(pulse))
-    start = clock.schedule_start(synced, 102)
+    start = clock.synced_start_us(SimClock(), 100e6 + jitter, 100, 102)
     assert start == pytest.approx(102 * 1e6 + jitter, abs=1e-9)
 
 
 def test_scheduled_start_shifts_with_drift():
     # a fast oscillator reaches the target count early, a slow one late
-    pulse = _pulse(100, jitter_us=0.0)
     for drift in (100.0, -100.0):
-        synced = clock.sync_to_gps(SimClock(drift_ppm=drift), pulse,
-                                   _message_for(pulse))
-        start = clock.schedule_start(synced, 102)
+        start = clock.synced_start_us(SimClock(drift_ppm=drift), 100e6, 100, 102)
         want = 100e6 + 2e6 / (1.0 + drift * 1e-6)
         assert start == pytest.approx(want, abs=1e-6)
         if drift > 0:
@@ -158,21 +93,10 @@ def test_scheduled_start_shifts_with_drift():
             assert start > 102e6
 
 
-def test_schedule_start_requires_a_future_second():
-    pulse = _pulse(100)
-    synced = clock.sync_to_gps(SimClock(), pulse, _message_for(pulse))
-    with pytest.raises(ClockStateError):
-        clock.schedule_start(synced, 100)
-    with pytest.raises(ClockStateError):
-        clock.schedule_start(synced, 99)
-
-
 def _synced_start(seed, drift_ppm=0.0, sync_second=100, start_second=102):
-    pulses = clock.generate_timepulses(seed, sync_second, 1)
-    messages = clock.utc_messages_for(pulses)
-    synced = clock.sync_to_gps(SimClock(drift_ppm=drift_ppm), pulses[0],
-                               messages[0])
-    return clock.schedule_start(synced, start_second)
+    edge = clock.timepulse_edge_us(seed, sync_second)
+    return clock.synced_start_us(SimClock(drift_ppm=drift_ppm), edge,
+                                 sync_second, start_second)
 
 
 def test_two_station_start_offset_rms_matches_pulse_jitter():
@@ -195,12 +119,12 @@ def test_start_offset_from_drift_alone_is_deterministic():
 
 
 def test_timestamp_disagreement_bounded_over_a_capture():
-    pulses = clock.generate_timepulses(99, 100, 1)
-    messages = clock.utc_messages_for(pulses)
-    fast = clock.sync_to_gps(SimClock(drift_ppm=100.0), pulses[0], messages[0])
-    slow = clock.sync_to_gps(SimClock(drift_ppm=-100.0), pulses[0], messages[0])
-    t = np.linspace(102e6, 107e6, 501)
-    gap = np.abs(clock.utc_now(fast, t) - clock.utc_now(slow, t))
-    # 200 ppm relative drift over at most 7 s since sync, plus jitter
+    # two stations latched at one edge read each later second at
+    # instants that drift apart by 200 ppm of the seconds counted
+    gap = np.array([
+        abs(_synced_start(99, 100.0, start_second=s)
+            - _synced_start(99, -100.0, start_second=s))
+        for s in range(101, 108)
+    ])
     assert float(gap.max()) < 1600.0
     assert np.all(np.diff(gap) > 0)

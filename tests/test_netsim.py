@@ -7,7 +7,7 @@ import pytest
 from vrlatsim import cli, estimator, netsim
 from vrlatsim.errors import SimulationError
 from vrlatsim.netsim import NetworkConfig
-from vrlatsim.rig import SteppedAngleHistory
+from vrlatsim.rig import SteppedAngleHistory, simulate_station
 from vrlatsim.scenario import get_preset
 
 
@@ -103,6 +103,28 @@ def test_remote_capture_is_deterministic():
     a2, b2 = netsim.remote_capture(sc)
     assert np.array_equal(a1.pot, a2.pot)
     assert np.array_equal(b1.photo, b2.photo)
+
+
+# each station's true start at seed 1 and 2, written with float.hex: the
+# trace rounds times to 1e-6 us, so golden digests cannot see a 1-ulp move
+_PINNED_STARTS = {
+    1: ("0x1.74876e819fb8dp+36", "0x1.74876e839801ep+36"),
+    2: ("0x1.74876e7d10e15p+36", "0x1.74876e849a695p+36"),
+}
+
+
+@pytest.mark.parametrize("preset", ["remote-default", "remote-asymmetric"])
+@pytest.mark.parametrize("seed", sorted(_PINNED_STARTS))
+def test_remote_station_starts_are_pinned_to_the_bit(preset, seed, monkeypatch):
+    starts = []
+
+    def recording_station(**kwargs):
+        starts.append(kwargs["true_start_us"])
+        return simulate_station(**kwargs)
+
+    monkeypatch.setattr(netsim, "simulate_station", recording_station)
+    netsim.remote_capture(replace(get_preset(preset), seed=seed, duration_ms=50.0))
+    assert tuple(float(s).hex() for s in starts) == _PINNED_STARTS[seed]
 
 
 def test_remote_latency_exceeds_the_receiver_local_chain():

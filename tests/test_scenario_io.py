@@ -217,9 +217,11 @@ def test_unparseable_values_are_reported_with_their_key():
 
 
 @pytest.mark.parametrize("key", ["sensors.adc_sample_hz", "sensors.adc_conversion_us",
-                                 "motion.kind"])
+                                 "motion.kind", "clock_a.epoch_offset_us",
+                                 "clock_b.epoch_offset_us"])
 def test_fixed_rig_settings_are_not_config_keys(key):
-    # the ADC rate (1 kHz) and the motion (sinusoidal) are fixed
+    # the ADC rate (1 kHz) and the motion (sinusoidal) are fixed, and a
+    # clock's epoch offset cancels in the GPS sync
     with pytest.raises(ScenarioValidationError) as err:
         scenario_mod.scenario_from_flat({key: "1000"})
     assert err.value.violations == [f"unknown config key {key!r}"]
@@ -246,10 +248,7 @@ def test_non_finite_values_are_rejected_with_their_key(key, value):
     flat = {**scenario_mod.scenario_to_flat(_FULL_SCENARIO), key: value}
     with pytest.raises(ScenarioValidationError) as err:
         scenario_mod.raise_if_invalid(scenario_mod.scenario_from_flat(flat))
-    joined = "\n".join(err.value.violations)
-    # SimClock refuses an infinite drift itself, before validation runs
-    assert (f"{key} must be finite" in joined
-            or f"{key.replace('.', ': ')} must keep" in joined)
+    assert f"{key} must be finite" in "\n".join(err.value.violations)
 
 
 @pytest.mark.parametrize("key", ["pipeline.refresh_hz", "pipeline_b.refresh_hz",
@@ -261,15 +260,20 @@ def test_an_infinite_rate_is_reported_once_not_as_a_length(key):
         [f"{key} must be finite, got inf"]
 
 
+def test_an_infinite_drift_is_reported_once():
+    flat = {**scenario_mod.scenario_to_flat(_FULL_SCENARIO), "clock_a.drift_ppm": "inf"}
+    violations = scenario_mod.validate(scenario_mod.scenario_from_flat(flat))
+    assert [v for v in violations if v.startswith("clock_a.")] == \
+        ["clock_a.drift_ppm must be finite, got inf"]
+
+
 def test_section_fields_are_resolved_once_and_read_only():
     fields = scenario_mod._section_fields(PipelineConfig)
     assert scenario_mod._section_fields(PipelineConfig) is fields
     assert fields["refresh_hz"] is float
     with pytest.raises(TypeError):
         fields["refresh_hz"] = int
-    assert list(scenario_mod._section_fields(SimClock)) == [
-        "drift_ppm", "epoch_offset_us", "seed"
-    ]
+    assert list(scenario_mod._section_fields(SimClock)) == ["drift_ppm", "seed"]
 
 
 def test_lines_without_equals_are_rejected():
