@@ -201,6 +201,9 @@ def photosensor_read(sample_us, frame_lum, first_frame_us: float,
     if k.min() < 0 or k.max() >= levels.shape[0]:
         raise SimulationError("frame schedule does not cover every sample")
     offset = (t - (first_frame_us + k * frame_us))[:, None]
+    # a sample on a frame boundary can round to a tiny negative offset,
+    # whose exp(-offset/tau) overflows at a tiny rise time
+    np.maximum(offset, 0.0, out=offset)
     # take, not levels[k]: numpy's fancy-index gather of 2-D rows is
     # several times slower
     level = levels.take(k, axis=0)

@@ -7,8 +7,8 @@ keep config diffs trivial to read.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
+import operator
 import typing
 from dataclasses import dataclass, replace
 from types import MappingProxyType
@@ -31,6 +31,9 @@ MAX_DURATION_MS = 3_600_000.0
 # but frames, network updates and audio polls grow with rates that it
 # does not bound; at 8 bytes an element, one array stays near 115 MB
 MAX_ARRAY_LENGTH = 4 * sample_count(MAX_DURATION_MS)
+# latest start second and longest sync lead: a remote run counts true time
+# in float us, exact while |sync second| and start + one hour stay < 2**53 us
+_MAX_SECONDS = 9_000_000_000
 
 
 def sampling_margin_ms(sensors: SensorConfig) -> float:
@@ -69,8 +72,7 @@ def receiver_pipeline(scenario: Scenario) -> PipelineConfig:
 
 def _check_pipeline(label: str, p: PipelineConfig, sensors: SensorConfig,
                     violations: list):
-    if p.refresh_hz <= 0:
-        violations.append(f"{label}.refresh_hz must be positive")
+    if p.refresh_hz <= 0:  # reported with the other rates
         return
     frame_ms = 1000.0 / p.refresh_hz
     margin_ms = sampling_margin_ms(sensors)
@@ -114,9 +116,16 @@ def _array_lengths(scenario: Scenario):
                             seconds * p.refresh_hz, "frames"))
     if scenario.net is not None:
         rate = scenario.net.send_rate_hz
-        lengths.append(("net.send_rate_hz", rate,
-                        (scenario.duration_ms + SEND_WARMUP_MS) / 1000.0 * rate,
-                        "network updates"))
+        window_ms = scenario.duration_ms + SEND_WARMUP_MS
+        key, value = "net.send_rate_hz", rate
+        a, b = (c.drift_ppm * 1e-6 for c in (scenario.clock_a, scenario.clock_b))
+        # the sender transmits from the earlier station start to the later
+        # end, and the starts lie sync_lead_s seconds of drift apart
+        if max(abs(a), abs(b)) <= 1e-3 and 1 <= scenario.sync_lead_s <= _MAX_SECONDS:
+            if window_ms / 1000.0 * rate <= MAX_ARRAY_LENGTH:
+                key, value = "sync_lead_s", scenario.sync_lead_s
+            window_ms += scenario.sync_lead_s * 1e3 * abs(1 / (1 + a) - 1 / (1 + b))
+        lengths.append((key, value, window_ms / 1000.0 * rate, "network updates"))
     if scenario.audio is not None:
         rate = scenario.audio.sample_hz
         lengths.append(("audio.sample_hz", rate,
@@ -126,9 +135,9 @@ def _array_lengths(scenario: Scenario):
 
 def validate(scenario: Scenario) -> list:
     """Collect every configuration violation; empty list means valid."""
+    flat = scenario_to_flat(scenario)
     # nan passes every range check below and inf several of them
-    v: list = [f"{key} must be finite, got {value}"
-               for key, value in scenario_to_flat(scenario).items()
+    v: list = [f"{key} must be finite, got {value}" for key, value in flat.items()
                if isinstance(value, float) and not math.isfinite(value)]
     m = scenario.motion
     if m.amplitude_deg <= 0:
@@ -142,8 +151,9 @@ def validate(scenario: Scenario) -> list:
         hi = m.center_deg + m.amplitude_deg
         if lo < 0 or hi >= scenario.angle_range_deg:
             v.append(
-                f"motion sweeps [{lo}, {hi}] degrees, outside "
-                f"[0, {scenario.angle_range_deg})"
+                f"motion.amplitude_deg={m.amplitude_deg} around motion.center_deg="
+                f"{m.center_deg} sweeps [{lo}, {hi}] degrees, outside [0, "
+                f"angle_range_deg={scenario.angle_range_deg})"
             )
 
     _check_pipeline("pipeline", scenario.pipeline, scenario.sensors, v)
@@ -153,8 +163,9 @@ def validate(scenario: Scenario) -> list:
     s = scenario.sensors
     if s.rise_time_us < 0:
         v.append("sensors.rise_time_us must be >= 0")
-    if s.pot_noise_sigma < 0 or s.photo_noise_sigma < 0:
-        v.append("sensor noise sigmas must be >= 0")
+    for name in ("pot_noise_sigma", "photo_noise_sigma"):
+        if getattr(s, name) < 0:
+            v.append(f"sensors.{name} must be >= 0")
 
     for label, c in (("clock_a", scenario.clock_a), ("clock_b", scenario.clock_b)):
         if math.isfinite(c.drift_ppm) and abs(c.drift_ppm) > 1000:
@@ -162,14 +173,14 @@ def validate(scenario: Scenario) -> list:
 
     if scenario.net is not None:
         n = scenario.net
-        if n.send_rate_hz <= 0:
-            v.append("net.send_rate_hz must be positive")
         if n.one_way_delay_ms < 0:
             v.append("net.one_way_delay_ms must be >= 0")
         if n.jitter_ms < 0:
             v.append("net.jitter_ms must be >= 0")
-        if n.phase_ms is not None and n.phase_ms < 0:
-            v.append("net.phase_ms must be >= 0")
+        # an offset into the send grid, as drawn when it is None
+        if n.phase_ms is not None and (n.phase_ms < 0 or (
+                math.isfinite(n.phase_ms) and n.phase_ms * n.send_rate_hz >= 1000.0)):
+            v.append(f"net.phase_ms={n.phase_ms} must lie in [0, 1000 / net.send_rate_hz)")
 
     if scenario.audio is not None:
         a = scenario.audio
@@ -179,12 +190,17 @@ def validate(scenario: Scenario) -> list:
             v.append("audio.path_delay_ms must be >= 0")
         if not (0.0 < a.threshold < 1.0):
             v.append("audio.threshold must lie strictly between 0 and 1")
-        if a.sample_hz <= 0:
-            v.append("audio.sample_hz must be positive")
         if not (0.0 < a.attenuation <= 1.0):
             v.append("audio.attenuation must lie in (0, 1]")
         if a.noise_sigma < 0:
             v.append("audio.noise_sigma must be >= 0")
+
+    # the schedules count periods in float microseconds, which overflow
+    # long before a period as long as an hour does
+    for key in ("pipeline.refresh_hz", "pipeline_b.refresh_hz",
+                "net.send_rate_hz", "audio.sample_hz"):
+        if flat.get(key, 1.0) < 1000.0 / MAX_DURATION_MS:
+            v.append(f"{key}={flat[key]} must be at least one per hour")
 
     duration = scenario.duration_ms
     if math.isfinite(duration):  # a non-finite one is reported above
@@ -202,12 +218,12 @@ def validate(scenario: Scenario) -> list:
                     v.append(f"{key}={value} implies {length:.4g} {what}, "
                              f"above the maximum of {MAX_ARRAY_LENGTH} "
                              "array elements")
-    if scenario.seed < 0 or int(scenario.seed) != scenario.seed:
-        v.append("seed must be a non-negative integer")
-    if scenario.start_utc_second <= 0:
-        v.append("start_utc_second must be positive")
-    if scenario.sync_lead_s < 1:
-        v.append("sync_lead_s must be at least 1 second")
+    for key in ("seed", "clock_a.seed", "clock_b.seed"):
+        if flat[key] < 0 or int(flat[key]) != flat[key]:
+            v.append(f"{key} must be a non-negative integer")
+    for key in ("start_utc_second", "sync_lead_s"):
+        if not 1 <= flat[key] <= _MAX_SECONDS:
+            v.append(f"{key}={flat[key]} must lie in [1, {_MAX_SECONDS}] seconds")
     return v
 
 
@@ -220,7 +236,8 @@ def raise_if_invalid(scenario: Scenario):
 # ---------------------------------------------------------------------------
 # flat key-value serialization
 
-# each section is the Scenario attribute of the same name
+# each section is the Scenario attribute of the same name; pipeline_b, net
+# and audio default to None, so their classes are named here
 _SECTIONS = {
     "motion": MotionProfile,
     "pipeline": PipelineConfig,
@@ -232,36 +249,32 @@ _SECTIONS = {
     "audio": AudioPathConfig,
 }
 
-_TOP_FIELDS = {
-    "duration_ms": float,
-    "seed": int,
-    "angle_range_deg": float,
-    "start_utc_second": int,
-    "sync_lead_s": int,
-}
+
+def _key_table():
+    """Read-only map of every config key to (section, field, type hint) in
+    file order: the sections, then the top-level fields (section None)."""
+    table = {}
+    for section, cls in (*_SECTIONS.items(), (None, Scenario)):
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            if f.name not in _SECTIONS:
+                key = f.name if section is None else f"{section}.{f.name}"
+                table[key] = (section, f.name, hints[f.name])
+    return MappingProxyType(table)
 
 
-@functools.cache
-def _section_fields(cls):
-    """Read-only map of a section's config keys to their type hints.
-
-    Cached per class: resolving the hints is the costly part of loading a
-    preset, and every key of every config would otherwise repeat it.
-    """
-    hints = typing.get_type_hints(cls)
-    return MappingProxyType({f.name: hints[f.name] for f in dataclasses.fields(cls)})
+_KEYS = _key_table()
 
 
 def _coerce(value, hint):
-    # every config hint is int, float or float | None; int() and float()
-    # strip the whitespace around a string themselves
+    # int() and float() strip the whitespace around a string themselves;
+    # operator.index refuses a number that is not integral instead of
+    # truncating it; None is kept only where the hint allows it
     if isinstance(value, str):
         return int(value) if hint is int else float(value)
-    if hint is int and not isinstance(value, bool):
-        return int(value)
-    if hint is float:
-        return float(value)
-    return value
+    if hint is int:
+        return operator.index(value)
+    return value if value is None and hint is not float else float(value)
 
 
 def parse_config_text(text: str) -> dict:
@@ -293,39 +306,25 @@ def parse_config_text(text: str) -> dict:
 def scenario_from_flat(flat: dict) -> Scenario:
     """Build a scenario from flat dotted keys applied over the defaults."""
     sc = Scenario()
-    grouped: dict = {}
-    top: dict = {}
+    grouped: dict = {}  # section (None for the top level) -> field -> value
     problems = []
     for key, value in flat.items():
-        if "." in key:
-            section, field = key.split(".", 1)
-            if section not in _SECTIONS:
-                problems.append(f"unknown config section in key {key!r}")
-                continue
-            fields = _section_fields(_SECTIONS[section])
-            if field not in fields:
-                problems.append(f"unknown config key {key!r}")
-                continue
-            try:
-                grouped.setdefault(section, {})[field] = _coerce(value, fields[field])
-            except (TypeError, ValueError):
-                problems.append(f"cannot parse value for {key!r}: {value!r}")
-        else:
-            if key not in _TOP_FIELDS:
-                problems.append(f"unknown config key {key!r}")
-                continue
-            try:
-                top[key] = _coerce(value, _TOP_FIELDS[key])
-            except (TypeError, ValueError):
-                problems.append(f"cannot parse value for {key!r}: {value!r}")
+        if key not in _KEYS:
+            section, dot, _ = key.partition(".")
+            what = "section in key" if dot and section not in _SECTIONS else "key"
+            problems.append(f"unknown config {what} {key!r}")
+            continue
+        section, field, hint = _KEYS[key]
+        try:
+            grouped.setdefault(section, {})[field] = _coerce(value, hint)
+        except (TypeError, ValueError):
+            problems.append(f"cannot parse value for {key!r}: {value!r}")
     if problems:
         raise ScenarioValidationError(problems)
 
-    updates: dict = dict(top)
+    updates: dict = grouped.pop(None, {})
     for section, values in grouped.items():
-        current = getattr(sc, section)
-        if current is None:
-            current = _SECTIONS[section]()
+        current = getattr(sc, section) or _SECTIONS[section]()
         updates[section] = replace(current, **values)
     return replace(sc, **updates)
 
@@ -333,17 +332,11 @@ def scenario_from_flat(flat: dict) -> Scenario:
 def scenario_to_flat(scenario: Scenario) -> dict:
     """Flat dotted-key view of a scenario (optional sections only if set)."""
     flat: dict = {}
-    for section, cls in _SECTIONS.items():
-        obj = getattr(scenario, section)
-        if obj is None:
-            continue
-        for field in _section_fields(cls):
-            value = getattr(obj, field)
-            if value is None:
-                continue
-            flat[f"{section}.{field}"] = value
-    for field in _TOP_FIELDS:
-        flat[field] = getattr(scenario, field)
+    for key, (section, field, _) in _KEYS.items():
+        obj = scenario if section is None else getattr(scenario, section)
+        value = None if obj is None else getattr(obj, field)
+        if value is not None:
+            flat[key] = value
     return flat
 
 
@@ -368,6 +361,20 @@ _DEFAULT_NOISE = {
     "sensors.photo_noise_sigma": 0.01,
 }
 
+# sender forwards its raw platform angle; the receiver renders it
+# through a headset-style pipeline without prediction
+_REMOTE = {
+    "pipeline.render_compute_ms": 1.0,
+    "pipeline_b.tracking_delay_ms": 2.0,
+    "pipeline_b.render_compute_ms": 3.0,
+    "net.send_rate_hz": 29.0,
+    "net.one_way_delay_ms": 0.5,
+    "clock_a.drift_ppm": 25.0,
+    "clock_b.drift_ppm": -25.0,
+    **_DEFAULT_NOISE,
+}
+_AUDIO = {**_DEFAULT_NOISE, "audio.tone_hz": 4000.0, "audio.threshold": 0.5}
+
 PRESETS: dict = {
     # 90 Hz headset-style pipeline with light pose prediction; the
     # measured motion-to-photon latency lands in the 3..10 ms band
@@ -380,57 +387,14 @@ PRESETS: dict = {
                        "pipeline.frame_delay_queue_len": 10},
     # no configured latency sources and a fast display, for pipeline
     # sanity checks: the estimate collapses to strobe/sampling alignment
-    "zero-delay": {
-        "pipeline.tracking_delay_ms": 0.0,
-        "pipeline.render_compute_ms": 0.0,
-        "pipeline.extrapolation_ms": 0.0,
-        "pipeline.refresh_hz": 360.0,
-        "pipeline.display_persistence_ms": 1.4,
-        "pipeline.frame_delay_queue_len": 0,
-    },
-    # sender forwards its raw platform angle; the receiver renders it
-    # through a headset-style pipeline without prediction
-    "remote-default": {
-        "pipeline.tracking_delay_ms": 0.0,
-        "pipeline.render_compute_ms": 1.0,
-        "pipeline.extrapolation_ms": 0.0,
-        "pipeline_b.tracking_delay_ms": 2.0,
-        "pipeline_b.render_compute_ms": 3.0,
-        "pipeline_b.extrapolation_ms": 0.0,
-        "net.send_rate_hz": 29.0,
-        "net.one_way_delay_ms": 0.5,
-        "net.jitter_ms": 0.0,
-        "clock_a.drift_ppm": 25.0,
-        "clock_b.drift_ppm": -25.0,
-        **_DEFAULT_NOISE,
-    },
+    "zero-delay": {"pipeline.refresh_hz": 360.0, "pipeline.display_persistence_ms": 1.4},
+    "remote-default": _REMOTE,
     # exploratory: one-sided receiver extrapolation shortens one
     # direction of the remote path, which makes the two directions of a
     # bidirectional setup disagree
-    "remote-asymmetric": {
-        "pipeline.tracking_delay_ms": 0.0,
-        "pipeline.render_compute_ms": 1.0,
-        "pipeline_b.tracking_delay_ms": 2.0,
-        "pipeline_b.render_compute_ms": 3.0,
-        "pipeline_b.extrapolation_ms": 15.0,
-        "net.send_rate_hz": 29.0,
-        "net.one_way_delay_ms": 0.5,
-        "clock_a.drift_ppm": 25.0,
-        "clock_b.drift_ppm": -25.0,
-        **_DEFAULT_NOISE,
-    },
-    "audio-local": {
-        **_DEFAULT_NOISE,
-        "audio.tone_hz": 4000.0,
-        "audio.path_delay_ms": 100.0,
-        "audio.threshold": 0.5,
-    },
-    "audio-remote": {
-        **_DEFAULT_NOISE,
-        "audio.tone_hz": 4000.0,
-        "audio.path_delay_ms": 144.1,
-        "audio.threshold": 0.5,
-    },
+    "remote-asymmetric": {**_REMOTE, "pipeline_b.extrapolation_ms": 15.0},
+    "audio-local": {**_AUDIO, "audio.path_delay_ms": 100.0},
+    "audio-remote": {**_AUDIO, "audio.path_delay_ms": 144.1},
 }
 
 

@@ -322,6 +322,17 @@ def test_microsecond_rise_time_stays_finite_without_warnings():
     assert np.max(np.abs(y[settled, 0] - want[settled])) < 1e-12
 
 
+@pytest.mark.parametrize("preset", ["zero-delay", "vive-baseline"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_vanishing_rise_time_keeps_samples_in_the_unit_range(preset, seed):
+    # a sample on a frame boundary rounds to an offset near -1e-10 us,
+    # whose exp(-offset/tau) overflowed at this rise time
+    sc = replace(get_preset(preset), seed=seed, duration_ms=2000.0,
+                 sensors=SensorConfig(rise_time_us=1e-300))
+    photo = rig.run_capture(sc).photo
+    assert np.all((photo >= 0.0) & (photo <= 1.0))
+
+
 def test_samples_outside_the_frame_schedule_are_rejected():
     with pytest.raises(SimulationError):
         _read([-1.0], np.ones((2, 4)))

@@ -46,7 +46,7 @@ def _spawned_uniform():
 
 
 def _timepulse_normal():
-    # netsim._synced_clock: the timepulse jitter of one station's clock
+    # netsim._synced_start_us: the timepulse jitter of one station's clock
     seed = np.random.SeedSequence((SEED, 1, 0xC10C))
     return _sha256(np.random.default_rng(seed).normal(0.0, 1.0, size=DRAWS), "<f8")
 

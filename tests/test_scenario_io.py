@@ -1,4 +1,5 @@
 """Scenario validation, flat config parsing and file format tests."""
+import hashlib
 import os
 import re
 import sys
@@ -44,9 +45,56 @@ def test_validation_collects_every_violation_at_once():
     assert len(violations) >= 8
     text = "\n".join(violations)
     for needle in ("amplitude", "period", "persistence", "queue",
-                   "send_rate_hz", "noise sigma", "drift", "threshold",
+                   "send_rate_hz", "pot_noise_sigma", "drift", "threshold",
                    "duration", "sync_lead"):
         assert needle in text
+
+
+# between them these break every rule of validate; some rules exclude
+# others (a zero refresh rate skips the persistence checks, an invalid
+# duration skips the array lengths), so one scenario cannot break them all
+_RULE_BREAKERS = [
+    Scenario(
+        motion=MotionProfile(amplitude_deg=-1.0, period_ms=0.0, center_deg=float("nan")),
+        pipeline=PipelineConfig(refresh_hz=0.0),
+        pipeline_b=PipelineConfig(display_persistence_ms=0.0, frame_delay_queue_len=-1,
+                                  tracking_delay_ms=-1.0, render_compute_ms=-1.0,
+                                  extrapolation_ms=-1.0),
+        sensors=SensorConfig(rise_time_us=-1.0, pot_noise_sigma=-1.0,
+                             photo_noise_sigma=-1.0),
+        clock_a=SimClock(drift_ppm=5000.0, seed=-1),
+        clock_b=SimClock(drift_ppm=-5000.0, seed=-2),
+        net=NetworkConfig(send_rate_hz=0.0, one_way_delay_ms=-1.0, jitter_ms=-1.0,
+                          phase_ms=-1.0),
+        audio=AudioPathConfig(tone_hz=0.0, path_delay_ms=-1.0, threshold=2.0,
+                              sample_hz=0.0, attenuation=0.0, noise_sigma=-1.0),
+        duration_ms=0.0, seed=-1, angle_range_deg=-1.0, start_utc_second=0,
+        sync_lead_s=0,
+    ),
+    Scenario(
+        motion=MotionProfile(amplitude_deg=200.0),
+        pipeline=PipelineConfig(display_persistence_ms=0.4),
+        pipeline_b=PipelineConfig(display_persistence_ms=10.5, frame_delay_queue_len=10**8),
+        duration_ms=1e9, start_utc_second=10**10, sync_lead_s=10**10,
+    ),
+    Scenario(
+        pipeline=PipelineConfig(refresh_hz=1e9),
+        net=NetworkConfig(send_rate_hz=1e9),
+        audio=AudioPathConfig(sample_hz=1e12),
+        duration_ms=2000.0,
+    ),
+    Scenario(net=NetworkConfig(send_rate_hz=1000.0), clock_a=SimClock(drift_ppm=1000.0),
+             sync_lead_s=10**9, duration_ms=2000.0),
+]
+
+
+def test_every_violation_starts_with_its_key():
+    violations = [v for sc in _RULE_BREAKERS for v in scenario_mod.validate(sc)]
+    for v in violations:
+        assert re.match(r"[\w.]+", v).group() in scenario_mod._KEYS, v
+    leads = {re.match(r"[\w.]+", v).group() for v in violations}
+    assert {"sensors.pot_noise_sigma", "sensors.photo_noise_sigma",
+            "motion.amplitude_deg", "clock_b.seed", "sync_lead_s"} <= leads
 
 
 def test_motion_must_stay_inside_the_encoder_range():
@@ -128,6 +176,75 @@ def test_an_overflowing_length_is_named_not_skipped():
     violations = scenario_mod.validate(sc)
     assert len(violations) == 1
     assert violations[0].startswith("net.send_rate_hz=1e+308 implies inf")
+
+
+def _remote_violations(**keys):
+    flat = {**scenario_mod.PRESETS["remote-default"], **keys}
+    return scenario_mod.validate(scenario_mod.scenario_from_flat(flat))
+
+
+@pytest.mark.parametrize("key", ["clock_a.seed", "clock_b.seed"])
+def test_a_negative_clock_seed_is_named(key):
+    # SeedSequence((seed, -1, 0xC10C)) would raise a bare ValueError
+    assert _remote_violations(**{key: -1}) == [f"{key} must be a non-negative integer"]
+
+
+def test_a_start_spread_beyond_the_array_cap_names_the_sync_lead():
+    # remote-default's +-25 ppm clocks start 50 s apart after a 1e9 s lead,
+    # and the sender transmits at 1 kHz from the one start to the other
+    violations = _remote_violations(**{"net.send_rate_hz": 1000.0, "sync_lead_s": 10**9})
+    assert len(violations) == 1
+    assert violations[0].startswith("sync_lead_s=1000000000 implies 5.001e+07 network updates")
+
+
+@pytest.mark.parametrize("lead", [2, 1000, 10**6, 9 * 10**9])
+def test_the_start_spread_is_the_gap_between_the_synced_starts(lead):
+    # at 1 kHz the network-update count reads the send window in ms
+    sc = scenario_mod.scenario_from_flat({**scenario_mod.PRESETS["remote-default"],
+                                          "net.send_rate_hz": 1000.0, "sync_lead_s": lead})
+    [(_, _, updates, _)] = [length for length in scenario_mod._array_lengths(sc)
+                            if length[3] == "network updates"]
+    gap_ms = abs(netsim._synced_start_us(sc.clock_a, sc)
+                 - netsim._synced_start_us(sc.clock_b, sc)) / 1000.0
+    assert updates - sc.duration_ms - netsim.SEND_WARMUP_MS == pytest.approx(gap_ms, abs=0.2)
+
+
+@pytest.mark.parametrize("key,value,valid", [
+    ("start_utc_second", 9_000_000_000, True),
+    ("start_utc_second", 9_000_000_001, False),
+    ("start_utc_second", 10**30, False),
+    ("sync_lead_s", 9_000_000_000, True),
+    ("sync_lead_s", 9_000_000_001, False),
+    ("sync_lead_s", 10**400, False),
+], ids=["start-max", "start-beyond", "start-1e30", "lead-max", "lead-beyond",
+        "lead-401-digits"])
+def test_the_time_base_bounds_start_and_sync_lead(key, value, valid):
+    # beyond 2**53 us a remote run's time base loses its 1 us resolution,
+    # and a lead of 10**400 s overflowed the float conversion
+    assert _remote_violations(**{key: value}) == ([] if valid else
+                          [f"{key}={value} must lie in [1, 9000000000] seconds"])
+
+
+@pytest.mark.parametrize("key,value", [
+    ("pipeline.refresh_hz", 1e-302), ("pipeline_b.refresh_hz", 1e-4),
+    ("net.send_rate_hz", 2.2250738585e-313), ("audio.sample_hz", 1e-4),
+])
+def test_a_rate_below_one_per_hour_is_named(key, value):
+    # 1000 / 1e-302 ms frames overflowed the frame schedule to inf, and
+    # 1e6 / 2.2e-313 us send intervals numpy's uniform phase draw
+    flat = {**scenario_mod.PRESETS["remote-default"], **scenario_mod.PRESETS["audio-local"],
+            key: value}
+    violations = scenario_mod.validate(scenario_mod.scenario_from_flat(flat))
+    assert violations == [f"{key}={value} must be at least one per hour"]
+
+
+@pytest.mark.parametrize("phase_ms,valid", [(0.0, True), (34.48, True), (34.49, False),
+                                            (1.7976931348623157e305, False)])
+def test_the_send_phase_lies_inside_one_send_interval(phase_ms, valid):
+    # 29 Hz sends every 34.483 ms; 1.8e305 ms overflowed to inf in microseconds
+    violations = _remote_violations(**{"net.phase_ms": phase_ms})
+    assert violations == ([] if valid else [
+        f"net.phase_ms={phase_ms} must lie in [0, 1000 / net.send_rate_hz)"])
 
 
 def test_raise_if_invalid_raises_with_the_violation_list():
@@ -268,12 +385,52 @@ def test_an_infinite_drift_is_reported_once():
 
 
 def test_section_fields_are_resolved_once_and_read_only():
-    fields = scenario_mod._section_fields(PipelineConfig)
-    assert scenario_mod._section_fields(PipelineConfig) is fields
-    assert fields["refresh_hz"] is float
+    keys = scenario_mod._KEYS
+    assert keys["pipeline.refresh_hz"] == ("pipeline", "refresh_hz", float)
     with pytest.raises(TypeError):
-        fields["refresh_hz"] = int
-    assert list(scenario_mod._section_fields(SimClock)) == ["drift_ppm", "seed"]
+        keys["pipeline.refresh_hz"] = ("pipeline", "refresh_hz", int)
+    assert [key for key in keys if key.startswith("clock_a.")] == \
+        ["clock_a.drift_ppm", "clock_a.seed"]
+    assert keys["seed"] == (None, "seed", int)
+
+
+# SHA-256 of format_config of every preset; the presets are built from
+# shared fragments, and each must still spell the same scenario
+_PRESET_CONFIG_SHA256 = {
+    "audio-local": "59cb6c3ab22faa15649fb73b8de5d774d5a7f6076efd68a229ca420552fdca0d",
+    "audio-remote": "5c718e61ae0ed4c300728f3c3bf33ca76380b2aa729e9ead1e4e0b2c1b875557",
+    "frame-delay-1": "6c737fd07590768b99fcfceed852fcc9afd1078d2cd7a9e16ab7dfb457353ad9",
+    "frame-delay-10": "59a97dda09dc158f9953c670beb916069bfad823ed550baa3bc0356053706255",
+    "frame-delay-5": "9020cbdbc81d703cd9d3a51bfb05ee778c79456e12dad814347d5d97a18b60a6",
+    "remote-asymmetric": "6c7b0490a766a7e92cb1d4ef7b5463b0080eb2704b8e48c86eebc3956053a7da",
+    "remote-default": "14cb7b788d8abd92b80d059ddaa1d45487d4e4934418f712c2a29f45ea78246d",
+    "vive-baseline": "0959f50044d320f8526eb360aa9134a1acaa157699b5a0b6e510524284e6b7a3",
+    "zero-delay": "5f2d27592bc50c2fb66c7f5be25e34d99cae867c5f15e459c76681ecbcbf0023",
+}
+
+
+def test_every_preset_spells_its_pinned_config():
+    assert scenario_mod.preset_names() == sorted(_PRESET_CONFIG_SHA256)
+    for name, digest in _PRESET_CONFIG_SHA256.items():
+        text = scenario_mod.format_config(scenario_mod.get_preset(name))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("key,value", [("pipeline.frame_delay_queue_len", 2.7),
+                                       ("seed", 1.5), ("seed", 2.0), ("seed", None)])
+def test_an_int_key_refuses_a_number_that_is_not_an_integer(key, value):
+    # the config text 2.7 is refused, so the number 2.7 is too, not truncated
+    with pytest.raises(ScenarioValidationError) as err:
+        scenario_mod.scenario_from_flat({key: value})
+    assert err.value.violations == [f"cannot parse value for {key!r}: {value!r}"]
+
+
+def test_only_a_key_whose_default_is_none_takes_none():
+    sc = scenario_mod.scenario_from_flat({"net.phase_ms": None, "seed": np.int64(3)})
+    assert sc.net == NetworkConfig(phase_ms=None)
+    assert sc.seed == 3
+    with pytest.raises(ScenarioValidationError):
+        scenario_mod.scenario_from_flat({"net.send_rate_hz": None})
 
 
 def test_lines_without_equals_are_rejected():
