@@ -40,46 +40,32 @@ def buzzer_waveform(cfg: AudioPathConfig, t_us):
     return np.where(phase < period_us / 2.0, 1.0, -1.0)
 
 
-def detect_first_crossing(cfg: AudioPathConfig, waveform, *, rng=None,
-                          horizon_ms=DEFAULT_HORIZON_MS):
-    """Earliest polling instant at which the delayed, rectified signal
-    reaches the threshold.
+def measure_mouth_to_ear(cfg: AudioPathConfig, seed=0) -> MouthToEarResult:
+    """Count whole 1 ms polling intervals until the tone is detected.
 
-    `waveform` is a callable t_us -> amplitude describing the source.
-    The detector hears attenuation * waveform(t - path_delay), silence
-    before the sound arrives, plus optional Gaussian noise per poll.
-    Returns the crossing time in microseconds.
+    The detector hears attenuation * buzzer_waveform(t - path_delay),
+    silence before the sound arrives, plus optional Gaussian noise per
+    poll, and answers at the first poll within DEFAULT_HORIZON_MS at
+    which the rectified signal reaches the threshold.
     """
     step_us = 1e6 / cfg.sample_hz
     delay_us = cfg.path_delay_ms * 1000.0
-    n = int(np.floor(horizon_ms * 1000.0 / step_us)) + 1
+    n = int(np.floor(DEFAULT_HORIZON_MS * 1000.0 / step_us)) + 1
     times = np.arange(n) * step_us
     heard = np.zeros(n)
     arrived = times >= delay_us
     if arrived.any():
-        heard[arrived] = cfg.attenuation * np.asarray(
-            waveform(times[arrived] - delay_us), dtype=float
-        )
-    if rng is not None and cfg.noise_sigma > 0:
-        heard = heard + rng.normal(0.0, cfg.noise_sigma, size=n)
-    hits = np.flatnonzero(np.abs(heard) >= cfg.threshold)
-    if hits.size == 0:
-        raise DetectionTimeoutError(
-            f"no threshold crossing within {horizon_ms} ms"
-        )
-    return float(times[hits[0]])
-
-
-def measure_mouth_to_ear(cfg: AudioPathConfig, seed=0,
-                         horizon_ms=DEFAULT_HORIZON_MS) -> MouthToEarResult:
-    """Count whole 1 ms polling intervals until the tone is detected."""
-    rng = None
+        heard[arrived] = cfg.attenuation * buzzer_waveform(
+            cfg, times[arrived] - delay_us)
     if cfg.noise_sigma > 0:
         # tagged, so the detector noise is not the capture's stream:
         # SeedSequence((seed, 0)) and a plain seed give the same one
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA0D1)))
-    crossing_us = detect_first_crossing(
-        cfg, lambda t: buzzer_waveform(cfg, t), rng=rng, horizon_ms=horizon_ms
-    )
-    intervals = int(np.ceil(crossing_us / 1000.0))
+        heard = heard + rng.normal(0.0, cfg.noise_sigma, size=n)
+    hits = (np.abs(heard) >= cfg.threshold).nonzero()[0]
+    if hits.size == 0:
+        raise DetectionTimeoutError(
+            f"no threshold crossing within {DEFAULT_HORIZON_MS} ms"
+        )
+    intervals = int(np.ceil(float(times[hits[0]]) / 1000.0))
     return MouthToEarResult(intervals=intervals, latency_ms=float(intervals))

@@ -59,12 +59,8 @@ PEAK_WARNING_LEVEL = 0.9         # noiseless runs peak above 0.99; below this
 @dataclass(frozen=True)
 class DecodedTrace:
     values: np.ndarray           # one code per 1 ms interval
-    source: str                  # "potentiometer" or "display"
     start_utc_us: int
     held_fraction: float = 0.0   # fraction of intervals without fresh light
-
-    def __len__(self):
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -91,11 +87,7 @@ class LatencyReport:
 def decode_pot_trace(capture: RawCapture) -> DecodedTrace:
     """Quantize the normalized potentiometer channel to the code scale."""
     codes = codec.quantize_angle_clamped(np.asarray(capture.pot, dtype=float), 1.0)
-    return DecodedTrace(
-        values=codes,
-        source="potentiometer",
-        start_utc_us=capture.start_utc_us,
-    )
+    return DecodedTrace(values=codes, start_utc_us=capture.start_utc_us)
 
 
 def decode_display_trace(capture: RawCapture) -> DecodedTrace:
@@ -147,7 +139,6 @@ def decode_display_trace(capture: RawCapture) -> DecodedTrace:
     values = burst_codes.repeat(bounds[1:] - bounds[:-1])
     return DecodedTrace(
         values=values,
-        source="display",
         start_utc_us=capture.start_utc_us,
         held_fraction=float(1.0 - np.count_nonzero(lit) / n),
     )
@@ -342,14 +333,12 @@ def estimate_remote(sender_pot: DecodedTrace, receiver_display: DecodedTrace,
             f"{MIN_LENGTH_FACTOR * max_lag_ms}"
         )
     common_start = max(sender_pot.start_utc_us, receiver_display.start_utc_us)
-    ref = DecodedTrace(ref_vals, sender_pot.source, common_start,
-                       sender_pot.held_fraction)
-    dly = DecodedTrace(del_vals, receiver_display.source, common_start,
-                       receiver_display.held_fraction)
-    return cross_correlate(ref, dly, max_lag_ms, allow_negative)
+    return cross_correlate(DecodedTrace(ref_vals, common_start),
+                           DecodedTrace(del_vals, common_start),
+                           max_lag_ms, allow_negative)
 
 
-def build_report(*, local: CorrelationResult | None = None,
+def build_report(*, local: CorrelationResult,
                  mouth_to_ear=None,
                  remote: CorrelationResult | None = None,
                  remote_direction: str | None = None,
@@ -362,20 +351,19 @@ def build_report(*, local: CorrelationResult | None = None,
     """
     primary = remote if remote is not None else local
     warnings = []
-    if primary is not None:
-        if primary.peak_coefficient < PEAK_WARNING_LEVEL:
-            warnings.append("low_peak_coefficient")
-        if primary.best_lag_ms < 0:
-            warnings.append("negative_lag")
+    if primary.peak_coefficient < PEAK_WARNING_LEVEL:
+        warnings.append("low_peak_coefficient")
+    if primary.best_lag_ms < 0:
+        warnings.append("negative_lag")
     return LatencyReport(
-        motion_to_photon_ms=None if local is None else local.best_lag_ms,
+        motion_to_photon_ms=local.best_lag_ms,
         mouth_to_ear_ms=None if mouth_to_ear is None else mouth_to_ear.intervals,
         remote_direction=remote_direction if remote is not None else None,
         remote_latency_ms=None if remote is None else remote.best_lag_ms,
-        peak_coefficient=None if primary is None else primary.peak_coefficient,
+        peak_coefficient=primary.peak_coefficient,
         decode_error_rate=(
             None if display_trace is None else display_trace.held_fraction
         ),
-        trace_length=None if primary is None else primary.trace_length,
+        trace_length=primary.trace_length,
         warnings=tuple(warnings),
     )

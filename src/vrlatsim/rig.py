@@ -113,10 +113,10 @@ def platform_angle(profile: MotionProfile, t_ms):
     )
 
 
-def potentiometer_read(angle_deg, angle_range_deg, sensors: SensorConfig, rng=None):
+def potentiometer_read(angle_deg, angle_range_deg, sensors: SensorConfig, rng):
     """Normalized potentiometer reading: angle/range plus noise, clamped."""
     value = np.asarray(angle_deg, dtype=float) / angle_range_deg
-    if rng is not None and sensors.pot_noise_sigma > 0:
+    if sensors.pot_noise_sigma > 0:
         value = value + rng.normal(0.0, sensors.pot_noise_sigma, size=value.shape)
     return np.clip(value, 0.0, 1.0)
 

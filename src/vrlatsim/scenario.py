@@ -90,7 +90,7 @@ def _check_pipeline(label: str, p: PipelineConfig, sensors: SensorConfig,
             f"less than {margin_ms:.2f} ms dark per {frame_ms:.2f} ms frame; "
             "the decoder needs a settled dark sample between strobes"
         )
-    if p.frame_delay_queue_len < 0 or int(p.frame_delay_queue_len) != p.frame_delay_queue_len:
+    if not _is_count(p.frame_delay_queue_len):
         violations.append(f"{label}.frame_delay_queue_len must be a non-negative integer")
     elif p.frame_delay_queue_len > MAX_ARRAY_LENGTH:
         # the frame schedule reaches back one frame per queued frame
@@ -101,6 +101,11 @@ def _check_pipeline(label: str, p: PipelineConfig, sensors: SensorConfig,
     for name in ("tracking_delay_ms", "render_compute_ms", "extrapolation_ms"):
         if getattr(p, name) < 0:
             violations.append(f"{label}.{name} must be >= 0")
+
+
+def _is_count(value) -> bool:
+    # never float(value): an int past 1e308 overflows; nan and inf fail
+    return value >= 0 and (not isinstance(value, float) or value.is_integer())
 
 
 def _array_lengths(scenario: Scenario):
@@ -219,7 +224,7 @@ def validate(scenario: Scenario) -> list:
                              f"above the maximum of {MAX_ARRAY_LENGTH} "
                              "array elements")
     for key in ("seed", "clock_a.seed", "clock_b.seed"):
-        if flat[key] < 0 or int(flat[key]) != flat[key]:
+        if not _is_count(flat[key]):
             v.append(f"{key} must be a non-negative integer")
     for key in ("start_utc_second", "sync_lead_s"):
         if not 1 <= flat[key] <= _MAX_SECONDS:

@@ -42,7 +42,7 @@ import mmap
 import operator
 import os
 import re
-import tempfile
+from dataclasses import fields
 
 import numpy as np
 
@@ -86,7 +86,11 @@ def atomic_write_text(path: str, text: str | bytes):
     """
     data = text.encode() if isinstance(text, str) else text
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # created as open() creates a file, so the umask sets its mode (a
+    # mkstemp file keeps 0600 through the rename); O_EXCL refuses a clash
+    tmp_path = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL
+                 | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
@@ -232,22 +236,11 @@ def _line_at(data: bytes, at: int) -> str:
 # ---------------------------------------------------------------------------
 # report files
 
-_REPORT_ORDER = (
-    "motion_to_photon_ms",
-    "mouth_to_ear_ms",
-    "remote_direction",
-    "remote_latency_ms",
-    "peak_coefficient",
-    "decode_error_rate",
-    "trace_length",
-    "warnings",
-)
-
-
 def format_report(report) -> str:
-    """Stable key order; absent metrics are omitted rather than nulled."""
+    """Fields in their declared order; absent metrics are omitted, not nulled."""
     lines = []
-    for key in _REPORT_ORDER:
+    for field in fields(report):
+        key = field.name
         value = getattr(report, key)
         if key == "warnings":
             lines.append(f"warnings = {','.join(value) if value else 'none'}")

@@ -207,9 +207,9 @@ def test_3_lag_recovery_against_naive_reference():
         walk = _random_walk_codes(rng, n).astype(float)
         walk += rng.normal(0.0, 2.0, size=n)
         lag_true = int(rng.integers(0, max_lag + 1))
-        ref = DecodedTrace(values=walk, source="potentiometer", start_utc_us=0)
+        ref = DecodedTrace(values=walk, start_utc_us=0)
         obs = DecodedTrace(values=_delay_codes(walk, lag_true),
-                           source="display", start_utc_us=0)
+                           start_utc_us=0)
         corr = estimator.cross_correlate(ref, obs, max_lag)
         if corr.best_lag_ms == lag_true:
             exact += 1

@@ -40,7 +40,7 @@ def test_known_delays_measure_within_one_interval(delay_ms):
                  allow_nan=False, allow_infinity=False))
 def test_measurement_is_never_early_and_overshoots_below_one_interval(delay_ms):
     cfg = AudioPathConfig(path_delay_ms=delay_ms)
-    result = audio.measure_mouth_to_ear(cfg, horizon_ms=3000.0)
+    result = audio.measure_mouth_to_ear(cfg)
     assert delay_ms <= result.latency_ms <= delay_ms + 1.0
 
 
@@ -59,13 +59,18 @@ def test_tone_frequency_does_not_change_the_count(tone_hz):
 def test_attenuated_signal_below_threshold_times_out():
     cfg = AudioPathConfig(path_delay_ms=5.0, attenuation=0.4, threshold=0.5)
     with pytest.raises(DetectionTimeoutError):
-        audio.measure_mouth_to_ear(cfg, horizon_ms=100.0)
+        audio.measure_mouth_to_ear(cfg)
 
 
 def test_silence_past_the_horizon_times_out():
-    cfg = AudioPathConfig(path_delay_ms=500.0)
-    with pytest.raises(DetectionTimeoutError):
-        audio.measure_mouth_to_ear(cfg, horizon_ms=200.0)
+    # the last poll is at the horizon itself, so a tone arriving at it
+    # counts and one a poll later does not
+    horizon = audio.DEFAULT_HORIZON_MS
+    result = audio.measure_mouth_to_ear(AudioPathConfig(path_delay_ms=horizon))
+    assert result.intervals == int(horizon)
+    cfg = AudioPathConfig(path_delay_ms=horizon + 0.5)
+    with pytest.raises(DetectionTimeoutError, match="within 10000.0 ms"):
+        audio.measure_mouth_to_ear(cfg)
 
 
 def test_noisy_measurement_is_seed_deterministic():
@@ -78,10 +83,7 @@ def test_noisy_measurement_is_seed_deterministic():
 def test_detector_polls_on_its_own_grid():
     # a coarser detector can only answer in its own interval multiples
     cfg = AudioPathConfig(path_delay_ms=3.0, sample_hz=100.0)
-    crossing = audio.detect_first_crossing(
-        cfg, lambda t: audio.buzzer_waveform(cfg, t), horizon_ms=1000.0
-    )
-    assert crossing == pytest.approx(10_000.0)
+    assert audio.measure_mouth_to_ear(cfg).intervals == 10
 
 
 def test_interval_count_is_the_ceiling_of_the_crossing():

@@ -58,13 +58,19 @@ def test_simulate_baseline_writes_trace_and_report(tmp_path, capsys):
     assert _report_value(report, "warnings") == "none"
 
 
-def test_estimate_matches_simulate_locally(tmp_path):
+@pytest.mark.parametrize("preset", ["vive-baseline", "frame-delay-1", "frame-delay-5",
+                                    "frame-delay-10", "zero-delay", "audio-local"])
+def test_estimate_matches_simulate_locally(preset, tmp_path):
+    # estimate reads only the trace, so only simulate measures mouth-to-ear
     simdir = str(tmp_path / "sim")
-    assert cli.main(["simulate", "--config", "vive-baseline", "--out", simdir]) == 0
+    assert cli.main(["simulate", "--config", preset, "--out", simdir]) == 0
     out = str(tmp_path / "est.txt")
     code = cli.main(["estimate", os.path.join(simdir, "trace_A.csv"), "--out", out])
     assert code == 0
-    assert _read(out) == _read(os.path.join(simdir, "report.txt"))
+    sim_report = _read(os.path.join(simdir, "report.txt")).splitlines(keepends=True)
+    audio = [line for line in sim_report if line.startswith("mouth_to_ear_ms = ")]
+    assert len(audio) == (preset == "audio-local")
+    assert _read(out) == "".join(line for line in sim_report if line not in audio)
 
 
 def test_estimate_matches_simulate_for_remote_pairs(tmp_path):

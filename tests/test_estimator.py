@@ -43,9 +43,8 @@ def make_capture(pot=None, photo=None, start_utc_us=0, station="A"):
                       photo=np.asarray(photo, dtype=float))
 
 
-def make_trace(values, start_utc_us=0, source="potentiometer"):
-    return DecodedTrace(values=np.asarray(values), source=source,
-                        start_utc_us=start_utc_us)
+def make_trace(values, start_utc_us=0):
+    return DecodedTrace(values=np.asarray(values), start_utc_us=start_utc_us)
 
 
 def random_walk_codes(rng, n):
@@ -63,7 +62,6 @@ def test_pot_trace_quantizes_to_the_code_scale():
     capture = make_capture(pot=np.array([0.0, 0.5, 0.9999]))
     trace = estimator.decode_pot_trace(capture)
     assert list(trace.values) == [0, 2048, 4095]
-    assert trace.source == "potentiometer"
     assert trace.held_fraction == 0.0
 
 
@@ -80,7 +78,6 @@ def test_display_trace_decodes_a_constant_code():
     photo = _photo_rows_for(1234, n_lit=2, n_dark=9, repeats=20)
     trace = estimator.decode_display_trace(make_capture(photo=photo))
     assert np.all(trace.values == 1234)
-    assert trace.source == "display"
     assert trace.held_fraction == pytest.approx(9 / 11)
 
 
@@ -838,8 +835,7 @@ def test_remote_alignment_cancels_start_time_differences(start_gap_ms):
         np.concatenate([base[-shift:], np.full(-shift, base[-1])])
     result = estimator.estimate_remote(
         make_trace(base[:5000], start_utc_us=sender_start_us),
-        make_trace(receiver_vals[:5000], start_utc_us=receiver_start_us,
-                   source="display"),
+        make_trace(receiver_vals[:5000], start_utc_us=receiver_start_us),
         max_lag_ms=100,
     )
     assert result.best_lag_ms == true_delay
@@ -856,7 +852,7 @@ def test_utc_alignment_drops_the_earlier_head(gap_us, ref_head, del_head):
     delayed = np.arange(1000, 1090)
     got_ref, got_del = estimator.align_on_utc(
         make_trace(ref, start_utc_us=5_000_000),
-        make_trace(delayed, start_utc_us=5_000_000 + gap_us, source="display"),
+        make_trace(delayed, start_utc_us=5_000_000 + gap_us),
     )
     overlap = min(100 - ref_head, 90 - del_head)
     assert np.array_equal(got_ref, ref[ref_head:ref_head + overlap])
@@ -868,7 +864,7 @@ def test_misaligned_traces_without_overlap_raise():
     with pytest.raises(AlignmentError):
         estimator.estimate_remote(
             make_trace(vals, start_utc_us=0),
-            make_trace(vals, start_utc_us=1_900_000, source="display"),
+            make_trace(vals, start_utc_us=1_900_000),
             max_lag_ms=50,
         )
 
@@ -879,8 +875,7 @@ def test_report_collects_warnings_and_diagnostics():
     noisy = delay_by(ref, 10) + rng.normal(0, 2000, size=3000)
     weak = estimator.cross_correlate(make_trace(ref), make_trace(noisy),
                                      max_lag_ms=60)
-    display = make_trace(delay_by(ref, 10), source="display")
-    display = DecodedTrace(display.values, "display", 0, held_fraction=0.85)
+    display = DecodedTrace(delay_by(ref, 10), 0, held_fraction=0.85)
     report = estimator.build_report(local=weak, display_trace=display)
     assert report.peak_coefficient < 0.9
     assert "low_peak_coefficient" in report.warnings

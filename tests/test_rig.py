@@ -30,8 +30,9 @@ def test_platform_angle_hits_the_quarter_points():
 
 def test_potentiometer_normalizes_and_clamps():
     sensors = SensorConfig()
-    assert rig.potentiometer_read(180.0, 360.0, sensors) == pytest.approx(0.5)
-    assert rig.potentiometer_read(-10.0, 360.0, sensors) == 0.0
+    rng = np.random.default_rng(0)
+    assert rig.potentiometer_read(180.0, 360.0, sensors, rng) == pytest.approx(0.5)
+    assert rig.potentiometer_read(-10.0, 360.0, sensors, rng) == 0.0
 
 
 def test_potentiometer_noise_statistics():

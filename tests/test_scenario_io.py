@@ -142,7 +142,7 @@ def test_a_network_rate_beyond_the_array_cap_is_named(tmp_path):
 
 
 def test_an_audio_poll_rate_beyond_the_array_cap_is_named():
-    # would ask numpy for 1e13 poll instants in detect_first_crossing
+    # would ask numpy for 1e13 poll instants in measure_mouth_to_ear
     flat = {**scenario_mod.PRESETS["audio-local"], "audio.sample_hz": 1e12}
     violations = scenario_mod.validate(scenario_mod.scenario_from_flat(flat))
     assert len(violations) == 1
@@ -382,6 +382,24 @@ def test_an_infinite_drift_is_reported_once():
     violations = scenario_mod.validate(scenario_mod.scenario_from_flat(flat))
     assert [v for v in violations if v.startswith("clock_a.")] == \
         ["clock_a.drift_ppm must be finite, got inf"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("key", [key for key, (_, _, hint) in scenario_mod._KEYS.items()
+                                 if hint is int])
+def test_a_non_finite_integer_is_reported_not_raised(key, value):
+    # a config file cannot put a float under an int key, but a Scenario
+    # built in Python can, and validate must report it with its key
+    section, name, _ = scenario_mod._KEYS[key]
+    if section is None:
+        sc = replace(_FULL_SCENARIO, **{name: value})
+    else:
+        part = replace(getattr(_FULL_SCENARIO, section), **{name: value})
+        sc = replace(_FULL_SCENARIO, **{section: part})
+    violations = scenario_mod.validate(sc)
+    # once as not finite, once by the key's own range or integer check
+    named = [v for v in violations if v.startswith(key)]
+    assert len(named) == 2 and named[0] == f"{key} must be finite, got {value}"
 
 
 def test_section_fields_are_resolved_once_and_read_only():
@@ -1175,6 +1193,20 @@ def test_atomic_write_replaces_and_leaves_no_temp_files(tmp_path):
     with open(path) as handle:
         assert handle.read() == "second\n"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_written_files_take_their_mode_from_the_umask(umask, mode, tmp_path):
+    # as open() gives it; a temp file made by mkstemp would keep 0600
+    path = tmp_path / "trace_A.csv"
+    old = os.umask(umask)
+    try:
+        tracefile.write_trace(str(path), _unit_capture(3, seed=0))
+    finally:
+        os.umask(old)
+    assert path.stat().st_mode & 0o777 == mode
+    assert os.listdir(tmp_path) == ["trace_A.csv"]
 
 
 def test_batch_summary_spread_uses_sample_deviation():
