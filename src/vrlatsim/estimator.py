@@ -347,8 +347,17 @@ def build_report(*, local: CorrelationResult,
 
     Diagnostics (peak coefficient, decode error rate, trace length) come
     from the primary estimate: the remote one when present, the local
-    loop otherwise.
+    loop otherwise.  Raises EstimationError when either best lag is an
+    edge of its lag window, the last lag or a negative first one: the
+    peak may lie beyond what was searched.
     """
+    for what, result in (("local", local), ("remote", remote)):
+        if result is not None and (result.best_lag_ms == result.lags_ms[-1]
+                                   or result.best_lag_ms == result.lags_ms[0] < 0):
+            raise EstimationError(
+                f"{what} best lag {result.best_lag_ms} ms is on the edge of the "
+                f"lag window [{result.lags_ms[0]}, {result.lags_ms[-1]}] ms, so "
+                "the peak may lie beyond it; widen --max-lag")
     primary = remote if remote is not None else local
     warnings = []
     if primary.peak_coefficient < PEAK_WARNING_LEVEL:

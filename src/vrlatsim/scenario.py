@@ -199,6 +199,21 @@ def validate(scenario: Scenario) -> list:
             v.append("audio.attenuation must lie in (0, 1]")
         if a.noise_sigma < 0:
             v.append("audio.noise_sigma must be >= 0")
+        # a tone the detector can never hear: one that arrives after the
+        # last poll `measure_mouth_to_ear` takes, by its own expressions (a
+        # rate outside this range is reported below), or one too quiet
+        # with no noise to lift it
+        if 1000.0 / MAX_DURATION_MS <= a.sample_hz <= MAX_ARRAY_LENGTH:
+            step_us = 1e6 / a.sample_hz
+            last_poll_us = math.floor(DEFAULT_HORIZON_MS * 1000.0 / step_us) * step_us
+            if a.path_delay_ms * 1000.0 > last_poll_us:
+                v.append(f"audio.path_delay_ms={a.path_delay_ms} falls after the "
+                         f"detector's last poll at {last_poll_us / 1000.0} ms, so "
+                         "the tone is never detected")
+        if a.noise_sigma == 0 and a.attenuation < a.threshold:
+            v.append(f"audio.attenuation={a.attenuation} is below audio.threshold="
+                     f"{a.threshold} with audio.noise_sigma = 0, so the tone is "
+                     "never detected")
 
     # the schedules count periods in float microseconds, which overflow
     # long before a period as long as an hour does

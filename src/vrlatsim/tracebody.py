@@ -13,17 +13,19 @@ in the same pass, checks that each is finite, in 0 ... 10**6 and not
 and column of the first that is not.  It writes index digits by integer
 division and value text from two lookup tables of 3-digit groups,
 straight into one buffer.  `parse_rows` accepts only exactly such rows
-up to the end of the data: one uint8 comparison against a row template
-checks the separators, `.`, LF and digits, and one matrix product of the
-digits with their place values gives each index and each value as an
-integer times 1e-6.  The product runs in float32: a value cell spells at
-most 9 999 999 and an index of up to 7 digits at most as much, both
-below 2**24, so every product and partial sum is an integer float32
-holds exactly, in any summation order.  Indices of 8 digits and more
-take a float64 product.  Dividing the integer by 1e6 in float64 is
-correctly rounded, so it equals `float()` of the text.  Anything else
-raises `RowError` at the first row that is not what `format_rows`
-writes.
+up to the end of the data.  It subtracts a row template from each block
+of rows in uint8 arithmetic, so a byte below its template wraps to 247
+or more: every column must then be at most 9.  One matrix product
+of the difference with the place values gives each index and each value
+as an integer times 1e-6, and the sum of the 11 separator columns, which
+must be 0.  The product runs in float32: once every column is at most 9,
+a value cell spells at most 9 999 999 and an index of up to 7 digits at
+most as much, both below 2**24, and the separator sum is at most
+11 * 255, so every product and partial sum is an integer float32 holds
+exactly, in any summation order.  Indices of 8 digits and more take a
+float64 product.  Dividing the integer by 1e6 in float64 is correctly
+rounded, so it equals `float()` of the text.  Anything else raises
+`RowError` at the first row that is not what `format_rows` writes.
 """
 from __future__ import annotations
 
@@ -102,13 +104,15 @@ def _whole_rows(size: int):
 def _row_template(digits: int):
     """What a canonical row with a `digits`-digit index holds, column by column.
 
-    Returns three read-only arrays over the row's bytes: `offset` holds
+    Returns two read-only arrays over the row's bytes: `offset` holds
     each separator and "0" elsewhere, so a written row starts as a copy
-    of it; `row - offset < bound` holds in uint8 arithmetic exactly when
-    digit columns hold digits and separator columns their separator; and
-    `(row - offset) @ places` gives the index and the five values times
-    1e6.  `places` is float32 up to 7 index digits, where every sum it
-    makes is an integer below 2**24, and float64 beyond.
+    of it; and `(row - offset) @ places`, the difference in uint8
+    arithmetic, gives the index, the five values times 1e6 and, last,
+    the sum of the 11 separator columns.  The row is canonical exactly
+    when no column of the difference exceeds 9, the separator sum is 0,
+    the index is in order and the values are at most 1e6.  `places` is
+    float32 up to 7 index digits, where every sum it makes from such a
+    row is an integer below 2**24, and float64 beyond.
     """
     width = digits + _ROW_BYTES_AFTER_INDEX
     offset = np.full(width, ord("0"), np.uint8)
@@ -117,51 +121,28 @@ def _row_template(digits: int):
     cells[:, 1] = ord(".")
     cells[:, -1] = ord(",")
     cells[-1, -1] = ord("\n")
-    bound = np.where(offset == ord("0"), 10, 1).astype(np.uint8)
     exact = np.float32 if digits <= _FLOAT32_INDEX_DIGITS else np.float64
-    places = np.zeros((width, 1 + COLUMNS), exact)
+    places = np.zeros((width, 2 + COLUMNS), exact)
     places[:digits, 0] = 10.0 ** np.arange(digits - 1, -1, -1)
+    places[offset != ord("0"), -1] = 1
     cell_places = places[digits + 1:].reshape(COLUMNS, _CELL_BYTES, -1)
     for col in range(COLUMNS):
         cell_places[col, 0, 1 + col] = _SCALE
         cell_places[col, 2:-1, 1 + col] = 10.0 ** np.arange(DECIMALS - 1, -1, -1)
-    for array in (offset, bound, places):
-        array.flags.writeable = False
-    return offset, bound, places
+    offset.flags.writeable = places.flags.writeable = False
+    return offset, places
 
 
-def _block_numbers(block: np.ndarray, digits: int, first: int):
-    """The index and five values times 1e6 of each row in `block`, else None.
-
-    `block` holds rows with `digits`-digit indices, `first` onwards; None
-    when a byte is off the template or an index out of order.
-    """
-    offset, bound, places = _row_template(digits)
-    found = block - offset
-    if not (found < bound).all():
-        return None
-    # every sum is a non-negative integer no larger than its row's total,
-    # which is at most 9 999 999 for a value and below 2**24 for an index
-    # in a float32 `places`, so the product is exact whatever the BLAS
-    # kernel's summation order
-    numbers = found.astype(places.dtype) @ places
-    if not (numbers[:, 0] == np.arange(first, first + len(block))).all():
-        return None
-    return numbers
-
-
-def _first_bad_row(block: np.ndarray, digits: int, first: int) -> int:
-    """Position in `block` of its first row with a byte off the template,
-    an index out of order or a value above 1."""
-    offset, bound, places = _row_template(digits)
-    found = block - offset
-    # a row with a byte off the template may sum to anything, but it is
-    # bad already
-    numbers = found.astype(places.dtype) @ places
-    good = ((found < bound).all(axis=1)
-            & (numbers[:, 0] == np.arange(first, first + len(block)))
-            & (numbers[:, 1:] <= _SCALE).all(axis=1))
-    return int(np.argmin(good))
+def _first_bad_row(found: np.ndarray, numbers: np.ndarray, first: int) -> int:
+    """Position of the first row that is not canonical in a block of rows
+    `first` onwards, from the block less its template, `found`, and the
+    product `numbers` of `found` and the template's `places`."""
+    # a row with a byte more than 9 off its template may sum to anything,
+    # but it is bad already
+    good = ((found.max(axis=1) <= 9) & (numbers[:, -1] == 0)
+            & (numbers[:, 0] == np.arange(first, first + len(found)))
+            & (numbers[:, 1:-1] <= _SCALE).all(axis=1))
+    return int(good.argmin())
 
 
 def format_rows(prefix: bytes, pot: np.ndarray, photo: np.ndarray) -> bytearray:
@@ -197,14 +178,14 @@ def format_rows(prefix: bytes, pot: np.ndarray, photo: np.ndarray) -> bytearray:
             if np.signbit(v).any() or not v.max() <= _SCALE:
                 raise _off_range_error(v, a, pot, photo)
             high, low = np.divmod(v.astype(np.uint32), 1000)
-            words[a - lo:b - lo] = np.take(_HIGH_WORDS, high) | np.take(_LOW_WORDS, low)
+            words[a - lo:b - lo] = _HIGH_WORDS.take(high) | _LOW_WORDS.take(low)
     return out
 
 
 def _off_range_error(rounded: np.ndarray, first: int, pot, photo) -> ValueError:
     """The error for the first sample of a rounded block, rows `first`
     onwards, that is not in 0 ... 10**6 or is -0.0."""
-    row, col = divmod(int(np.argmax(np.signbit(rounded) | ~(rounded <= _SCALE))),
+    row, col = divmod(int((np.signbit(rounded) | ~(rounded <= _SCALE)).argmax()),
                       COLUMNS)
     row += first
     value = float(pot[row] if col == 0 else photo[row, col - 1])
@@ -230,19 +211,23 @@ def parse_rows(data: bytes, start: int):
     photo = np.empty((n, COLUMNS - 1))
     for lo, hi, width in _decades(n):
         rows = np.frombuffer(data, np.uint8, (hi - lo) * width, start).reshape(-1, width)
-        digits = width - _ROW_BYTES_AFTER_INDEX
+        offset, places = _row_template(width - _ROW_BYTES_AFTER_INDEX)
         for a in range(lo, hi, BLOCK_ROWS):
             b = min(a + BLOCK_ROWS, hi)
-            block = rows[a - lo:b - lo]
-            numbers = _block_numbers(block, digits, a)
-            if numbers is not None:
+            found = rows[a - lo:b - lo] - offset
+            # the maximum while `found` is still in cache; the product is
+            # exact on a block within 9 of its template (module docstring)
+            within_digits = found.max() <= 9
+            numbers = found.astype(places.dtype) @ places
+            if (within_digits and not numbers[:, -1].any()
+                    and (numbers[:, 0] == np.arange(a, b)).all()):
                 # a float32 quotient would round twice; in float64 it is
                 # correctly rounded, as float() of the text is
                 np.divide(numbers[:, 1], _SCALE, out=pot[a:b], dtype=np.float64)
-                np.divide(numbers[:, 2:], _SCALE, out=photo[a:b], dtype=np.float64)
+                np.divide(numbers[:, 2:-1], _SCALE, out=photo[a:b], dtype=np.float64)
                 if max(pot[a:b].max(), photo[a:b].max()) <= 1.0:
                     continue
-            bad = _first_bad_row(block, digits, a)
+            bad = _first_bad_row(found, numbers, a)
             raise RowError(a + bad, start + (a - lo + bad) * width)
         start += rows.size
     if left_over or not n:

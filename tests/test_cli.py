@@ -497,12 +497,19 @@ def test_simulate_and_estimate_run_without_scipy(tmp_path):
     assert "scipy modules: []" in done.stdout
 
 
+def _config_file(tmp_path, name, sc):
+    path = str(tmp_path / f"{name}.cfg")
+    with open(path, "w") as handle:
+        handle.write(scenario_mod.format_config(sc))
+    return path
+
+
 def test_batch_records_an_audio_timeout_as_a_failed_run(tmp_path, capsys):
     sc = replace(scenario_mod.get_preset("audio-local"), duration_ms=2000.0)
-    sc = replace(sc, audio=replace(sc.audio, threshold=0.99, attenuation=0.5))
-    cfg = str(tmp_path / "deaf.cfg")
-    with open(cfg, "w") as handle:
-        handle.write(scenario_mod.format_config(sc))
+    # a noiseless tone below the threshold is an invalid scenario; with a
+    # little noise it is valid, and 0.5 + noise never reaches 0.99
+    cfg = _config_file(tmp_path, "deaf", replace(sc, audio=replace(
+        sc.audio, threshold=0.99, attenuation=0.5, noise_sigma=0.01)))
     out = str(tmp_path / "batch")
     # every run fails, so the command still fails, but only after it has
     # written a summary that names each failed run
@@ -513,6 +520,49 @@ def test_batch_records_an_audio_timeout_as_a_failed_run(tmp_path, capsys):
     assert "run 0 failed: no threshold crossing" in summary
     assert "run 1 failed: no threshold crossing" in summary
     assert "every batch run failed" in capsys.readouterr().err
+
+
+def _queue_18_config(tmp_path):
+    # vive-baseline with an 18-frame queue, about 205.6 ms, beyond the
+    # default 200 ms window: its best lag is the window's last, 200 ms at
+    # peak 0.9991, which is not a maximum of anything
+    sc = scenario_mod.get_preset("vive-baseline")
+    return _config_file(tmp_path, "queue-18", replace(
+        sc, pipeline=replace(sc.pipeline, frame_delay_queue_len=18)))
+
+
+def test_a_best_lag_on_the_window_edge_fails_the_run(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert cli.main(["simulate", "--config", _queue_18_config(tmp_path),
+                     "--seed", "1", "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "local best lag 200 ms is on the edge of the lag window [0, 200]" in err
+    assert "--max-lag" in err
+    assert not os.path.exists(out)
+
+
+def test_batch_records_a_window_edge_lag_as_a_failed_run(tmp_path, capsys):
+    out = str(tmp_path / "batch")
+    assert cli.main(["batch", "--config", _queue_18_config(tmp_path),
+                     "--runs", "2", "--out", out]) == 3
+    summary = _read(os.path.join(out, "batch_summary.txt"))
+    assert "runs = 0" in summary
+    for run in range(2):
+        assert f"run {run} failed: local best lag 200 ms is on the edge" in summary
+    assert "every batch run failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("audio,key", [
+    ({"path_delay_ms": 20000.0}, "audio.path_delay_ms=20000.0"),
+    ({"attenuation": 0.4, "threshold": 0.5}, "audio.attenuation=0.4"),
+], ids=["delay-beyond-the-horizon", "noiseless-below-threshold"])
+def test_undetectable_audio_is_an_invalid_scenario(tmp_path, capsys, audio, key):
+    sc = scenario_mod.get_preset("audio-local")
+    cfg = _config_file(tmp_path, "deaf", replace(sc, audio=replace(sc.audio, **audio)))
+    out = str(tmp_path / "run")
+    assert cli.main(["simulate", "--config", cfg, "--out", out]) == 1
+    assert f"  - {key} " in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_every_error_type_has_an_exit_code():

@@ -911,3 +911,31 @@ def test_report_keeps_remote_and_local_estimates_separate():
     assert report.remote_direction == "A->B"
     # diagnostics follow the remote estimate when it exists
     assert report.peak_coefficient == remote.peak_coefficient
+
+
+def test_a_best_lag_on_an_edge_of_the_window_is_an_estimation_failure():
+    rng = np.random.default_rng(10)
+    ref = random_walk_codes(rng, 3000)
+    inside = estimator.cross_correlate(make_trace(ref), make_trace(delay_by(ref, 6)),
+                                       max_lag_ms=40, allow_negative=True)
+    leading = np.concatenate([ref[60:], np.full(60, ref[-1])])
+    early = estimator.cross_correlate(make_trace(ref), make_trace(leading),
+                                      max_lag_ms=40, allow_negative=True)
+    late = estimator.cross_correlate(make_trace(ref), make_trace(delay_by(ref, 60)),
+                                     max_lag_ms=40)
+    assert (inside.best_lag_ms, early.best_lag_ms, late.best_lag_ms) == (6, -40, 40)
+    for what, lags, estimates in (
+            ("local", "[-40, 40]", {"local": early}),
+            ("local", "[0, 40]", {"local": late}),
+            ("remote", "[-40, 40]", {"local": inside, "remote": early}),
+            ("remote", "[0, 40]", {"local": inside, "remote": late})):
+        best = estimates[what].best_lag_ms
+        with pytest.raises(EstimationError) as err:
+            estimator.build_report(**estimates)
+        assert str(err.value) == (
+            f"{what} best lag {best} ms is on the edge of the lag window "
+            f"{lags} ms, so the peak may lie beyond it; widen --max-lag")
+    # lag 0 is an edge only when no negative lag was searched, and there it
+    # is an answer: nothing lies below it
+    same = estimator.cross_correlate(make_trace(ref), make_trace(ref), max_lag_ms=40)
+    assert estimator.build_report(local=same).motion_to_photon_ms == 0

@@ -14,7 +14,7 @@ import pytest
 import vrlatsim
 
 PER_RUN_MODULES = ("estimator.py", "codec.py", "rig.py", "netsim.py",
-                   "tracefile.py", "audio.py")
+                   "tracefile.py", "tracebody.py", "audio.py")
 # helper -> what the per-run code calls instead
 SLOW_HELPERS = {
     "flatnonzero": "x.nonzero()[0]",

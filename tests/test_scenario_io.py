@@ -1,5 +1,6 @@
 """Scenario validation, flat config parsing and file format tests."""
 import hashlib
+import math
 import os
 import re
 import sys
@@ -9,15 +10,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vrlatsim import audio as audio_mod
 from vrlatsim import cli, netsim, rig
 from vrlatsim import scenario as scenario_mod
 from vrlatsim import tracebody, tracefile
 from vrlatsim.audio import AudioPathConfig
 from vrlatsim.clock import SimClock
-from vrlatsim.errors import ScenarioValidationError, TraceFormatError
+from vrlatsim.errors import (DetectionTimeoutError, ScenarioValidationError,
+                             TraceFormatError)
 from vrlatsim.estimator import LatencyReport
 from vrlatsim.netsim import NetworkConfig
 from vrlatsim.rig import MotionProfile, PipelineConfig, RawCapture, SensorConfig
@@ -148,6 +151,47 @@ def test_an_audio_poll_rate_beyond_the_array_cap_is_named():
     assert len(violations) == 1
     assert violations[0].startswith("audio.sample_hz=")
     assert "audio polls" in violations[0]
+
+
+def _audio_scenario(**audio):
+    flat = {**scenario_mod.PRESETS["audio-local"],
+            **{f"audio.{key}": value for key, value in audio.items()}}
+    return scenario_mod.scenario_from_flat(flat)
+
+
+@pytest.mark.parametrize("sample_hz,last_ms", [(1000.0, 10000.0),
+                                               (0.45, 8888.888888888889)])
+def test_an_audio_delay_after_the_last_poll_is_named(sample_hz, last_ms):
+    # the detector polls every 1e6 / sample_hz us within the 10 s horizon;
+    # at 0.45 Hz its last poll comes at 8888.9 ms.  A tone there is heard,
+    # one after it never is, and validate says so before any capture
+    for delay_ms, heard in ((last_ms, True),
+                            (float(np.nextafter(last_ms, np.inf)), False),
+                            (9000.0, sample_hz == 1000.0), (20000.0, False)):
+        sc = _audio_scenario(sample_hz=sample_hz, path_delay_ms=delay_ms)
+        violations = scenario_mod.validate(sc)
+        if heard:
+            assert violations == []
+            assert audio_mod.measure_mouth_to_ear(sc.audio).intervals == \
+                math.ceil(delay_ms)
+        else:
+            assert len(violations) == 1, violations
+            assert violations[0].startswith(f"audio.path_delay_ms={delay_ms} ")
+            with pytest.raises(DetectionTimeoutError):
+                audio_mod.measure_mouth_to_ear(sc.audio)
+
+
+@pytest.mark.parametrize("attenuation,noise_sigma,valid", [
+    (0.4, 0.0, False), (0.5, 0.0, True), (0.4, 0.05, True)])
+def test_a_noiseless_tone_below_the_threshold_is_named(attenuation, noise_sigma,
+                                                       valid):
+    # threshold 0.5: a noiseless tone at 0.4 never reaches it, one at 0.5
+    # does, and noise makes a crossing possible
+    sc = _audio_scenario(attenuation=attenuation, noise_sigma=noise_sigma)
+    violations = scenario_mod.validate(sc)
+    assert violations == ([] if valid else [
+        "audio.attenuation=0.4 is below audio.threshold=0.5 with "
+        "audio.noise_sigma = 0, so the tone is never detected"])
 
 
 @pytest.mark.parametrize("key,value", [
@@ -714,6 +758,18 @@ def _lines_touched(data, lo, hi, moves_a_line_end):
     return lines
 
 
+def _last_row_separators():
+    """Offsets in the 11-row canonical trace at seed 0 of each kind of
+    separator in its last row: the comma after the index, a point, a comma
+    between values and the closing LF."""
+    text = tracefile.format_trace(_canonical_capture(11, 0))
+    row = text.rindex("\n", 0, len(text) - 1) + 1
+    return row + 2, row + 4, row + 11, len(text) - 1
+
+
+_INDEX_COMMA, _POINT, _COMMA, _LF = _last_row_separators()
+
+
 @settings(max_examples=400, deadline=None)
 @given(n=st.sampled_from([1, 2, 10, 11, 101, tracebody.BLOCK_ROWS + 1]),
        seed=st.integers(0, 2**32 - 1),
@@ -721,6 +777,18 @@ def _lines_touched(data, lo, hi, moves_a_line_end):
        where=st.integers(0, 2**20),
        byte=st.one_of(st.sampled_from(b"\n\r\t #=,.-_0123456789"),
                       st.integers(0, 255)))
+# a separator turned into a digit or another separator; those up to 9
+# above their separator show only in the reader's separator sum
+@example(n=11, seed=0, kind="substitute", where=_INDEX_COMMA, byte=ord("5"))
+@example(n=11, seed=0, kind="substitute", where=_INDEX_COMMA, byte=ord("."))
+@example(n=11, seed=0, kind="substitute", where=_POINT, byte=ord("0"))
+@example(n=11, seed=0, kind="substitute", where=_POINT, byte=ord("7"))
+@example(n=11, seed=0, kind="substitute", where=_POINT, byte=ord(","))
+@example(n=11, seed=0, kind="substitute", where=_COMMA, byte=ord("3"))
+@example(n=11, seed=0, kind="substitute", where=_COMMA, byte=ord("."))
+@example(n=11, seed=0, kind="substitute", where=_LF, byte=ord("\r"))
+@example(n=11, seed=0, kind="substitute", where=_LF, byte=ord("0"))
+@example(n=11, seed=0, kind="substitute", where=_LF, byte=ord(","))
 def test_every_one_byte_edit_reads_back_or_names_its_line(n, seed, kind, where,
                                                           byte):
     canonical = tracefile.format_trace(_canonical_capture(n, seed)).encode()
@@ -787,9 +855,13 @@ def test_parse_rows_equals_float_of_every_accepted_cell(n, seed):
     assert photo.tobytes() == np.ascontiguousarray(want[:, 1:]).tobytes()
 
 
-def _block(body, digits):
+def _block_product(body, digits):
+    """Rows with `digits`-digit indices less their template, and the product
+    of that with the template's place values, as `parse_rows` makes them."""
     width = digits + 1 + tracebody.COLUMNS * (tracebody.DECIMALS + 3)
-    return np.frombuffer(body, np.uint8).reshape(-1, width)
+    offset, places = tracebody._row_template(digits)
+    found = np.frombuffer(body, np.uint8).reshape(-1, width) - offset
+    return found, found.astype(places.dtype) @ places
 
 
 @settings(max_examples=60)
@@ -805,14 +877,14 @@ def test_block_digit_product_is_exact_for_every_index_width_up_to_7(digits, seed
     count = min(count, hi - lo)
     first = hi - count if top else int(rng.integers(lo, hi - count + 1))
     body, text = _free_rows(rng, first, count, top=10 ** 7 - 1)
-    block = _block(body, digits)
-    numbers = tracebody._block_numbers(block, digits, first)
+    found, numbers = _block_product(body, digits)
+    assert found.max() <= 9 and not numbers[:, -1].any()
     assert np.array_equal(numbers[:, 0], np.arange(first, first + count))
     want = np.rint(_float_of_text(text) * tracebody._SCALE)
-    assert np.array_equal(numbers[:, 1:], want)
+    assert np.array_equal(numbers[:, 1:-1], want)
     above = (want > tracebody._SCALE).any(axis=1)
     if above.any():
-        assert tracebody._first_bad_row(block, digits, first) == np.argmax(above)
+        assert tracebody._first_bad_row(found, numbers, first) == np.argmax(above)
 
 
 def test_eight_digit_indices_are_checked_exactly_around_2_to_the_24():
@@ -821,16 +893,16 @@ def test_eight_digit_indices_are_checked_exactly_around_2_to_the_24():
     first = 2 ** 24 - 1
     rng = np.random.default_rng(0)
     body, text = _free_rows(rng, first, 4, top=10 ** 6)
-    numbers = tracebody._block_numbers(_block(body, 8), 8, first)
-    assert numbers is not None
+    found, numbers = _block_product(body, 8)
+    assert found.max() <= 9 and not numbers[:, -1].any()
     assert np.array_equal(numbers[:, 0], np.arange(first, first + 4))
     for row, wrong in ((1, 2 ** 24 + 1), (1, 2 ** 24 - 1), (2, 2 ** 24)):
         lines = body.decode().splitlines(keepends=True)
         lines[row] = f"{wrong}" + lines[row][8:]
-        edited = "".join(lines).encode()
-        assert tracebody._block_numbers(_block(edited, 8), 8, first) is None, \
+        found, numbers = _block_product("".join(lines).encode(), 8)
+        assert not np.array_equal(numbers[:, 0], np.arange(first, first + 4)), \
             (row, wrong)
-        assert tracebody._first_bad_row(_block(edited, 8), 8, first) == row
+        assert tracebody._first_bad_row(found, numbers, first) == row
 
 
 def test_row_templates_are_cached_and_read_only():
@@ -838,8 +910,10 @@ def test_row_templates_are_cached_and_read_only():
     for array in tracebody._row_template(5):
         with pytest.raises(ValueError):
             array[0] = 0
-    assert tracebody._row_template(7)[2].dtype == np.float32
-    assert tracebody._row_template(8)[2].dtype == np.float64
+    # the last column of places sums the 11 separator bytes
+    assert tracebody._row_template(5)[1][:, -1].sum() == 11
+    assert tracebody._row_template(7)[1].dtype == np.float32
+    assert tracebody._row_template(8)[1].dtype == np.float64
 
 
 def test_long_trace_io_peak_memory_stays_small():
