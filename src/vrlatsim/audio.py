@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DetectionTimeoutError
+from .rig import gaussian_noise
 
 DEFAULT_HORIZON_MS = 10_000.0
 
@@ -61,7 +62,7 @@ def measure_mouth_to_ear(cfg: AudioPathConfig, seed=0) -> MouthToEarResult:
         # tagged, so the detector noise is not the capture's stream:
         # SeedSequence((seed, 0)) and a plain seed give the same one
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA0D1)))
-        heard = heard + rng.normal(0.0, cfg.noise_sigma, size=n)
+        heard += gaussian_noise(rng, cfg.noise_sigma, n)
     hits = (np.abs(heard) >= cfg.threshold).nonzero()[0]
     if hits.size == 0:
         raise DetectionTimeoutError(

@@ -206,9 +206,23 @@ def _check_max_lag(args):
         raise UsageError(f"--max-lag must be at least 1, got {args.max_lag}")
 
 
+def _check_lag_window(args, sc: scenario_mod.Scenario):
+    """Reject a lag window that spans the motion period P, before any
+    capture: the sine correlates alike at lags L and L + P, so the search
+    could not tell them apart."""
+    lo = -args.max_lag if args.allow_negative_lag else 0
+    period_ms = sc.motion.period_ms
+    if args.max_lag - lo >= period_ms:
+        raise UsageError(
+            f"--max-lag {args.max_lag}: the lag window [{lo}, {args.max_lag}] ms "
+            f"spans the motion period of {period_ms:g} ms, in which lags L and "
+            f"L + {period_ms:g} ms look alike; lower --max-lag")
+
+
 def cmd_simulate(args) -> int:
     _check_max_lag(args)
     sc = load_scenario(args.config, args.seed, args.duration_ms)
+    _check_lag_window(args, sc)
     result = simulate_scenario(sc, max_lag_ms=args.max_lag,
                                allow_negative=args.allow_negative_lag)
     os.makedirs(args.out, exist_ok=True)
@@ -266,6 +280,7 @@ def cmd_batch(args) -> int:
         raise UsageError(f"--runs must be at least 1, got {args.runs}")
     _check_max_lag(args)
     sc = load_scenario(args.config, None, args.duration_ms)
+    _check_lag_window(args, sc)
     base_seed = args.seed if args.seed is not None else sc.seed
     reports, failures = run_batch(sc, args.runs, base_seed,
                                   max_lag_ms=args.max_lag,

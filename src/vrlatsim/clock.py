@@ -41,7 +41,7 @@ def timepulse_edge_us(seed, utc_second: int) -> float:
     """True instant at which the timepulse of utc_second rises: the
     nominal second boundary plus Gaussian jitter.  `seed` may be anything
     numpy's default_rng accepts."""
-    jitter = np.random.default_rng(seed).normal(0.0, PULSE_SIGMA_US, size=1)[0]
+    jitter = np.random.default_rng(seed).standard_normal() * PULSE_SIGMA_US
     return utc_second * US_PER_SECOND + float(jitter)
 
 

@@ -20,7 +20,8 @@ import numpy as np
 
 from .clock import SimClock, synced_start_us, timepulse_edge_us
 from .errors import SimulationError
-from .rig import SteppedAngleHistory, platform_angle, simulate_station
+from .rig import (SteppedAngleHistory, gaussian_noise, platform_angle,
+                  simulate_station)
 
 SEND_WARMUP_MS = 300.0  # transmit this long before capture so the hold is warm
 
@@ -52,7 +53,7 @@ def sample_and_send(angle_fn, net: NetworkConfig, t_start_us, t_end_us, rng):
     delays_us = np.full(count, net.one_way_delay_ms * 1000.0)
     if net.jitter_ms > 0:
         delays_us = delays_us + np.maximum(
-            0.0, rng.normal(0.0, net.jitter_ms * 1000.0, size=count)
+            0.0, gaussian_noise(rng, net.jitter_ms * 1000.0, count)
         )
     deliveries = np.maximum.accumulate(send_times + delays_us)
     return deliveries, np.asarray(angle_fn(send_times), dtype=float)

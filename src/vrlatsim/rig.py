@@ -105,6 +105,21 @@ class SteppedAngleHistory:
         return self._angles[np.maximum(idx, 0)]
 
 
+def gaussian_noise(rng, sigma: float, shape) -> np.ndarray:
+    """Gaussian noise of deviation `sigma`: `rng.normal(0.0, sigma, shape)`'s
+    bits, without its per-element loc/scale path.
+
+    numpy's `normal` returns 0.0 + sigma * z for the z that
+    `standard_normal` draws; this scales the standard fill in place.
+    The two differ only where sigma * z is -0.0, which `normal` turns
+    into 0.0, and every caller adds the noise to a signal or clips it
+    at 0, where the sign of a zero changes nothing.
+    """
+    noise = rng.standard_normal(shape)
+    noise *= sigma
+    return noise
+
+
 def platform_angle(profile: MotionProfile, t_ms):
     """Platform angle in degrees at time t_ms (defined for all t)."""
     t = np.asarray(t_ms, dtype=float)
@@ -117,7 +132,7 @@ def potentiometer_read(angle_deg, angle_range_deg, sensors: SensorConfig, rng):
     """Normalized potentiometer reading: angle/range plus noise, clamped."""
     value = np.asarray(angle_deg, dtype=float) / angle_range_deg
     if sensors.pot_noise_sigma > 0:
-        value = value + rng.normal(0.0, sensors.pot_noise_sigma, size=value.shape)
+        value += gaussian_noise(rng, sensors.pot_noise_sigma, value.shape)
     return np.clip(value, 0.0, 1.0)
 
 
@@ -270,7 +285,7 @@ def simulate_station(*, station_id: str, platform_fn, display_source,
     photo = photosensor_read(sample_true, frame_lum, frame_starts[0],
                              pipeline, sensors)
     if sensors.photo_noise_sigma > 0:
-        photo += rng.normal(0.0, sensors.photo_noise_sigma, size=photo.shape)
+        photo += gaussian_noise(rng, sensors.photo_noise_sigma, photo.shape)
     np.clip(photo, 0.0, 1.0, out=photo)
 
     return RawCapture(

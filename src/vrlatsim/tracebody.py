@@ -10,14 +10,19 @@ trace body, in each direction.
 `format_rows` rounds each block of samples to integers times 1e-6 and,
 in the same pass, checks that each is finite, in 0 ... 10**6 and not
 -0.0 (which prints as `-0.000000`); it raises ValueError naming the row
-and column of the first that is not.  It writes index digits by integer
-division and value text from two lookup tables of 3-digit groups,
-straight into one buffer.  `parse_rows` accepts only exactly such rows
-up to the end of the data.  It subtracts a row template from each block
-of rows in uint8 arithmetic, so a byte below its template wraps to 247
-or more: every column must then be at most 9.  One matrix product
-of the difference with the place values gives each index and each value
-as an integer times 1e-6, and the sum of the 11 separator columns, which
+and column of the first that is not.  It writes straight into one
+buffer.  The text of each row up to its values comes from a cached
+period of 1000 rows, over which the last three index digits repeat;
+the digits above them are the same for each 1000 rows and are written
+once for them.  The value text comes from two lookup tables of 3-digit
+groups, indexed with intp arrays, which `take` uses without a cast.
+
+`parse_rows` accepts only exactly such rows up to the end of the data.
+It subtracts a row template from each block of rows in uint8
+arithmetic, so a byte below its template wraps to 247 or more: every
+column must then be at most 9.  One matrix product of the difference
+with the place values gives each index and each value as an integer
+times 1e-6, and the sum of the 11 separator columns, which
 must be 0.  The product runs in float32: once every column is at most 9,
 a value cell spells at most 9 999 999 and an index of up to 7 digits at
 most as much, both below 2**24, and the separator sum is at most
@@ -42,6 +47,9 @@ _ROW_BYTES_AFTER_INDEX = 1 + COLUMNS * _CELL_BYTES
 # rows per block; bounds the temporaries to a few hundred kB whatever the
 # trace length
 BLOCK_ROWS = 2048
+# the last three index digits repeat every 1000 rows
+_PERIOD_DIGITS = 3
+_PERIOD_ROWS = 10 ** _PERIOD_DIGITS
 # widest index whose digit product float32 holds exactly: 10**7 - 1 < 2**24
 _FLOAT32_INDEX_DIGITS = 7
 
@@ -133,6 +141,22 @@ def _row_template(digits: int):
     return offset, places
 
 
+@functools.lru_cache(maxsize=None)        # one entry per index width
+def _row_period(digits: int) -> np.ndarray:
+    """The index text of 1000 rows with a `digits`-digit index, read-only.
+
+    Row j is the template of `_row_template` with the last three digits
+    of j in place (as many of them as a narrower index has), and "0"
+    above them.  Row i of a body starts as row i % 1000 of this array,
+    so the index column repeats with a period of 1000 rows.
+    """
+    period = np.tile(_row_template(digits)[0], (_PERIOD_ROWS, 1))
+    low = min(digits, _PERIOD_DIGITS)
+    period[:, digits - low:digits] = _ascii_digits(np.arange(_PERIOD_ROWS), low)
+    period.flags.writeable = False
+    return period
+
+
 def _first_bad_row(found: np.ndarray, numbers: np.ndarray, first: int) -> int:
     """Position of the first row that is not canonical in a block of rows
     `first` onwards, from the block less its template, `found`, and the
@@ -148,8 +172,11 @@ def _first_bad_row(found: np.ndarray, numbers: np.ndarray, first: int) -> int:
 def format_rows(prefix: bytes, pot: np.ndarray, photo: np.ndarray) -> bytearray:
     """`prefix` followed by the rows of the samples rounded to 1e-6, in one buffer.
 
-    Raises ValueError naming the row and column of the first sample that
-    does not round to `d.dddddd` in [0, 1].
+    Each decade of indices starts as copies of `_row_period`'s rows,
+    with the index digits above the last three set once per 1000 rows.
+    Then each block of samples is rounded, checked and spelled over its
+    rows' value columns.  Raises ValueError naming the row and column of
+    the first sample that does not round to `d.dddddd` in [0, 1].
     """
     n = len(pot)
     out = bytearray(len(prefix)
@@ -160,15 +187,21 @@ def format_rows(prefix: bytes, pot: np.ndarray, photo: np.ndarray) -> bytearray:
     for lo, hi, width in _decades(n):
         digits = width - _ROW_BYTES_AFTER_INDEX
         rows = np.frombuffer(out, np.uint8, (hi - lo) * width, at).reshape(-1, width)
-        rows[:] = _row_template(digits)[0]
+        # whole rows of the cached period, then the index digits above
+        # its last three, which are the same for each 1000 rows
+        period = _row_period(digits)
+        for c in range(lo - lo % _PERIOD_ROWS, hi, _PERIOD_ROWS):
+            a, b = max(c, lo), min(c + _PERIOD_ROWS, hi)
+            rows[a - lo:b - lo] = period[a - c:b - c]
+            if digits > _PERIOD_DIGITS:
+                rows[a - lo:b - lo, :digits - _PERIOD_DIGITS] = np.frombuffer(
+                    b"%d" % (c // _PERIOD_ROWS), np.uint8)
         # each value's 8 bytes of text, as one unaligned word per value
         words = np.ndarray((hi - lo, COLUMNS), np.uint64, out,
                            at + digits + 1, (width, _CELL_BYTES))
         at += rows.size
         for a in range(lo, hi, BLOCK_ROWS):
             b = min(a + BLOCK_ROWS, hi)
-            rows[a - lo:b - lo, :digits] = _ascii_digits(
-                np.arange(a, b, dtype=np.uint32), digits)
             v = values[:b - a]
             v[:, 0] = pot[a:b]
             v[:, 1:] = photo[a:b]
@@ -177,7 +210,11 @@ def format_rows(prefix: bytes, pot: np.ndarray, photo: np.ndarray) -> bytearray:
             # value from -5e-7 up to 0 rounds to, has its sign bit set
             if np.signbit(v).any() or not v.max() <= _SCALE:
                 raise _off_range_error(v, a, pot, photo)
-            high, low = np.divmod(v.astype(np.uint32), 1000)
+            # intp indices, which `take` uses without a cast; a floor
+            # division and a multiply cost half of divmod's remainder
+            low = v.astype(np.intp)
+            high = low // 1000
+            low -= high * 1000
             words[a - lo:b - lo] = _HIGH_WORDS.take(high) | _LOW_WORDS.take(low)
     return out
 

@@ -388,6 +388,50 @@ def test_lag_window_below_1_exits_1_before_any_work(command, lag, tmp_path,
     assert f"--max-lag must be at least 1, got {lag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, window", [
+    (["simulate", "--config", "vive-baseline", "--seed", "1",
+      "--duration-ms", "20000", "--max-lag", "1100"], "[0, 1100]"),
+    (["batch", "--max-lag", "1000"], "[0, 1000]"),
+    (["simulate", "--allow-negative-lag", "--max-lag", "500"], "[-500, 500]"),
+    (["batch", "--allow-negative-lag", "--max-lag", "500"], "[-500, 500]"),
+], ids=["simulate-1100", "batch-1000", "simulate-negative-500",
+        "batch-negative-500"])
+def test_a_lag_window_spanning_the_motion_period_exits_1_before_any_work(
+        argv, window, tmp_path, capsys):
+    # the first case reported 1006 ms, a whole period off the truth of
+    # about 6 ms, with exit 0
+    out = str(tmp_path / "out")
+    assert cli.main([*argv, "--out", out]) == 1
+    assert not os.path.exists(out)
+    lag = argv[-1]
+    assert capsys.readouterr().err == (
+        f"usage error: --max-lag {lag}: the lag window {window} ms spans the "
+        "motion period of 1000 ms, in which lags L and L + 1000 ms look "
+        "alike; lower --max-lag\n")
+
+
+def test_a_lag_window_just_inside_the_motion_period_runs(tmp_path):
+    out = str(tmp_path / "out")
+    assert cli.main(["simulate", "--allow-negative-lag", "--max-lag", "499",
+                     "--seed", "1", "--out", out]) == 0
+    report = _read(os.path.join(out, "report.txt"))
+    assert 3 <= float(_report_value(report, "motion_to_photon_ms")) <= 10
+
+
+def test_the_lag_window_is_checked_against_the_configured_period(tmp_path,
+                                                                 capsys):
+    sc = scenario_mod.get_preset("vive-baseline")
+    config = _config_file(tmp_path, "period-200", replace(
+        sc, motion=replace(sc.motion, period_ms=200.0)))
+    out = str(tmp_path / "out")
+    # the default window, [0, 200] ms, spans a 200 ms period
+    assert cli.main(["simulate", "--config", config, "--out", out]) == 1
+    assert "spans the motion period of 200 ms" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    assert cli.main(["simulate", "--config", config, "--max-lag", "199",
+                     "--out", out]) == 0
+
+
 @pytest.mark.parametrize("extra, message", [
     ([], "estimate reads one or two trace files, got 3"),
     (["--self"], "--self reads one trace file, got 2"),

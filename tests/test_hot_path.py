@@ -14,7 +14,7 @@ import pytest
 import vrlatsim
 
 PER_RUN_MODULES = ("estimator.py", "codec.py", "rig.py", "netsim.py",
-                   "tracefile.py", "tracebody.py", "audio.py")
+                   "tracefile.py", "tracebody.py", "audio.py", "clock.py")
 # helper -> what the per-run code calls instead
 SLOW_HELPERS = {
     "flatnonzero": "x.nonzero()[0]",
@@ -44,6 +44,26 @@ def _helper_calls(path):
             yield node.lineno, node.func.attr
 
 
+def _normal_calls(path):
+    """Line of every call x.normal(...) in a source file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "normal"):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("module", PER_RUN_MODULES)
+def test_per_run_code_draws_noise_from_the_standard_normal_fill(module):
+    # Generator.normal takes a per-element loc/scale path; scaling
+    # standard_normal() gives the same bits faster (tests/test_rng_stream.py)
+    path = pathlib.Path(vrlatsim.__file__).parent / module
+    found = [f"{module}:{line}: .normal(...), use rig.gaussian_noise()"
+             for line in sorted(_normal_calls(path))]
+    assert not found, "\n".join(found)
+
+
 @pytest.mark.parametrize("module", PER_RUN_MODULES)
 def test_per_run_code_calls_no_python_level_numpy_helper(module):
     path = pathlib.Path(vrlatsim.__file__).parent / module
@@ -57,3 +77,10 @@ def test_the_scan_finds_a_helper_call(tmp_path):
     source.write_text("import numpy as np\n\nx = np.diff(np.arange(3))\n"
                       "y = np.arange(3).cumsum()\n")
     assert list(_helper_calls(source)) == [(3, "diff")]
+
+
+def test_the_scan_finds_a_normal_draw(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text("import numpy as np\n\nrng = np.random.default_rng(0)\n"
+                      "x = rng.standard_normal(3)\ny = rng.normal(0.0, 1.0, 3)\n")
+    assert list(_normal_calls(source)) == [5]

@@ -1,7 +1,8 @@
 """Canary for the random streams the golden digests depend on.
 
-Trace and report bytes depend on `Generator.normal` (sensor, timepulse,
-network and audio noise) and `Generator.uniform` (the send phase of a
+Trace and report bytes depend on `Generator.standard_normal` (sensor,
+timepulse, network and audio noise, scaled by sigma as
+`Generator.normal` would) and `Generator.uniform` (the send phase of a
 remote run).  numpy keeps each bit generator's raw stream fixed across
 versions but may change how the distribution methods turn it into
 values.  If a numpy upgrade does, every digest in `test_golden.py`
@@ -28,13 +29,13 @@ def _sha256(values, dtype):
 def _capture_normal():
     # rig.run_capture: a local station's pot and photo noise
     rng = np.random.default_rng(np.random.SeedSequence((SEED, 0)))
-    return _sha256(rng.normal(0.0, 1.0, size=DRAWS), "<f8")
+    return _sha256(rng.standard_normal(DRAWS), "<f8")
 
 
 def _spawned_normal():
     # netsim.remote_capture: both stations' noise and the network jitter
     children = np.random.SeedSequence(SEED).spawn(3)
-    draws = [np.random.default_rng(s).normal(0.0, 1.0, size=DRAWS // 4)
+    draws = [np.random.default_rng(s).standard_normal(DRAWS // 4)
              for s in children]
     return _sha256(np.concatenate(draws), "<f8")
 
@@ -48,7 +49,7 @@ def _spawned_uniform():
 def _timepulse_normal():
     # netsim._synced_start_us: the timepulse jitter of one station's clock
     seed = np.random.SeedSequence((SEED, 1, 0xC10C))
-    return _sha256(np.random.default_rng(seed).normal(0.0, 1.0, size=DRAWS), "<f8")
+    return _sha256(np.random.default_rng(seed).standard_normal(DRAWS), "<f8")
 
 
 def _audio_normal():
@@ -56,7 +57,7 @@ def _audio_normal():
     # SeedSequence pads its entropy with zero words, so a plain seed
     # would draw the capture's stream of SeedSequence((seed, 0))
     seed = np.random.SeedSequence((SEED, 0xA0D1))
-    return _sha256(np.random.default_rng(seed).normal(0.0, 1.0, size=DRAWS), "<f8")
+    return _sha256(np.random.default_rng(seed).standard_normal(DRAWS), "<f8")
 
 
 def _raw_stream():
@@ -95,6 +96,23 @@ def test_random_stream_is_the_pinned_one(name):
         "one pinned here. The golden digests in tests/test_golden.py "
         "depend on these streams and fail for this reason, not because "
         "vrlatsim changed."
+    )
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 0.01, 30.0, 2500.0])
+def test_scaled_standard_normals_are_the_normal_stream(sigma):
+    # the package draws normal(0, sigma) noise as standard_normal() * sigma,
+    # which numpy's normal() computes as 0.0 + sigma * z from the same z
+    draws = np.random.default_rng(np.random.SeedSequence((SEED, 0)))
+    scaled = draws.standard_normal(DRAWS)
+    scaled *= sigma
+    normal = np.random.default_rng(np.random.SeedSequence((SEED, 0))).normal(
+        0.0, sigma, DRAWS)
+    assert scaled.tobytes() == normal.tobytes(), (
+        f"numpy {np.__version__} no longer draws normal(0, {sigma}) as "
+        f"standard_normal() * {sigma}. The sensor, network, timepulse and "
+        "audio noise are drawn the second way, and the golden digests in "
+        "tests/test_golden.py were made with the first."
     )
 
 

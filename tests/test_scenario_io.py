@@ -685,10 +685,12 @@ def _canonical_capture(n, seed):
     return tracefile.quantize_capture(_unit_capture(n, seed))
 
 
-# lengths that cross the decades of the index width and the block edges
-_CANONICAL_LENGTHS = [1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001,
-                      tracebody.BLOCK_ROWS - 1, tracebody.BLOCK_ROWS,
-                      tracebody.BLOCK_ROWS + 1, 9999, 10000, 10001]
+# lengths that cross the decades of the index width, the 1000-row period
+# of the index text and the block edges
+_CANONICAL_LENGTHS = [1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 1999, 2000,
+                      2001, tracebody.BLOCK_ROWS - 1, tracebody.BLOCK_ROWS,
+                      tracebody.BLOCK_ROWS + 1, 9999, 10000, 10001, 10999,
+                      11000, 11001]
 
 
 @pytest.mark.parametrize("n", [0] + _CANONICAL_LENGTHS)
@@ -914,6 +916,32 @@ def test_row_templates_are_cached_and_read_only():
     assert tracebody._row_template(5)[1][:, -1].sum() == 11
     assert tracebody._row_template(7)[1].dtype == np.float32
     assert tracebody._row_template(8)[1].dtype == np.float64
+
+
+def test_row_periods_are_cached_once_per_index_width_and_read_only():
+    tracebody._row_period.cache_clear()
+    for _ in range(2):
+        tracefile.format_trace(_canonical_capture(10001, seed=0))
+    # widths 1 ... 5, each built on its first use
+    info = tracebody._row_period.cache_info()
+    assert (info.misses, info.currsize) == (5, 5)
+    for digits in range(1, 8):
+        period = tracebody._row_period(digits)
+        assert tracebody._row_period(digits) is period
+        with pytest.raises(ValueError):
+            period[0, 0] = 0
+        # row j: the template with the last three digits of j in its index
+        template = tracebody._row_template(digits)[0]
+        assert (period[:, digits:] == template[digits:]).all()
+        index = "".join(f"{j % 10 ** min(digits, 3):0{digits}d}" for j in range(1000))
+        assert period[:, :digits].tobytes() == index.encode()
+
+
+def test_row_periods_stay_small_for_every_index_width_a_capture_can_have():
+    longest = rig.sample_count(scenario_mod.MAX_DURATION_MS)
+    widths = range(1, len(str(longest - 1)) + 1)
+    assert len(widths) <= 7
+    assert sum(tracebody._row_period(d).nbytes for d in widths) < 400_000
 
 
 def test_long_trace_io_peak_memory_stays_small():
