@@ -144,18 +144,29 @@ def decode_display_trace(capture: RawCapture) -> DecodedTrace:
     )
 
 
-def _window_sums(x: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """Sum of x[lo:lo+length] for every (lo, length) pair, from the edges.
+def _window_sums(x: np.ndarray, lo: np.ndarray, length: np.ndarray,
+                 squares: bool = False) -> np.ndarray:
+    """Sum of x[lo:lo+length] (of its squares if `squares`) for every
+    (lo, length) pair, from the edges.
 
     Each window is the whole series less a cut head x[:lo] and a cut
     tail x[lo+length:], and neither is longer than the largest lag, so
     the sums need the total plus a prefix sum of the first and a suffix
-    sum of the last max(lo) and max(n - lo - length) values only.
+    sum of the last max(lo) and max(n - lo - length) values only.  With
+    `squares`, only those cut values are squared and the total is
+    `np.dot(x, x)`, whose summation order is the BLAS kernel's: callers
+    pass integer values, whose sums of squares are exact below 2**53.
     """
     cut = x.shape[0] - lo - length
-    head = np.concatenate(([0.0], x[:lo.max()].cumsum()))
-    tail = np.concatenate(([0.0], x[::-1][:cut.max()].cumsum()))
-    return x.sum() - head[lo] - tail[cut]
+    head = x[:lo.max()]
+    tail = x[::-1][:cut.max()]
+    if squares:
+        total, head, tail = np.dot(x, x), head * head, tail * tail
+    else:
+        total = x.sum()
+    head = np.concatenate(([0.0], head.cumsum()))
+    tail = np.concatenate(([0.0], tail.cumsum()))
+    return total - head[lo] - tail[cut]
 
 
 def _constant_windows(x: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -284,8 +295,14 @@ def cross_correlate(reference: DecodedTrace, delayed: DecodedTrace,
         b -= b.sum() / n
     sum_a = _window_sums(a, lo_ref, m)
     sum_b = _window_sums(b, lo_del, m)
-    var_a = _window_sums(a * a, lo_ref, m) - sum_a * sum_a / m
-    var_b = _window_sums(b * b, lo_del, m) - sum_b * sum_b / m
+    if integral:
+        # the sums of squares are exact integers too, so squaring only the
+        # cut edges gives the bits of squaring the whole series
+        var_a = _window_sums(a, lo_ref, m, squares=True) - sum_a * sum_a / m
+        var_b = _window_sums(b, lo_del, m, squares=True) - sum_b * sum_b / m
+    else:
+        var_a = _window_sums(a * a, lo_ref, m) - sum_a * sum_a / m
+        var_b = _window_sums(b * b, lo_del, m) - sum_b * sum_b / m
     sum_ab = _lagged_dots(a, b, max_lag_ms)
     if allow_negative:
         # lag -L is lag L with the roles swapped

@@ -18,6 +18,12 @@ is evaluated in closed form at each sample instant: no integration grid.
 The capture loop runs off the station's local clock, so oscillator drift
 skews the true spacing of the 1 ms samples exactly as real hardware
 would.
+
+A capture is two steps: `station_signal` builds both channels without
+noise, and the noise step draws the pot noise and then the photo noise
+from the station's generator, adds them and clips to [0, 1].  The seed
+enters only through the noise step, so `run_capture` keeps the last local
+scenario's noiseless signal and a further seed only draws, adds and clips.
 """
 from __future__ import annotations
 
@@ -128,12 +134,19 @@ def platform_angle(profile: MotionProfile, t_ms):
     )
 
 
-def potentiometer_read(angle_deg, angle_range_deg, sensors: SensorConfig, rng):
-    """Normalized potentiometer reading: angle/range plus noise, clamped."""
-    value = np.asarray(angle_deg, dtype=float) / angle_range_deg
-    if sensors.pot_noise_sigma > 0:
-        value += gaussian_noise(rng, sensors.pot_noise_sigma, value.shape)
-    return np.clip(value, 0.0, 1.0)
+def sensor_reading(signal: np.ndarray, sigma: float, rng) -> np.ndarray:
+    """A sensor's noiseless signal plus Gaussian noise of deviation sigma,
+    clipped to [0, 1], as a new array; draws nothing when sigma is 0.
+
+    The noise is the left operand of the sum, which changes no bit (IEEE
+    addition commutes), so the fresh noise array can take the sum and the
+    read-only signal that `run_capture` holds is only read.
+    """
+    if sigma > 0:
+        out = gaussian_noise(rng, sigma, signal.shape)
+        out += signal
+        return np.clip(out, 0.0, 1.0, out=out)
+    return np.clip(signal, 0.0, 1.0)
 
 
 def run_pipeline(pipeline: PipelineConfig, history, angle_range_deg,
@@ -247,18 +260,16 @@ def sample_count(duration_ms: float) -> int:
     return int(round(duration_ms * ADC_SAMPLE_HZ / 1000.0))
 
 
-def simulate_station(*, station_id: str, platform_fn, display_source,
-                     pipeline: PipelineConfig, sensors: SensorConfig,
-                     angle_range_deg: float, clock: SimClock,
-                     true_start_us: float, start_utc_us: int,
-                     duration_ms: float, rng) -> RawCapture:
-    """Run one station's capture loop and return both channels.
+def station_signal(*, platform_fn, display_source, pipeline: PipelineConfig,
+                   sensors: SensorConfig, angle_range_deg: float,
+                   clock: SimClock, true_start_us: float, duration_ms: float):
+    """Both channels of one station before noise and clipping.
 
-    platform_fn(t_us) is the physical angle driving the potentiometer;
-    display_source is the angle history feeding the render pipeline (the
-    same function for a local loop, a network stream for a remote one).
-    Sample instants follow the station's local clock, so drift stretches
-    or compresses the true 1 ms grid.
+    Returns (pot, photo): pot, shape (n,), is the platform angle over the
+    angle range at each sample; photo, shape (n, 4), is the photosensors'
+    noise-free response to the strobed display.  Neither depends on the
+    seed.  Sample instants follow the station's local clock, so drift
+    stretches or compresses the true 1 ms grid.
     """
     n = sample_count(duration_ms)
     if n <= 0:
@@ -268,8 +279,7 @@ def simulate_station(*, station_id: str, platform_fn, display_source,
     sample_true = true_start_us + np.arange(n) * (local_step_us / rate)
 
     # reference channel: potentiometer riding the physical platform
-    pot = potentiometer_read(platform_fn(sample_true), angle_range_deg,
-                             sensors, rng)
+    pot = np.asarray(platform_fn(sample_true), dtype=float) / angle_range_deg
 
     # frame schedule, extended backwards for warm-up and the delay queue
     frame_us = pipeline.frame_ms * 1000.0
@@ -284,10 +294,31 @@ def simulate_station(*, station_id: str, platform_fn, display_source,
     frame_lum = codec.digits_to_luminance(codec.encode(displayed))
     photo = photosensor_read(sample_true, frame_lum, frame_starts[0],
                              pipeline, sensors)
-    if sensors.photo_noise_sigma > 0:
-        photo += gaussian_noise(rng, sensors.photo_noise_sigma, photo.shape)
-    np.clip(photo, 0.0, 1.0, out=photo)
+    return pot, photo
 
+
+def simulate_station(*, station_id: str, platform_fn, display_source,
+                     pipeline: PipelineConfig, sensors: SensorConfig,
+                     angle_range_deg: float, clock: SimClock,
+                     true_start_us: float, start_utc_us: int,
+                     duration_ms: float, rng, signal=None) -> RawCapture:
+    """Run one station's capture loop and return both channels.
+
+    platform_fn(t_us) is the physical angle driving the potentiometer;
+    display_source is the angle history feeding the render pipeline (the
+    same function for a local loop, a network stream for a remote one).
+    signal is `station_signal`'s (pot, photo) for these arguments, built
+    here when None; the noise step then draws the pot noise and the photo
+    noise from rng, in that order, and returns new arrays.
+    """
+    if signal is None:
+        signal = station_signal(
+            platform_fn=platform_fn, display_source=display_source,
+            pipeline=pipeline, sensors=sensors,
+            angle_range_deg=angle_range_deg, clock=clock,
+            true_start_us=true_start_us, duration_ms=duration_ms)
+    pot = sensor_reading(signal[0], sensors.pot_noise_sigma, rng)
+    photo = sensor_reading(signal[1], sensors.photo_noise_sigma, rng)
     return RawCapture(
         station_id=station_id,
         start_utc_us=int(start_utc_us),
@@ -296,10 +327,32 @@ def simulate_station(*, station_id: str, platform_fn, display_source,
     )
 
 
+# the last local scenario's noiseless signal, (key, (pot, photo)) with
+# read-only arrays, or None; `run_capture` replaces it
+_held_signal = None
+
+
+def _signal_key(scenario) -> str:
+    """Every config value but the seed, spelled out: two scenarios share a
+    held signal only when all of them print the same."""
+    from .scenario import scenario_to_flat  # deferred, avoids an import cycle
+
+    flat = scenario_to_flat(scenario)
+    del flat["seed"]
+    return repr(flat)
+
+
 def run_capture(scenario) -> RawCapture:
     """Self-contained local measurement: station A observes its own
     platform on the potentiometer and its own display loop on the
-    photosensors."""
+    photosensors.
+
+    The noiseless signal of the last scenario captured is held, so a
+    capture that differs from it only in the seed skips straight to the
+    noise step.  The held arrays are read-only and every capture returns
+    new ones.
+    """
+    global _held_signal
     from .scenario import raise_if_invalid  # deferred, avoids an import cycle
 
     raise_if_invalid(scenario)
@@ -308,8 +361,7 @@ def run_capture(scenario) -> RawCapture:
     def platform_fn(t_us):
         return platform_angle(scenario.motion, np.asarray(t_us, dtype=float) / 1000.0)
 
-    return simulate_station(
-        station_id="A",
+    station = dict(
         platform_fn=platform_fn,
         display_source=platform_fn,
         pipeline=scenario.pipeline,
@@ -317,7 +369,21 @@ def run_capture(scenario) -> RawCapture:
         angle_range_deg=scenario.angle_range_deg,
         clock=scenario.clock_a,
         true_start_us=0.0,
-        start_utc_us=scenario.start_utc_second * 1_000_000,
         duration_ms=scenario.duration_ms,
+    )
+    key = _signal_key(scenario)
+    held = _held_signal
+    if held is None or held[0] != key:
+        # drop the old signal first, so a cold capture holds only one
+        _held_signal = held = None
+        signal = station_signal(**station)
+        for array in signal:
+            array.flags.writeable = False
+        _held_signal = held = (key, signal)
+    return simulate_station(
+        station_id="A",
+        start_utc_us=scenario.start_utc_second * 1_000_000,
         rng=rng,
+        signal=held[1],
+        **station,
     )

@@ -486,6 +486,9 @@ def test_edge_window_sums_are_exact_on_integers(values, data):
         for lo in (lo_ref, lo_del):
             assert np.array_equal(estimator._window_sums(series, lo, m),
                                   _prefix_window_sums(series, lo, m))
+    for lo in (lo_ref, lo_del):
+        assert np.array_equal(estimator._window_sums(x, lo, m, squares=True),
+                              _prefix_window_sums(x * x, lo, m))
 
 
 @given(st.lists(st.sampled_from([0.0, 0.1, 1.0, np.nan]), min_size=2,

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from vrlatsim import codec, estimator, rig
+from vrlatsim import scenario as scenario_mod
+from vrlatsim.clock import SimClock
 from vrlatsim.errors import SimulationError
 from vrlatsim.rig import (
     MotionProfile,
@@ -17,7 +19,14 @@ from vrlatsim.rig import (
     SensorConfig,
     SteppedAngleHistory,
 )
-from vrlatsim.scenario import get_preset
+from vrlatsim.scenario import get_preset, preset_names
+
+
+@pytest.fixture(autouse=True)
+def no_held_signal(monkeypatch):
+    """Each test starts without a held local signal, as a fresh process
+    does; the entry in place before the test is put back after it."""
+    monkeypatch.setattr(rig, "_held_signal", None)
 
 
 def test_platform_angle_hits_the_quarter_points():
@@ -29,16 +38,22 @@ def test_platform_angle_hits_the_quarter_points():
 
 
 def test_potentiometer_normalizes_and_clamps():
-    sensors = SensorConfig()
+    def parked(t_us):
+        return np.full(np.shape(t_us), 180.0)
+
+    pot, _ = rig.station_signal(
+        platform_fn=parked, display_source=parked, pipeline=PipelineConfig(),
+        sensors=SensorConfig(), angle_range_deg=360.0, clock=SimClock(),
+        true_start_us=0.0, duration_ms=10.0)
+    assert np.array_equal(pot, np.full(10, 0.5))
     rng = np.random.default_rng(0)
-    assert rig.potentiometer_read(180.0, 360.0, sensors, rng) == pytest.approx(0.5)
-    assert rig.potentiometer_read(-10.0, 360.0, sensors, rng) == 0.0
+    reads = rig.sensor_reading(np.array([0.5, -10.0 / 360.0, 1.25]), 0.0, rng)
+    assert np.array_equal(reads, [0.5, 0.0, 1.0])
 
 
 def test_potentiometer_noise_statistics():
-    sensors = SensorConfig(pot_noise_sigma=0.01)
     rng = np.random.default_rng(5)
-    reads = rig.potentiometer_read(np.full(20_000, 180.0), 360.0, sensors, rng)
+    reads = rig.sensor_reading(np.full(20_000, 0.5), 0.01, rng)
     assert abs(reads.mean() - 0.5) < 3 * 0.01 / math.sqrt(20_000)
     assert 0.0095 < reads.std() < 0.0105
 
@@ -416,3 +431,131 @@ def test_long_capture_peak_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+LOCAL_PRESETS = [name for name in preset_names() if get_preset(name).net is None]
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Arguments of every noiseless signal `run_capture` builds."""
+    calls = []
+    build = rig.station_signal
+
+    def counting(**kwargs):
+        calls.append(kwargs)
+        return build(**kwargs)
+
+    monkeypatch.setattr(rig, "station_signal", counting)
+    return calls
+
+
+def _capture_bytes(capture):
+    return (capture.station_id, capture.start_utc_us,
+            capture.pot.dtype, capture.pot.shape, capture.pot.tobytes(),
+            capture.photo.dtype, capture.photo.shape, capture.photo.tobytes())
+
+
+def _assert_reuse_keeps_the_bytes(base, seeds, built):
+    for seed in seeds:
+        sc = replace(base, seed=seed)
+        rig._held_signal = None
+        fresh = rig.run_capture(sc)
+        rig._held_signal = None
+        rig.run_capture(replace(sc, seed=seed + 100))  # held from another seed
+        before = len(built)
+        warm = rig.run_capture(sc)
+        assert len(built) == before, "the warm capture rebuilt its signal"
+        assert _capture_bytes(warm) == _capture_bytes(fresh)
+
+
+@pytest.mark.parametrize("preset", LOCAL_PRESETS)
+def test_a_held_signal_gives_the_bytes_of_a_fresh_one(preset, built):
+    base = replace(get_preset(preset), duration_ms=2000.0)
+    _assert_reuse_keeps_the_bytes(base, [0, 1, 2], built)
+
+
+def test_a_held_20s_signal_gives_the_bytes_of_a_fresh_one(built):
+    base = replace(get_preset("vive-baseline"), duration_ms=20_000.0)
+    _assert_reuse_keeps_the_bytes(base, [1, 7], built)
+
+
+def _moved(flat: dict, key: str) -> dict:
+    """flat with key set to another value that gives a valid scenario."""
+    section, field, hint = scenario_mod._KEYS[key]
+    if key in flat:
+        value = flat[key]
+    else:  # an unset optional section: start from its defaults
+        value = getattr(scenario_mod._SECTIONS[section](), field)
+    start = 1.0 if value is None else value
+    for candidate in (start + 1, start * 2, start / 2, start - 1, 0.5, 0.25):
+        if hint is int and candidate != int(candidate):
+            continue
+        trial = {**flat, key: int(candidate) if hint is int else float(candidate)}
+        if trial[key] == value:
+            continue
+        try:
+            sc = scenario_mod.scenario_from_flat(trial)
+        except scenario_mod.ScenarioValidationError:
+            continue
+        if not scenario_mod.validate(sc):
+            return trial
+    raise AssertionError(f"no other valid value found for {key}")
+
+
+def _every_section():
+    """audio-local with the remote sections set too, so that every key of
+    the key table has a value of its own to move."""
+    return scenario_mod.scenario_from_flat(
+        {**scenario_mod.PRESETS["remote-default"], **scenario_mod.PRESETS["audio-local"]})
+
+
+@pytest.mark.parametrize("make", [lambda: get_preset("vive-baseline"),
+                                  lambda: get_preset("audio-local"), _every_section],
+                         ids=["vive-baseline", "audio-local", "every-section"])
+def test_every_field_but_the_seed_rebuilds_the_signal(make, built):
+    base = replace(make(), duration_ms=300.0)
+    flat = scenario_mod.scenario_to_flat(base)
+    for key in scenario_mod._KEYS:
+        if key == "seed":
+            continue
+        rig.run_capture(base)
+        before = len(built)
+        rig.run_capture(replace(base, seed=base.seed + 1))
+        assert len(built) == before
+        rig.run_capture(scenario_mod.scenario_from_flat(_moved(flat, key)))
+        assert len(built) == before + 1, f"moving {key} reused the held signal"
+
+
+def test_an_invalid_scenario_leaves_the_held_signal_alone():
+    sc = replace(get_preset("vive-baseline"), duration_ms=300.0)
+    rig.run_capture(sc)
+    held = rig._held_signal
+    with pytest.raises(scenario_mod.ScenarioValidationError):
+        rig.run_capture(replace(sc, duration_ms=-1.0))
+    assert rig._held_signal is held
+
+
+def test_a_warm_long_capture_peaks_at_its_own_output():
+    # the two noisy channels of 60 s are 2.4 MB; rebuilding the signal
+    # peaked at 6.68 MB here
+    sc = replace(get_preset("vive-baseline"), duration_ms=60_000.0)
+    rig.run_capture(sc)
+    tracemalloc.start()
+    try:
+        rig.run_capture(replace(sc, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.2e6
+
+
+@pytest.mark.parametrize("preset", ["vive-baseline", "zero-delay"])
+def test_writing_into_a_capture_leaves_the_next_one_alone(preset):
+    sc = replace(get_preset(preset), duration_ms=2000.0)
+    want = _capture_bytes(rig.run_capture(sc))
+    first = rig.run_capture(sc)
+    first.pot[:] = 0.25
+    first.photo[:] = 0.75
+    assert _capture_bytes(rig.run_capture(sc)) == want
+    assert not any(array.flags.writeable for array in rig._held_signal[1])
