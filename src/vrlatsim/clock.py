@@ -24,7 +24,6 @@ US_PER_SECOND = 1_000_000
 @dataclass(frozen=True)
 class SimClock:
     drift_ppm: float = 0.0
-    seed: int = 0
 
 
 def local_now(clock: SimClock, true_time_us):

@@ -21,7 +21,7 @@ import numpy as np
 from .clock import SimClock, synced_start_us, timepulse_edge_us
 from .errors import SimulationError
 from .rig import (SteppedAngleHistory, gaussian_noise, platform_angle,
-                  simulate_station)
+                  simulate_station, station_signal)
 
 SEND_WARMUP_MS = 300.0  # transmit this long before capture so the hold is warm
 
@@ -59,11 +59,12 @@ def sample_and_send(angle_fn, net: NetworkConfig, t_start_us, t_end_us, rng):
     return deliveries, np.asarray(angle_fn(send_times), dtype=float)
 
 
-def _synced_start_us(clock: SimClock, scenario) -> float:
+def _synced_start_us(clock: SimClock, tag: int, scenario) -> float:
     """True instant at which a station starts: its clock is latched at the
-    timepulse sync_lead_s seconds before the start second."""
+    timepulse sync_lead_s seconds before the start second; tag (1 for A,
+    2 for B) seeds the station's own edge jitter."""
     sync_second = scenario.start_utc_second - scenario.sync_lead_s
-    pulse_seed = np.random.SeedSequence((scenario.seed, clock.seed, 0xC10C))
+    pulse_seed = np.random.SeedSequence((scenario.seed, tag, 0xC10C))
     edge_us = timepulse_edge_us(pulse_seed, sync_second)
     return synced_start_us(clock, edge_us, sync_second, scenario.start_utc_second)
 
@@ -86,8 +87,8 @@ def remote_capture(scenario):
     seed_root = np.random.SeedSequence(scenario.seed)
     rng_a, rng_b, rng_net = [np.random.default_rng(s) for s in seed_root.spawn(3)]
 
-    start_true_a = _synced_start_us(scenario.clock_a, scenario)
-    start_true_b = _synced_start_us(scenario.clock_b, scenario)
+    start_true_a = _synced_start_us(scenario.clock_a, 1, scenario)
+    start_true_b = _synced_start_us(scenario.clock_b, 2, scenario)
     nominal_start_us = scenario.start_utc_second * 1_000_000
 
     def sender_platform(t_us):
@@ -112,15 +113,13 @@ def remote_capture(scenario):
 
     sender = simulate_station(
         station_id="A",
-        platform_fn=sender_platform,
-        display_source=sender_platform,
-        pipeline=scenario.pipeline,
-        sensors=scenario.sensors,
-        angle_range_deg=scenario.angle_range_deg,
-        clock=scenario.clock_a,
-        true_start_us=start_true_a,
         start_utc_us=nominal_start_us,
-        duration_ms=scenario.duration_ms,
+        signal=station_signal(
+            platform_fn=sender_platform, display_source=sender_platform,
+            pipeline=scenario.pipeline, sensors=scenario.sensors,
+            angle_range_deg=scenario.angle_range_deg, clock=scenario.clock_a,
+            true_start_us=start_true_a, duration_ms=scenario.duration_ms),
+        sensors=scenario.sensors,
         rng=rng_a,
     )
 
@@ -131,15 +130,13 @@ def remote_capture(scenario):
 
     receiver = simulate_station(
         station_id="B",
-        platform_fn=receiver_platform,
-        display_source=received,
-        pipeline=receiver_pipeline(scenario),
-        sensors=scenario.sensors,
-        angle_range_deg=scenario.angle_range_deg,
-        clock=scenario.clock_b,
-        true_start_us=start_true_b,
         start_utc_us=nominal_start_us,
-        duration_ms=scenario.duration_ms,
+        signal=station_signal(
+            platform_fn=receiver_platform, display_source=received,
+            pipeline=receiver_pipeline(scenario), sensors=scenario.sensors,
+            angle_range_deg=scenario.angle_range_deg, clock=scenario.clock_b,
+            true_start_us=start_true_b, duration_ms=scenario.duration_ms),
+        sensors=scenario.sensors,
         rng=rng_b,
     )
     return sender, receiver

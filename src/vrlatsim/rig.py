@@ -19,11 +19,12 @@ The capture loop runs off the station's local clock, so oscillator drift
 skews the true spacing of the 1 ms samples exactly as real hardware
 would.
 
-A capture is two steps: `station_signal` builds both channels without
-noise, and the noise step draws the pot noise and then the photo noise
-from the station's generator, adds them and clips to [0, 1].  The seed
-enters only through the noise step, so `run_capture` keeps the last local
-scenario's noiseless signal and a further seed only draws, adds and clips.
+A capture is two steps, local or remote: `station_signal` builds both
+channels without noise, and the noise step `simulate_station` draws the
+pot noise and then the photo noise from the station's generator, adds
+them and clips to [0, 1].  The seed enters only through the noise step,
+so `run_capture` keeps the last local scenario's noiseless signal and a
+further seed only draws, adds and clips.
 """
 from __future__ import annotations
 
@@ -268,8 +269,11 @@ def station_signal(*, platform_fn, display_source, pipeline: PipelineConfig,
     Returns (pot, photo): pot, shape (n,), is the platform angle over the
     angle range at each sample; photo, shape (n, 4), is the photosensors'
     noise-free response to the strobed display.  Neither depends on the
-    seed.  Sample instants follow the station's local clock, so drift
-    stretches or compresses the true 1 ms grid.
+    seed.  platform_fn(t_us) is the physical angle driving the
+    potentiometer; display_source is the angle history feeding the render
+    pipeline (the same function for a local loop, a network stream for a
+    remote one).  Sample instants follow the station's local clock, so
+    drift stretches or compresses the true 1 ms grid.
     """
     n = sample_count(duration_ms)
     if n <= 0:
@@ -297,26 +301,11 @@ def station_signal(*, platform_fn, display_source, pipeline: PipelineConfig,
     return pot, photo
 
 
-def simulate_station(*, station_id: str, platform_fn, display_source,
-                     pipeline: PipelineConfig, sensors: SensorConfig,
-                     angle_range_deg: float, clock: SimClock,
-                     true_start_us: float, start_utc_us: int,
-                     duration_ms: float, rng, signal=None) -> RawCapture:
-    """Run one station's capture loop and return both channels.
-
-    platform_fn(t_us) is the physical angle driving the potentiometer;
-    display_source is the angle history feeding the render pipeline (the
-    same function for a local loop, a network stream for a remote one).
-    signal is `station_signal`'s (pot, photo) for these arguments, built
-    here when None; the noise step then draws the pot noise and the photo
-    noise from rng, in that order, and returns new arrays.
-    """
-    if signal is None:
-        signal = station_signal(
-            platform_fn=platform_fn, display_source=display_source,
-            pipeline=pipeline, sensors=sensors,
-            angle_range_deg=angle_range_deg, clock=clock,
-            true_start_us=true_start_us, duration_ms=duration_ms)
+def simulate_station(*, station_id: str, start_utc_us: int, signal,
+                     sensors: SensorConfig, rng) -> RawCapture:
+    """The noise step: a station's capture is `station_signal`'s (pot,
+    photo) plus the pot noise and then the photo noise drawn from rng,
+    clipped to [0, 1], in new arrays."""
     pot = sensor_reading(signal[0], sensors.pot_noise_sigma, rng)
     photo = sensor_reading(signal[1], sensors.photo_noise_sigma, rng)
     return RawCapture(
@@ -361,29 +350,23 @@ def run_capture(scenario) -> RawCapture:
     def platform_fn(t_us):
         return platform_angle(scenario.motion, np.asarray(t_us, dtype=float) / 1000.0)
 
-    station = dict(
-        platform_fn=platform_fn,
-        display_source=platform_fn,
-        pipeline=scenario.pipeline,
-        sensors=scenario.sensors,
-        angle_range_deg=scenario.angle_range_deg,
-        clock=scenario.clock_a,
-        true_start_us=0.0,
-        duration_ms=scenario.duration_ms,
-    )
     key = _signal_key(scenario)
     held = _held_signal
     if held is None or held[0] != key:
         # drop the old signal first, so a cold capture holds only one
         _held_signal = held = None
-        signal = station_signal(**station)
+        signal = station_signal(
+            platform_fn=platform_fn, display_source=platform_fn,
+            pipeline=scenario.pipeline, sensors=scenario.sensors,
+            angle_range_deg=scenario.angle_range_deg, clock=scenario.clock_a,
+            true_start_us=0.0, duration_ms=scenario.duration_ms)
         for array in signal:
             array.flags.writeable = False
         _held_signal = held = (key, signal)
     return simulate_station(
         station_id="A",
         start_utc_us=scenario.start_utc_second * 1_000_000,
-        rng=rng,
         signal=held[1],
-        **station,
+        sensors=scenario.sensors,
+        rng=rng,
     )

@@ -55,8 +55,8 @@ class Scenario:
     # receiver-side pipeline for networked runs; None means same as pipeline
     pipeline_b: PipelineConfig | None = None
     sensors: SensorConfig = SensorConfig()
-    clock_a: SimClock = SimClock(seed=1)
-    clock_b: SimClock = SimClock(seed=2)
+    clock_a: SimClock = SimClock()
+    clock_b: SimClock = SimClock()
     net: NetworkConfig | None = None
     audio: AudioPathConfig | None = None
     duration_ms: float = 5000.0
@@ -238,9 +238,8 @@ def validate(scenario: Scenario) -> list:
                     v.append(f"{key}={value} implies {length:.4g} {what}, "
                              f"above the maximum of {MAX_ARRAY_LENGTH} "
                              "array elements")
-    for key in ("seed", "clock_a.seed", "clock_b.seed"):
-        if not _is_count(flat[key]):
-            v.append(f"{key} must be a non-negative integer")
+    if not _is_count(flat["seed"]):
+        v.append("seed must be a non-negative integer")
     for key in ("start_utc_second", "sync_lead_s"):
         if not 1 <= flat[key] <= _MAX_SECONDS:
             v.append(f"{key}={flat[key]} must lie in [1, {_MAX_SECONDS}] seconds")

@@ -3,15 +3,17 @@
 Captures are stored as CSV with a small comment header so a trace file
 is self-describing: station id, capture start in UTC microseconds, and
 the sampling interval.  Values are written with 6 decimal places, which
-is below sensor noise and keeps files byte-stable across rewrite.  Files
-are written as UTF-8 bytes in binary mode (ASCII for everything this
-package writes), so their bytes do not depend on the platform's locale
-or line separator.  `read_trace` maps the file read-only and parses the
-map in place, so it makes no heap copy of the file; only a file that
-cannot be mapped (an empty file, a FIFO, a file under /proc) is read
-with read().  A file truncated by another process while it is mapped
-can end the process with SIGBUS; this package's writers only ever
-replace a file by rename, which leaves a mapped file as it was.
+is below sensor noise and keeps files byte-stable across rewrite.  A
+trace is bytes in and bytes out: `format_trace` returns the file's UTF-8
+bytes (ASCII for everything this package writes), which `write_trace`
+writes in binary mode, so they do not depend on the platform's locale
+or line separator, and `parse_trace` reads bytes, never a str.
+`read_trace` maps the file read-only and parses the map in place, so it
+makes no heap copy of the file; only a file that cannot be mapped (an
+empty file, a FIFO, a file under /proc) is read with read().  A file
+truncated by another process while it is mapped can end the process
+with SIGBUS; this package's writers only ever replace a file by rename,
+which leaves a mapped file as it was.
 
 A trace has one spelling, and the reader accepts exactly what the writer
 writes:
@@ -28,13 +30,13 @@ value in [0, 1], each line ending in LF, up to the end of the file
 the 1e-6 grid as they spell it, so they write `quantize_capture`'s
 bytes, and raise ValueError for a sample that does not round into
 [0, 1] or rounds to -0.0, a station id that holds LF or a start that
-is not an integer.  `parse_trace` raises `TraceFormatError` for
-anything else, CRLF line ends, blank or comment lines, padded fields,
-metadata below the body and other spellings of a number included,
-naming the file line of the first byte off the template.  The reader is
-strict because the estimator takes every row as one 1 ms sample of
-sensors that read in [0, 1], and because every file it accepts then
-rewrites to the same bytes.
+is not an integer strictly between -2**53 and 2**53.  `parse_trace`
+raises `TraceFormatError` for anything else, CRLF line ends, blank or
+comment lines, padded fields, metadata below the body and other
+spellings of a number included, naming the file line of the first byte
+off the template.  The reader is strict because the estimator takes
+every row as one 1 ms sample of sensors that read in [0, 1], and because
+every file it accepts then rewrites to the same bytes.
 """
 from __future__ import annotations
 
@@ -59,6 +61,9 @@ _FIRST_ROW_LINE = 5
 # int() would also take "1_000", "+5", "007" and non-ASCII digits, which a
 # rewrite spells differently
 _START_LITERAL = re.compile(rb"0|-?[1-9][0-9]*")
+# a remote run counts true time in float us, exact only below 2**53; every
+# start this package writes is at most 9e15
+_START_LIMIT_US = 2 ** 53
 # the only interval the estimator reads, spelled as the writer spells it
 _INTERVAL_LITERAL = "1.0"
 _ROW_PATTERN = ",".join(["{row}"] + ["d.dddddd"] * tracebody.COLUMNS)
@@ -101,13 +106,15 @@ def atomic_write_text(path: str, text: str | bytes):
         raise
 
 
-def format_trace(capture: RawCapture) -> str:
-    return _trace_bytes(capture).decode()
+def format_trace(capture: RawCapture) -> bytearray:
+    """The trace file's bytes, or ValueError for a capture the reader
+    would refuse."""
+    return tracebody.format_rows(_header_text(capture).encode(),
+                                 capture.pot, capture.photo)
 
 
 def write_trace(path: str, capture: RawCapture):
-    # the buffer goes to the file as it is, without a str copy
-    atomic_write_text(path, _trace_bytes(capture))
+    atomic_write_text(path, format_trace(capture))
 
 
 def read_trace(path: str) -> RawCapture:
@@ -138,17 +145,14 @@ def _file_data(handle):
         return handle.read()
 
 
-def parse_trace(text: str | bytes | bytearray | mmap.mmap,
+def parse_trace(data: bytes | bytearray | mmap.mmap,
                 source: str = "<string>") -> RawCapture:
-    """Read a trace from its text, as a str or as the file's bytes.
+    """Read a trace from the file's bytes.
 
     The bytes may be bytes, a bytearray or a read-only mmap: the parser
-    only finds, slices and views them.  A str is read as its UTF-8
-    encoding (a lone surrogate stays an invalid byte sequence, and so an
-    error).  Each line is checked in file order, so the error names the
-    first bad one.
+    only finds, slices and views them.  Each line is checked in file
+    order, so the error names the first bad one.
     """
-    data = text.encode(errors="surrogatepass") if isinstance(text, str) else text
     station_id, at = _meta_value(data, 0, 1, "station_id", source)
     try:
         station_id = station_id.decode()
@@ -158,7 +162,13 @@ def parse_trace(text: str | bytes | bytearray | mmap.mmap,
     if not _START_LITERAL.fullmatch(start):
         raise TraceFormatError(
             f"{source}:2: bad header value: start_utc_us must be a plain "
-            f"integer, got {_text(start)!r}"
+            f"integer, got {_text(start[:100])!r}"
+        )
+    # checked by length first: int() refuses more than 4300 digits
+    if len(start) > len(str(-_START_LIMIT_US)) or abs(int(start)) >= _START_LIMIT_US:
+        raise TraceFormatError(
+            f"{source}:2: bad header value: start_utc_us must lie strictly "
+            f"between -2**53 and 2**53, got {_text(start[:100])!r}"
         )
     interval, at = _meta_value(data, at, 3, "interval_ms", source)
     if interval != _INTERVAL_LITERAL.encode():
@@ -196,17 +206,15 @@ def _header_text(capture: RawCapture) -> str:
     except TypeError:
         raise ValueError(f"start_utc_us must be an integer, "
                          f"got {capture.start_utc_us!r}") from None
+    if abs(start) >= _START_LIMIT_US:
+        # not spelled out: str() refuses an int of more than 4300 digits
+        raise ValueError("start_utc_us must lie strictly between -2**53 and 2**53")
     return (
         f"# station_id = {capture.station_id}\n"
         f"# start_utc_us = {start}\n"
         f"# interval_ms = {_INTERVAL_LITERAL}\n"
         f"{_HEADER_LINE}\n"
     )
-
-
-def _trace_bytes(capture: RawCapture) -> bytearray:
-    return tracebody.format_rows(_header_text(capture).encode(),
-                                 capture.pot, capture.photo)
 
 
 def _meta_value(data: bytes, at: int, lineno: int, key: str, source: str):

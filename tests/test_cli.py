@@ -333,6 +333,37 @@ def test_trace_that_is_not_utf8_exits_2(vive_trace_text, tmp_path, capsys):
     assert "not UTF-8 text" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def remote_pair(tmp_path_factory):
+    simdir = tmp_path_factory.mktemp("remote")
+    assert cli.main(["simulate", "--config", "remote-default",
+                     "--duration-ms", "3000", "--out", str(simdir)]) == 0
+    return simdir / "trace_A.csv", simdir / "trace_B.csv"
+
+
+def _with_start(trace, start, path):
+    head, rest = trace.read_text().split("# start_utc_us = ", 1)
+    path.write_text(f"{head}# start_utc_us = {start}{rest[rest.index(chr(10)):]}")
+    return str(path)
+
+
+@pytest.mark.parametrize("station,start", [("B", "1" + "0" * 400), ("A", "1" * 4301)],
+                         ids=["B-401-digits", "A-4301-digits"])
+def test_a_start_of_2_to_the_53_or_more_exits_2(remote_pair, tmp_path, capsys,
+                                                station, start):
+    # each raised a traceback: the first from align_on_utc's float
+    # conversion, the second from int() past its 4300-digit limit
+    trace_a, trace_b = remote_pair
+    if station == "B":
+        traces = [str(trace_a), _with_start(trace_b, start, tmp_path / "trace_B2.csv")]
+    else:
+        traces = [_with_start(trace_a, start, tmp_path / "trace_A2.csv")]
+    assert cli.main(["estimate", *traces]) == 2
+    err = capsys.readouterr().err
+    assert (f"{traces[-1]}:2: bad header value: start_utc_us must lie strictly "
+            f"between -2**53 and 2**53, got '{start[:100]}'") in err
+
+
 @pytest.mark.parametrize("line", ["sensors.adc_sample_hz = 1000.0",
                                   "sensors.adc_conversion_us = 800.0",
                                   "motion.kind = sinusoidal",

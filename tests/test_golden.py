@@ -104,8 +104,9 @@ GOLDEN = {
 BATCH_GOLDEN = "36801787b902dd8cf28af37e0dc4dcc4e3f1da7bd5cac215dd016ff518e89516"
 
 
-def _sha(text):
-    return hashlib.sha256(text.encode()).hexdigest()
+def _sha(data):
+    """SHA-256 of a trace's bytes as they are, or of a report's UTF-8."""
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
 
 def _preset_digests(preset, seed):

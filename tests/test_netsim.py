@@ -7,7 +7,7 @@ import pytest
 from vrlatsim import cli, estimator, netsim
 from vrlatsim.errors import SimulationError
 from vrlatsim.netsim import NetworkConfig
-from vrlatsim.rig import SteppedAngleHistory, simulate_station
+from vrlatsim.rig import SteppedAngleHistory, station_signal
 from vrlatsim.scenario import get_preset
 
 
@@ -118,11 +118,11 @@ _PINNED_STARTS = {
 def test_remote_station_starts_are_pinned_to_the_bit(preset, seed, monkeypatch):
     starts = []
 
-    def recording_station(**kwargs):
+    def recording_signal(**kwargs):
         starts.append(kwargs["true_start_us"])
-        return simulate_station(**kwargs)
+        return station_signal(**kwargs)
 
-    monkeypatch.setattr(netsim, "simulate_station", recording_station)
+    monkeypatch.setattr(netsim, "station_signal", recording_signal)
     netsim.remote_capture(replace(get_preset(preset), seed=seed, duration_ms=50.0))
     assert tuple(float(s).hex() for s in starts) == _PINNED_STARTS[seed]
 

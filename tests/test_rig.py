@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vrlatsim import codec, estimator, rig
+from vrlatsim import codec, estimator, netsim, rig
 from vrlatsim import scenario as scenario_mod
 from vrlatsim.clock import SimClock
 from vrlatsim.errors import SimulationError
@@ -448,6 +448,64 @@ def built(monkeypatch):
 
     monkeypatch.setattr(rig, "station_signal", counting)
     return calls
+
+
+@pytest.fixture
+def station_calls(monkeypatch):
+    """Every signal `station_signal` returns, and (station id, signal,
+    capture) of every `simulate_station` call, through the names `rig` and
+    `netsim` look up."""
+    built, noised = [], []
+    build, noise = rig.station_signal, rig.simulate_station
+
+    def recording_build(**kwargs):
+        built.append(build(**kwargs))
+        return built[-1]
+
+    def recording_noise(**kwargs):
+        capture = noise(**kwargs)
+        noised.append((kwargs["station_id"], kwargs["signal"], capture))
+        return capture
+
+    for module in (rig, netsim):
+        monkeypatch.setattr(module, "station_signal", recording_build)
+        monkeypatch.setattr(module, "simulate_station", recording_noise)
+    return built, noised
+
+
+_LOCAL_300MS = replace(get_preset("vive-baseline"), duration_ms=300.0)
+_REMOTE_300MS = replace(get_preset("remote-default"), duration_ms=300.0)
+_CAPTURE_KINDS = ["cold-local", "warm-local", "remote"]
+
+
+def _noised_by(kind, station_calls):
+    """The station ids of one capture of `kind` and its `simulate_station`
+    calls; a warm capture's earlier cold one is left out."""
+    noised = station_calls[1]
+    if kind == "remote":
+        netsim.remote_capture(_REMOTE_300MS)
+        return "AB", noised
+    if kind == "warm-local":
+        rig.run_capture(_LOCAL_300MS)
+        del noised[:]
+    rig.run_capture(replace(_LOCAL_300MS, seed=1))
+    return "A", noised
+
+
+@pytest.mark.parametrize("kind", _CAPTURE_KINDS)
+def test_every_capture_adds_noise_once_per_station(kind, station_calls):
+    # perfbench counts rig.samples from what simulate_station returns
+    stations, noised = _noised_by(kind, station_calls)
+    assert [station_id for station_id, _, _ in noised] == list(stations)
+    assert [len(capture) for _, _, capture in noised] == [300] * len(stations)
+
+
+@pytest.mark.parametrize("kind", _CAPTURE_KINDS)
+def test_every_signal_a_capture_noises_comes_from_station_signal(kind, station_calls):
+    _, noised = _noised_by(kind, station_calls)
+    built = station_calls[0]
+    assert noised and all(any(signal is b for b in built)
+                          for _, signal, _ in noised)
 
 
 def _capture_bytes(capture):

@@ -65,8 +65,8 @@ _RULE_BREAKERS = [
                                   extrapolation_ms=-1.0),
         sensors=SensorConfig(rise_time_us=-1.0, pot_noise_sigma=-1.0,
                              photo_noise_sigma=-1.0),
-        clock_a=SimClock(drift_ppm=5000.0, seed=-1),
-        clock_b=SimClock(drift_ppm=-5000.0, seed=-2),
+        clock_a=SimClock(drift_ppm=5000.0),
+        clock_b=SimClock(drift_ppm=-5000.0),
         net=NetworkConfig(send_rate_hz=0.0, one_way_delay_ms=-1.0, jitter_ms=-1.0,
                           phase_ms=-1.0),
         audio=AudioPathConfig(tone_hz=0.0, path_delay_ms=-1.0, threshold=2.0,
@@ -97,7 +97,7 @@ def test_every_violation_starts_with_its_key():
         assert re.match(r"[\w.]+", v).group() in scenario_mod._KEYS, v
     leads = {re.match(r"[\w.]+", v).group() for v in violations}
     assert {"sensors.pot_noise_sigma", "sensors.photo_noise_sigma",
-            "motion.amplitude_deg", "clock_b.seed", "sync_lead_s"} <= leads
+            "motion.amplitude_deg", "clock_b.drift_ppm", "sync_lead_s"} <= leads
 
 
 def test_motion_must_stay_inside_the_encoder_range():
@@ -227,12 +227,6 @@ def _remote_violations(**keys):
     return scenario_mod.validate(scenario_mod.scenario_from_flat(flat))
 
 
-@pytest.mark.parametrize("key", ["clock_a.seed", "clock_b.seed"])
-def test_a_negative_clock_seed_is_named(key):
-    # SeedSequence((seed, -1, 0xC10C)) would raise a bare ValueError
-    assert _remote_violations(**{key: -1}) == [f"{key} must be a non-negative integer"]
-
-
 def test_a_start_spread_beyond_the_array_cap_names_the_sync_lead():
     # remote-default's +-25 ppm clocks start 50 s apart after a 1e9 s lead,
     # and the sender transmits at 1 kHz from the one start to the other
@@ -248,8 +242,8 @@ def test_the_start_spread_is_the_gap_between_the_synced_starts(lead):
                                           "net.send_rate_hz": 1000.0, "sync_lead_s": lead})
     [(_, _, updates, _)] = [length for length in scenario_mod._array_lengths(sc)
                             if length[3] == "network updates"]
-    gap_ms = abs(netsim._synced_start_us(sc.clock_a, sc)
-                 - netsim._synced_start_us(sc.clock_b, sc)) / 1000.0
+    gap_ms = abs(netsim._synced_start_us(sc.clock_a, 1, sc)
+                 - netsim._synced_start_us(sc.clock_b, 2, sc)) / 1000.0
     assert updates - sc.duration_ms - netsim.SEND_WARMUP_MS == pytest.approx(gap_ms, abs=0.2)
 
 
@@ -379,10 +373,12 @@ def test_unparseable_values_are_reported_with_their_key():
 
 @pytest.mark.parametrize("key", ["sensors.adc_sample_hz", "sensors.adc_conversion_us",
                                  "motion.kind", "clock_a.epoch_offset_us",
-                                 "clock_b.epoch_offset_us"])
+                                 "clock_b.epoch_offset_us", "clock_a.seed",
+                                 "clock_b.seed"])
 def test_fixed_rig_settings_are_not_config_keys(key):
-    # the ADC rate (1 kHz) and the motion (sinusoidal) are fixed, and a
-    # clock's epoch offset cancels in the GPS sync
+    # the ADC rate (1 kHz) and the motion (sinusoidal) are fixed, a clock's
+    # epoch offset cancels in the GPS sync, and each station's timepulse
+    # jitter is seeded by its fixed tag
     with pytest.raises(ScenarioValidationError) as err:
         scenario_mod.scenario_from_flat({key: "1000"})
     assert err.value.violations == [f"unknown config key {key!r}"]
@@ -452,22 +448,22 @@ def test_section_fields_are_resolved_once_and_read_only():
     with pytest.raises(TypeError):
         keys["pipeline.refresh_hz"] = ("pipeline", "refresh_hz", int)
     assert [key for key in keys if key.startswith("clock_a.")] == \
-        ["clock_a.drift_ppm", "clock_a.seed"]
+        ["clock_a.drift_ppm"]
     assert keys["seed"] == (None, "seed", int)
 
 
 # SHA-256 of format_config of every preset; the presets are built from
 # shared fragments, and each must still spell the same scenario
 _PRESET_CONFIG_SHA256 = {
-    "audio-local": "59cb6c3ab22faa15649fb73b8de5d774d5a7f6076efd68a229ca420552fdca0d",
-    "audio-remote": "5c718e61ae0ed4c300728f3c3bf33ca76380b2aa729e9ead1e4e0b2c1b875557",
-    "frame-delay-1": "6c737fd07590768b99fcfceed852fcc9afd1078d2cd7a9e16ab7dfb457353ad9",
-    "frame-delay-10": "59a97dda09dc158f9953c670beb916069bfad823ed550baa3bc0356053706255",
-    "frame-delay-5": "9020cbdbc81d703cd9d3a51bfb05ee778c79456e12dad814347d5d97a18b60a6",
-    "remote-asymmetric": "6c7b0490a766a7e92cb1d4ef7b5463b0080eb2704b8e48c86eebc3956053a7da",
-    "remote-default": "14cb7b788d8abd92b80d059ddaa1d45487d4e4934418f712c2a29f45ea78246d",
-    "vive-baseline": "0959f50044d320f8526eb360aa9134a1acaa157699b5a0b6e510524284e6b7a3",
-    "zero-delay": "5f2d27592bc50c2fb66c7f5be25e34d99cae867c5f15e459c76681ecbcbf0023",
+    "audio-local": "a105b79dafea3e3aa46a558c91f54fce4ee7db3fcbd92ddb0a14a5a05b411d2a",
+    "audio-remote": "25d35be76c9ea518c8175249a88a53fb7a82592c8e30747841a784b7d021f7a6",
+    "frame-delay-1": "e2631012a3d3a47388f4c7b44264c2cc15906e8a329deb57efd010b8497621e5",
+    "frame-delay-10": "0da80207898b017a37b2535f5bb103d1486dd9340fa8c0b2b9862fefda7f9a60",
+    "frame-delay-5": "4a374bdb91fa2206bc3f902fe34010e2061a3d6fc6dcefad889b32b98599e039",
+    "remote-asymmetric": "4e68466e140d66a646857876305acfc4dee38a92b99fdd219d12bb4af6708f83",
+    "remote-default": "ecd47e368f2bdc6b4e7b30c3fe6fc6c411959ae2b86e5e8c16ae33881b27dff8",
+    "vive-baseline": "d36b79fdbad149cac6b929bdc6632a87a183c04135b1a045620580362105f100",
+    "zero-delay": "4c00d4b80e1a3164ca5c98f5088fd206d76b8f2194b60edc8a23f94c4a1bd129",
 }
 
 
@@ -512,8 +508,9 @@ def test_duplicate_keys_are_rejected_with_both_lines():
         "line 4: duplicate key 'seed', first set on line 1"
     ]
     # keys of different sections are different keys
-    flat = scenario_mod.parse_config_text("seed = 1\nclock_a.seed = 2\n")
-    assert flat == {"seed": "1", "clock_a.seed": "2"}
+    flat = scenario_mod.parse_config_text("pipeline.refresh_hz = 90\n"
+                                          "pipeline_b.refresh_hz = 60\n")
+    assert flat == {"pipeline.refresh_hz": "90", "pipeline_b.refresh_hz": "60"}
 
 
 def _sample_capture(n=50):
@@ -586,14 +583,14 @@ _META = "# station_id = A\n# start_utc_us = 0\n# interval_ms = 1.0\n"
 def test_trace_parser_reports_the_offending_row():
     text = _META + _HEADER + "\n" + f"0,{_ROW}\n" + "1,0.100000,0.200000\n"
     with pytest.raises(TraceFormatError) as err:
-        tracefile.parse_trace(text, source="broken.csv")
+        tracefile.parse_trace(text.encode(), source="broken.csv")
     assert str(err.value).startswith("broken.csv:6: ")
 
 
 def test_trace_parser_rejects_out_of_order_rows():
     text = _META + _HEADER + "\n" + f"0,{_ROW}\n" + f"2,{_ROW}\n"
     with pytest.raises(TraceFormatError) as err:
-        tracefile.parse_trace(text, source="src.csv")
+        tracefile.parse_trace(text.encode(), source="src.csv")
     assert str(err.value).startswith(
         "src.csv:6: expected row '1,d.dddddd,d.dddddd,d.dddddd,d.dddddd,d.dddddd'"
         " with every value in [0, 1], got '2,")
@@ -606,21 +603,21 @@ def test_trace_parser_rejects_non_finite_samples(bad, column):
     row[column] = bad
     text = _META + _HEADER + "\n" + f"0,{_ROW}\n" + ",".join(row) + "\n"
     with pytest.raises(TraceFormatError) as err:
-        tracefile.parse_trace(text, source="bad.csv")
+        tracefile.parse_trace(text.encode(), source="bad.csv")
     assert str(err.value).startswith("bad.csv:6: expected row '1,")
 
 
 def test_trace_parser_requires_metadata_and_samples():
     with pytest.raises(TraceFormatError) as err:
-        tracefile.parse_trace(f"{_HEADER}\n0,{_ROW}\n", source="src.csv")
+        tracefile.parse_trace(f"{_HEADER}\n0,{_ROW}\n".encode(), source="src.csv")
     assert str(err.value).startswith("src.csv:1: expected '# station_id = ...'")
     with pytest.raises(TraceFormatError) as err:
-        tracefile.parse_trace(_META + _HEADER + "\n", source="src.csv")
+        tracefile.parse_trace((_META + _HEADER + "\n").encode(), source="src.csv")
     assert str(err.value) == (
         "src.csv:5: expected row '0,d.dddddd,d.dddddd,d.dddddd,d.dddddd,d.dddddd'"
         " with every value in [0, 1], got the end of the file")
     with pytest.raises(TraceFormatError) as err:
-        tracefile.parse_trace("", source="src.csv")
+        tracefile.parse_trace(b"", source="src.csv")
     assert str(err.value).startswith("src.csv:1: ")
 
 
@@ -675,7 +672,7 @@ def _unit_capture(n, seed):
     values[awkward] = rng.choice(_AWKWARD_VALUES, size=int(awkward.sum()))
     return RawCapture(
         station_id="A",
-        start_utc_us=int(rng.integers(-2**53, 2**53)),
+        start_utc_us=int(rng.integers(-2**53 + 1, 2**53)),
         pot=values[:, 0].copy(),
         photo=values[:, 1:].copy(),
     )
@@ -701,7 +698,7 @@ def test_trace_writer_matches_the_per_row_oracle(n, seed):
     # its quantize_capture is
     capture = _unit_capture(n, seed)
     assert tracefile.format_trace(capture) == _per_row_format_trace(
-        tracefile.quantize_capture(capture))
+        tracefile.quantize_capture(capture)).encode()
 
 
 @pytest.mark.parametrize("n", [0, 1, 10001])
@@ -738,12 +735,12 @@ def test_writer_refuses_samples_that_do_not_round_into_the_unit_range(
 def test_trace_reader_matches_the_per_row_oracle(seed, n):
     text = _per_row_format_trace(_canonical_capture(n, seed))
     want = _per_row_parse_trace(text)
-    for got in (tracefile.parse_trace(text), tracefile.parse_trace(text.encode())):
-        assert (got.station_id, got.start_utc_us) == (want.station_id, want.start_utc_us)
-        for channel in ("pot", "photo"):
-            g, w = getattr(got, channel), getattr(want, channel)
-            assert (g.dtype, g.shape) == (w.dtype, w.shape)
-            assert g.tobytes() == w.tobytes()
+    got = tracefile.parse_trace(text.encode())
+    assert (got.station_id, got.start_utc_us) == (want.station_id, want.start_utc_us)
+    for channel in ("pot", "photo"):
+        g, w = getattr(got, channel), getattr(want, channel)
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -764,9 +761,9 @@ def _last_row_separators():
     """Offsets in the 11-row canonical trace at seed 0 of each kind of
     separator in its last row: the comma after the index, a point, a comma
     between values and the closing LF."""
-    text = tracefile.format_trace(_canonical_capture(11, 0))
-    row = text.rindex("\n", 0, len(text) - 1) + 1
-    return row + 2, row + 4, row + 11, len(text) - 1
+    data = tracefile.format_trace(_canonical_capture(11, 0))
+    row = data.rindex(b"\n", 0, len(data) - 1) + 1
+    return row + 2, row + 4, row + 11, len(data) - 1
 
 
 _INDEX_COMMA, _POINT, _COMMA, _LF = _last_row_separators()
@@ -793,7 +790,7 @@ _INDEX_COMMA, _POINT, _COMMA, _LF = _last_row_separators()
 @example(n=11, seed=0, kind="substitute", where=_LF, byte=ord(","))
 def test_every_one_byte_edit_reads_back_or_names_its_line(n, seed, kind, where,
                                                           byte):
-    canonical = tracefile.format_trace(_canonical_capture(n, seed)).encode()
+    canonical = bytes(tracefile.format_trace(_canonical_capture(n, seed)))
     at = where % (len(canonical) + (kind == "insert"))
     lf = ord("\n")
     if kind == "delete":
@@ -805,20 +802,13 @@ def test_every_one_byte_edit_reads_back_or_names_its_line(n, seed, kind, where,
     else:
         edited = canonical[:at] + bytes([byte]) + canonical[at:]
         lines = _lines_touched(edited, at, at + 1, byte == lf)
-    texts = [edited]
     try:
-        texts.append(edited.decode())
-    except UnicodeDecodeError:
-        pass
-    for text in texts:
-        try:
-            capture = tracefile.parse_trace(text, source="src.csv")
-        except TraceFormatError as err:
-            source, line, _ = str(err).split(":", 2)
-            assert source == "src.csv" and int(line) in lines, (str(err), lines)
-        else:
-            written = tracefile.format_trace(capture)
-            assert written == (text if isinstance(text, str) else text.decode())
+        capture = tracefile.parse_trace(edited, source="src.csv")
+    except TraceFormatError as err:
+        source, line, _ = str(err).split(":", 2)
+        assert source == "src.csv" and int(line) in lines, (str(err), lines)
+    else:
+        assert tracefile.format_trace(capture) == edited
 
 
 # ---------------------------------------------------------------------------
@@ -950,12 +940,10 @@ def test_long_trace_io_peak_memory_stays_small():
     capture = tracefile.quantize_capture(
         rig.run_capture(replace(scenario_mod.get_preset("vive-baseline"),
                                 duration_ms=60_000.0)))
-    text = tracefile.format_trace(capture)
-    data = text.encode()
-    # the float64 digit product peaked at 6.59 MB on str and 3.54 MB on
-    # bytes input; the float32 one peaks at 6.07 and 3.02 MB
+    data = bytes(tracefile.format_trace(capture))
+    # the float64 digit product peaked at 3.54 MB; the float32 one peaks
+    # at 3.02 MB
     for call, arg, limit in ((tracefile.format_trace, capture, 8e6),
-                             (tracefile.parse_trace, text, 6.3e6),
                              (tracefile.parse_trace, data, 3.3e6)):
         tracemalloc.start()
         try:
@@ -1001,12 +989,11 @@ _BAD_ROWS = {
 def test_trace_parser_names_the_file_line_of_a_bad_row(kind, at):
     bad_row = _BAD_ROWS[kind].format(i=at, j=at + 1)
     lines = _trace_lines_with(bad_row, at)
-    text = "\n".join(lines) + "\n"
-    for data in (text, text.encode()):
-        with pytest.raises(TraceFormatError) as got:
-            tracefile.parse_trace(data, source="src.csv")
-        assert str(got.value).startswith(f"src.csv:{at + 5}: expected row '{at},")
-        assert str(got.value).endswith(f"got {bad_row + chr(10)!r}")
+    data = ("\n".join(lines) + "\n").encode()
+    with pytest.raises(TraceFormatError) as got:
+        tracefile.parse_trace(data, source="src.csv")
+    assert str(got.value).startswith(f"src.csv:{at + 5}: expected row '{at},")
+    assert str(got.value).endswith(f"got {bad_row + chr(10)!r}")
 
 
 def test_trace_parser_names_an_out_of_order_row_above_a_bad_value():
@@ -1014,7 +1001,7 @@ def test_trace_parser_names_an_out_of_order_row_above_a_bad_value():
     lines[lines.index(f"50,{_ROW}")] = "50,0.100000,x,0.300000,0.400000,0.500000"
     text = "\n".join(lines) + "\n"
     with pytest.raises(TraceFormatError) as got:
-        tracefile.parse_trace(text, source="src.csv")
+        tracefile.parse_trace(text.encode(), source="src.csv")
     assert str(got.value).startswith("src.csv:15: expected row '10,")
     assert str(got.value).endswith(f"got '40,{_ROW}\\n'")
 
@@ -1033,7 +1020,7 @@ def test_trace_parser_names_an_out_of_order_row_above_a_bad_value():
 def test_trace_parser_names_the_first_line_off_the_template(edit, line):
     text = _per_row_format_trace(_canonical_capture(3, seed=0))
     with pytest.raises(TraceFormatError) as got:
-        tracefile.parse_trace(edit(text), source="src.csv")
+        tracefile.parse_trace(edit(text).encode(), source="src.csv")
     assert str(got.value).startswith(f"src.csv:{line}: ")
 
 
@@ -1044,7 +1031,7 @@ def _one_row_trace(start="0", interval="1.0", row=f"0,{_ROW}"):
     return (
         f"# station_id = A\n# start_utc_us = {start}\n# interval_ms = {interval}\n"
         f"{_HEADER}\n{row}\n"
-    )
+    ).encode()
 
 
 @pytest.mark.parametrize("interval", ["2.0", "0.5", "0.001", "nan", "inf",
@@ -1064,6 +1051,36 @@ def test_trace_parser_requires_an_integer_start(start):
         tracefile.parse_trace(_one_row_trace(start=start), source="src.csv")
     assert str(err.value).startswith("src.csv:2: bad header value")
     assert repr(start) in str(err.value)
+
+
+@pytest.mark.parametrize("start", [2**53 - 1, -(2**53 - 1)])
+def test_the_widest_starts_round_trip(start):
+    written = _one_row_trace(start=str(start))
+    capture = tracefile.parse_trace(written)
+    assert capture.start_utc_us == start
+    assert tracefile.format_trace(capture) == written
+
+
+@pytest.mark.parametrize("start", ["9007199254740992", "-9007199254740992",
+                                   "9" * 17, "1" + "0" * 400, "-" + "1" * 4301],
+                         ids=["2**53", "-2**53", "17-nines", "10**400", "-4301-ones"])
+def test_the_reader_refuses_a_start_of_2_to_the_53_or_more(start):
+    with pytest.raises(TraceFormatError) as err:
+        tracefile.parse_trace(_one_row_trace(start=start), source="src.csv")
+    assert str(err.value) == ("src.csv:2: bad header value: start_utc_us must lie "
+                              f"strictly between -2**53 and 2**53, got {start[:100]!r}")
+
+
+@pytest.mark.parametrize("start", [2**53, -2**53, 10**400, -10**5000],
+                         ids=["2**53", "-2**53", "10**400", "-10**5000"])
+def test_the_writer_refuses_a_start_of_2_to_the_53_or_more(start, tmp_path):
+    capture = replace(_canonical_capture(3, seed=0), start_utc_us=start)
+    message = "start_utc_us must lie strictly between -2**53 and 2**53"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tracefile.format_trace(capture)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tracefile.write_trace(str(tmp_path / "t.csv"), capture)
+    assert os.listdir(tmp_path) == []
 
 
 @settings(max_examples=200)
@@ -1144,21 +1161,22 @@ def test_report_formatting_lists_warnings():
 
 
 def test_trace_bytes_are_read_as_utf8():
-    text = _one_row_trace().replace("station_id = A", "station_id = \u00c5")
-    capture = tracefile.parse_trace(text.encode())
+    data = _one_row_trace().replace(b"station_id = A", "station_id = \u00c5".encode())
+    capture = tracefile.parse_trace(data)
     assert capture.station_id == "\u00c5"
-    assert tracefile.format_trace(capture) == text
+    assert tracefile.format_trace(capture) == data
     with pytest.raises(TraceFormatError) as err:
-        tracefile.parse_trace(text.encode("latin-1"), source="src.csv")
+        tracefile.parse_trace(data.decode().encode("latin-1"), source="src.csv")
     assert str(err.value).startswith("src.csv:1: not UTF-8 text: ")
-    # a str has no UTF-8 spelling of a lone surrogate
+    # UTF-8 has no spelling of a lone surrogate
+    surrogate = "\ud800".encode(errors="surrogatepass")
     with pytest.raises(TraceFormatError) as err:
-        tracefile.parse_trace(text.replace("\u00c5", "\ud800"), source="src.csv")
+        tracefile.parse_trace(data.replace("\u00c5".encode(), surrogate), source="src.csv")
     assert str(err.value).startswith("src.csv:1: not UTF-8 text: ")
 
 
-def test_a_non_ascii_station_id_reads_back_from_str_and_from_bytes(tmp_path):
-    # a str is read as its UTF-8 bytes, which is what write_trace writes
+def test_a_non_ascii_station_id_reads_back_from_the_buffer_and_the_file(tmp_path):
+    # format_trace's buffer holds the UTF-8 bytes that write_trace writes
     capture = replace(_canonical_capture(3, seed=0), station_id="\u00c4")
     path = str(tmp_path / "t.csv")
     tracefile.write_trace(path, capture)
@@ -1169,7 +1187,7 @@ def test_a_non_ascii_station_id_reads_back_from_str_and_from_bytes(tmp_path):
         assert back.pot.tobytes() == capture.pot.tobytes()
         assert back.photo.tobytes() == capture.photo.tobytes()
     with open(path, "rb") as handle:
-        assert handle.read() == tracefile.format_trace(capture).encode()
+        assert handle.read() == tracefile.format_trace(capture)
 
 
 @pytest.mark.parametrize("change,message", [
@@ -1190,12 +1208,12 @@ def test_writer_refuses_header_values_its_reader_refuses(change, message,
 
 def test_a_numpy_integer_start_is_written_as_a_plain_integer(tmp_path):
     capture = replace(_canonical_capture(3, seed=0), start_utc_us=np.int64(5))
-    text = tracefile.format_trace(capture)
-    assert "\n# start_utc_us = 5\n" in text
+    data = tracefile.format_trace(capture)
+    assert b"\n# start_utc_us = 5\n" in data
     path = str(tmp_path / "t.csv")
     tracefile.write_trace(path, capture)
     with open(path, "rb") as handle:
-        assert handle.read() == text.encode()
+        assert handle.read() == data
     back = tracefile.read_trace(path)
     assert type(back.start_utc_us) is int and back.start_utc_us == 5
 
@@ -1203,7 +1221,7 @@ def test_a_numpy_integer_start_is_written_as_a_plain_integer(tmp_path):
 # ---------------------------------------------------------------------------
 # the mapped reader
 
-_CANONICAL_BYTES = tracefile.format_trace(_canonical_capture(2500, seed=3)).encode()
+_CANONICAL_BYTES = bytes(tracefile.format_trace(_canonical_capture(2500, seed=3)))
 _READ_CASES = {
     "canonical": _CANONICAL_BYTES,
     # the error is raised where views of the map are alive
@@ -1255,7 +1273,7 @@ def test_read_trace_matches_parse_trace_and_lets_the_file_go(case, tmp_path):
     replacement = _canonical_capture(3, seed=1)
     tracefile.write_trace(path, replacement)
     with open(path, "rb") as handle:
-        assert handle.read() == tracefile.format_trace(replacement).encode()
+        assert handle.read() == tracefile.format_trace(replacement)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
