@@ -8,7 +8,7 @@ network path, and cross-correlation latency estimation on the captured
 traces.
 """
 from . import audio, cli, clock, codec, estimator, netsim, rig, scenario, tracefile
-from .audio import AudioPathConfig, MouthToEarResult, measure_mouth_to_ear
+from .audio import AudioPathConfig, measure_mouth_to_ear
 from .clock import SimClock, local_now
 from .errors import (
     AlignmentError,
@@ -55,7 +55,6 @@ __all__ = [
     "EstimationError",
     "LatencyReport",
     "MotionProfile",
-    "MouthToEarResult",
     "NetworkConfig",
     "PipelineConfig",
     "RawCapture",

@@ -28,12 +28,6 @@ class AudioPathConfig:
     noise_sigma: float = 0.0
 
 
-@dataclass(frozen=True)
-class MouthToEarResult:
-    intervals: int
-    latency_ms: float
-
-
 def buzzer_waveform(cfg: AudioPathConfig, t_us):
     """Square wave: +1 in the first half period, -1 in the second."""
     period_us = 1e6 / cfg.tone_hz
@@ -41,7 +35,7 @@ def buzzer_waveform(cfg: AudioPathConfig, t_us):
     return np.where(phase < period_us / 2.0, 1.0, -1.0)
 
 
-def measure_mouth_to_ear(cfg: AudioPathConfig, seed=0) -> MouthToEarResult:
+def measure_mouth_to_ear(cfg: AudioPathConfig, seed=0) -> int:
     """Count whole 1 ms polling intervals until the tone is detected.
 
     The detector hears attenuation * buzzer_waveform(t - path_delay),
@@ -68,5 +62,4 @@ def measure_mouth_to_ear(cfg: AudioPathConfig, seed=0) -> MouthToEarResult:
         raise DetectionTimeoutError(
             f"no threshold crossing within {DEFAULT_HORIZON_MS} ms"
         )
-    intervals = int(np.ceil(float(times[hits[0]]) / 1000.0))
-    return MouthToEarResult(intervals=intervals, latency_ms=float(intervals))
+    return int(np.ceil(float(times[hits[0]]) / 1000.0))

@@ -27,7 +27,6 @@ import numpy as np
 from . import audio as audio_path
 from . import estimator, netsim, rig, tracefile
 from . import scenario as scenario_mod
-from .audio import MouthToEarResult
 from .errors import (
     DecodeError,
     DetectionTimeoutError,
@@ -92,7 +91,6 @@ def load_scenario(config: str, seed: int | None = None,
 class RunResult:
     captures: dict                      # station id -> RawCapture, disk precision
     report: LatencyReport
-    audio_result: MouthToEarResult | None
 
 
 def capture_run(sc: scenario_mod.Scenario) -> list[RawCapture]:
@@ -104,7 +102,7 @@ def capture_run(sc: scenario_mod.Scenario) -> list[RawCapture]:
 
 def estimate_run(captures, *, max_lag_ms: int = estimator.DEFAULT_MAX_LAG_MS,
                  allow_negative: bool = False,
-                 audio_result: MouthToEarResult | None = None) -> LatencyReport:
+                 mouth_to_ear_ms: int | None = None) -> LatencyReport:
     """Shared estimation path for fresh captures and re-read trace files.
 
     `captures` yields the sender's capture and, for a remote run, the
@@ -133,7 +131,7 @@ def estimate_run(captures, *, max_lag_ms: int = estimator.DEFAULT_MAX_LAG_MS,
                                            allow_negative)
     return estimator.build_report(local=local, remote=remote,
                                   remote_direction=direction,
-                                  mouth_to_ear=audio_result,
+                                  mouth_to_ear_ms=mouth_to_ear_ms,
                                   display_trace=diag_trace)
 
 
@@ -147,14 +145,14 @@ def simulate_scenario(sc: scenario_mod.Scenario, *,
     trace files.
     """
     captures = capture_run(sc)
-    audio_result = None
+    mouth_to_ear_ms = None
     if sc.audio is not None:
-        audio_result = audio_path.measure_mouth_to_ear(sc.audio, seed=sc.seed)
+        mouth_to_ear_ms = audio_path.measure_mouth_to_ear(sc.audio, seed=sc.seed)
 
     report = estimate_run(captures, max_lag_ms=max_lag_ms,
-                          allow_negative=allow_negative, audio_result=audio_result)
-    return RunResult(captures={c.station_id: c for c in captures},
-                     report=report, audio_result=audio_result)
+                          allow_negative=allow_negative,
+                          mouth_to_ear_ms=mouth_to_ear_ms)
+    return RunResult(captures={c.station_id: c for c in captures}, report=report)
 
 
 def run_batch(sc: scenario_mod.Scenario, runs: int, base_seed: int, *,
@@ -179,24 +177,6 @@ def run_batch(sc: scenario_mod.Scenario, runs: int, base_seed: int, *,
     return reports, failures
 
 
-_BATCH_METRICS = (
-    "motion_to_photon_ms",
-    "remote_latency_ms",
-    "mouth_to_ear_ms",
-    "peak_coefficient",
-)
-
-
-def summarize_reports(reports) -> list:
-    rows = []
-    for metric in _BATCH_METRICS:
-        values = [getattr(r, metric) for r in reports
-                  if getattr(r, metric) is not None]
-        if values:
-            rows.append((metric, np.asarray(values, dtype=float)))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -207,9 +187,9 @@ def _check_max_lag(args):
 
 
 def _check_lag_window(args, sc: scenario_mod.Scenario):
-    """Reject a lag window that spans the motion period P, before any
-    capture: the sine correlates alike at lags L and L + P, so the search
-    could not tell them apart."""
+    """Reject, before any capture, a lag window that spans the motion
+    period P (the sine correlates alike at lags L and L + P, so the search
+    could not tell them apart) or that the capture is too short to search."""
     lo = -args.max_lag if args.allow_negative_lag else 0
     period_ms = sc.motion.period_ms
     if args.max_lag - lo >= period_ms:
@@ -217,6 +197,13 @@ def _check_lag_window(args, sc: scenario_mod.Scenario):
             f"--max-lag {args.max_lag}: the lag window [{lo}, {args.max_lag}] ms "
             f"spans the motion period of {period_ms:g} ms, in which lags L and "
             f"L + {period_ms:g} ms look alike; lower --max-lag")
+    need = estimator.MIN_LENGTH_FACTOR * args.max_lag
+    samples = rig.sample_count(sc.duration_ms)
+    if samples < need:
+        raise UsageError(
+            f"--max-lag {args.max_lag}: a lag search of {args.max_lag} ms needs "
+            f"at least {need} samples, and a capture of {sc.duration_ms:g} ms "
+            f"gives {samples}; lengthen the capture or lower --max-lag")
 
 
 def cmd_simulate(args) -> int:
@@ -230,10 +217,10 @@ def cmd_simulate(args) -> int:
         path = os.path.join(args.out, f"trace_{station_id}.csv")
         tracefile.write_trace(path, result.captures[station_id])
         print(f"wrote {path}", file=sys.stderr)
-    if result.audio_result is not None:
+    if result.report.mouth_to_ear_ms is not None:
         path = os.path.join(args.out, "audio_latency.txt")
         tracefile.atomic_write_text(
-            path, f"mouth_to_ear_ms = {result.audio_result.intervals}\n"
+            path, f"mouth_to_ear_ms = {result.report.mouth_to_ear_ms}\n"
         )
         print(f"wrote {path}", file=sys.stderr)
     report_path = os.path.join(args.out, "report.txt")
@@ -285,8 +272,7 @@ def cmd_batch(args) -> int:
     reports, failures = run_batch(sc, args.runs, base_seed,
                                   max_lag_ms=args.max_lag,
                                   allow_negative=args.allow_negative_lag)
-    text = tracefile.format_batch_summary(summarize_reports(reports),
-                                          base_seed, failures)
+    text = tracefile.format_batch_summary(reports, base_seed, failures)
     os.makedirs(args.out, exist_ok=True)
     summary_path = os.path.join(args.out, "batch_summary.txt")
     tracefile.atomic_write_text(summary_path, text)

@@ -13,9 +13,9 @@ classify/decode call turns all picked samples into codes.
 
 Latency is the lag, in whole milliseconds, that maximizes the Pearson
 correlation between the reference and the delayed series.  Both series
-are centred once on their global means, rounded to the nearest integer
-when both are integer codes so that every sum below is exact and its
-bits do not depend on the BLAS kernel.  Every window misses at most the
+are integer codes, centred once on their global means rounded to the
+nearest integer, so that every sum below is exact and its bits do not
+depend on the BLAS kernel.  Every window misses at most the
 largest lag's samples at either end, so its sum and sum of squares are
 the whole series' total less a short prefix sum of the cut head and a
 short suffix sum of the cut tail.  The cross products of all lags come
@@ -32,7 +32,6 @@ floating-point variance.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,16 +242,19 @@ def _lagged_dots(x: np.ndarray, y: np.ndarray, max_lag: int) -> np.ndarray:
 def cross_correlate(reference: DecodedTrace, delayed: DecodedTrace,
                     max_lag_ms: int = DEFAULT_MAX_LAG_MS,
                     allow_negative: bool = False) -> CorrelationResult:
-    """Pearson correlation over integer-millisecond lags.
+    """Pearson correlation of two code series over integer-millisecond lags.
 
-    A lag L >= 0 compares reference[0:N-L] against delayed[L:N]; negative
+    Both traces hold integer codes; any other dtype raises TypeError.  A
+    lag L >= 0 compares reference[0:N-L] against delayed[L:N]; negative
     lags (opt-in) shift the other way.  Ties resolve to the smallest lag.
     """
-    if max_lag_ms <= 0:
-        raise EstimationError("max_lag_ms must be positive")
     ref = np.asarray(reference.values)
     dly = np.asarray(delayed.values)
-    integral = ref.dtype.kind in "iu" and dly.dtype.kind in "iu"
+    if ref.dtype.kind not in "iu" or dly.dtype.kind not in "iu":
+        raise TypeError(f"cross_correlate takes integer codes, got {ref.dtype} "
+                        f"and {dly.dtype}")
+    if max_lag_ms <= 0:
+        raise EstimationError("max_lag_ms must be positive")
     n = min(ref.shape[0], dly.shape[0])
     # float copies, centred in place below
     a = np.array(ref[:n], dtype=float)
@@ -270,39 +272,25 @@ def cross_correlate(reference: DecodedTrace, delayed: DecodedTrace,
     lo_del = np.maximum(lags, 0)
     m = n - np.abs(lags)
     # a constant window carries no alignment information and scores 0;
-    # decided on the values, before centring can round two of them equal
+    # lag 0's windows are the whole traces
     constant_a = _constant_windows(a, lo_ref, m)
     constant_b = _constant_windows(b, lo_del, m)
-    # lag 0's windows are the whole traces.  A whole trace without a change
-    # holds one value; its range max - min is 0 if that value is finite,
-    # which makes the trace constant, and NaN (inf - inf) if not, which
-    # leaves it to be scored like any other (NaN itself is a change)
-    zero = -first
-    if ((constant_a[zero] and math.isfinite(a[0]))
-            or (constant_b[zero] and math.isfinite(b[0]))):
+    if constant_a[-first] or constant_b[-first]:
         raise CorrelationUndefinedError(
             "correlation is undefined for a constant trace"
         )
     scored = ~(constant_a | constant_b)
-    if integral:
-        # centred on integers, every product and every window and lag sum
-        # is an exact integer below 2**53 (4095**2 x 3.6e6 samples = 6.0e13),
-        # so any summation order, i.e. any BLAS kernel, gives the same bits
-        a -= np.rint(a.sum() / n)
-        b -= np.rint(b.sum() / n)
-    else:
-        a -= a.sum() / n
-        b -= b.sum() / n
+    # centred on integers, every product and every window and lag sum
+    # is an exact integer below 2**53 (4095**2 x 3.6e6 samples = 6.0e13),
+    # so any summation order, i.e. any BLAS kernel, gives the same bits,
+    # and squaring only the cut edges gives the bits of squaring the
+    # whole series
+    a -= np.rint(a.sum() / n)
+    b -= np.rint(b.sum() / n)
     sum_a = _window_sums(a, lo_ref, m)
     sum_b = _window_sums(b, lo_del, m)
-    if integral:
-        # the sums of squares are exact integers too, so squaring only the
-        # cut edges gives the bits of squaring the whole series
-        var_a = _window_sums(a, lo_ref, m, squares=True) - sum_a * sum_a / m
-        var_b = _window_sums(b, lo_del, m, squares=True) - sum_b * sum_b / m
-    else:
-        var_a = _window_sums(a * a, lo_ref, m) - sum_a * sum_a / m
-        var_b = _window_sums(b * b, lo_del, m) - sum_b * sum_b / m
+    var_a = _window_sums(a, lo_ref, m, squares=True) - sum_a * sum_a / m
+    var_b = _window_sums(b, lo_del, m, squares=True) - sum_b * sum_b / m
     sum_ab = _lagged_dots(a, b, max_lag_ms)
     if allow_negative:
         # lag -L is lag L with the roles swapped
@@ -356,7 +344,7 @@ def estimate_remote(sender_pot: DecodedTrace, receiver_display: DecodedTrace,
 
 
 def build_report(*, local: CorrelationResult,
-                 mouth_to_ear=None,
+                 mouth_to_ear_ms: int | None = None,
                  remote: CorrelationResult | None = None,
                  remote_direction: str | None = None,
                  display_trace: DecodedTrace | None = None) -> LatencyReport:
@@ -383,7 +371,7 @@ def build_report(*, local: CorrelationResult,
         warnings.append("negative_lag")
     return LatencyReport(
         motion_to_photon_ms=local.best_lag_ms,
-        mouth_to_ear_ms=None if mouth_to_ear is None else mouth_to_ear.intervals,
+        mouth_to_ear_ms=mouth_to_ear_ms,
         remote_direction=remote_direction if remote is not None else None,
         remote_latency_ms=None if remote is None else remote.best_lag_ms,
         peak_coefficient=primary.peak_coefficient,

@@ -266,10 +266,16 @@ def write_report(path: str, report):
     atomic_write_text(path, format_report(report))
 
 
-def format_batch_summary(rows: list, base_seed: int, failures: list) -> str:
-    """rows: (metric_name, values) pairs aggregated across runs."""
-    lines = [f"runs = {rows[0][1].size if rows else 0}", f"base_seed = {base_seed}"]
-    for metric, values in rows:
+def format_batch_summary(reports: list, base_seed: int, failures: list) -> str:
+    """The spread of each batch metric over the reports of the runs that
+    succeeded, then one line per failed (run_index, message)."""
+    lines = [f"runs = {len(reports)}", f"base_seed = {base_seed}"]
+    for metric in ("motion_to_photon_ms", "remote_latency_ms",
+                   "mouth_to_ear_ms", "peak_coefficient"):
+        values = [getattr(r, metric) for r in reports
+                  if getattr(r, metric) is not None]
+        if not values:
+            continue
         values = np.asarray(values, dtype=float)
         sd = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
         lines.append(

@@ -463,6 +463,35 @@ def test_the_lag_window_is_checked_against_the_configured_period(tmp_path,
                      "--out", out]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "vive-baseline", "--duration-ms", "1500"],
+    ["simulate", "--config", "vive-baseline", "--duration-ms", "1"],
+    ["batch", "--config", "remote-default", "--runs", "3",
+     "--duration-ms", "1500"],
+], ids=["simulate-1500", "simulate-1", "batch-remote-1500"])
+def test_a_capture_too_short_for_the_lag_search_exits_1_before_any_capture(
+        argv, tmp_path, capsys, monkeypatch):
+    # each ran its captures and then exited 3; the second blamed the display
+    def capture_run(sc):
+        raise AssertionError(f"captured {sc.duration_ms} ms")
+    monkeypatch.setattr(cli, "capture_run", capture_run)
+    out = str(tmp_path / "out")
+    assert cli.main([*argv, "--out", out]) == 1
+    assert not os.path.exists(out)
+    ms = argv[argv.index("--duration-ms") + 1]
+    assert capsys.readouterr().err == (
+        "usage error: --max-lag 200: a lag search of 200 ms needs at least "
+        f"2000 samples, and a capture of {ms} ms gives {ms}; lengthen the "
+        "capture or lower --max-lag\n")
+
+
+def test_export_plot_takes_a_capture_too_short_for_a_lag_search(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["export-plot", "--duration-ms", "1500",
+                     "--out", str(out)]) == 0
+    assert len((out / "plot_data.csv").read_text().splitlines()) == 1 + 1500
+
+
 @pytest.mark.parametrize("extra, message", [
     ([], "estimate reads one or two trace files, got 3"),
     (["--self"], "--self reads one trace file, got 2"),

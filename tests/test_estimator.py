@@ -21,7 +21,7 @@ from hypothesis import example, given, strategies as st
 from scipy import stats
 
 import vrlatsim
-from vrlatsim import codec, estimator, netsim, rig, tracefile
+from vrlatsim import cli, codec, estimator, netsim, rig, tracefile
 from vrlatsim import scenario as scenario_mod
 from vrlatsim.errors import (
     AlignmentError,
@@ -50,6 +50,11 @@ def make_trace(values, start_utc_us=0):
 def random_walk_codes(rng, n):
     walk = 2000 + np.cumsum(rng.integers(-3, 4, size=n))
     return np.clip(walk, 0, codec.CODE_MAX)
+
+
+def noisy_codes(codes, rng, sigma):
+    """codes plus Gaussian noise of sigma codes, rounded to whole codes."""
+    return np.rint(codes + rng.normal(0.0, sigma, codes.shape[0])).astype(np.int64)
 
 
 def delay_by(values, lag):
@@ -262,8 +267,8 @@ def test_recovers_a_known_shift_exactly():
 
 def test_coefficients_match_the_scipy_oracle():
     rng = np.random.default_rng(21)
-    ref = random_walk_codes(rng, 2000).astype(float)
-    delayed = delay_by(ref, 55) + rng.normal(0.0, 5.0, size=2000)
+    ref = random_walk_codes(rng, 2000)
+    delayed = noisy_codes(delay_by(ref, 55), rng, 5.0)
     result = estimator.cross_correlate(
         make_trace(ref), make_trace(delayed), max_lag_ms=120
     )
@@ -276,7 +281,7 @@ def test_coefficients_match_the_scipy_oracle():
 def test_correlation_is_scale_and_offset_invariant():
     rng = np.random.default_rng(3)
     ref = random_walk_codes(rng, 3000)
-    delayed = 0.25 * delay_by(ref, 42) + 600.0
+    delayed = 3 * delay_by(ref, 42) + 600
     result = estimator.cross_correlate(
         make_trace(ref), make_trace(delayed), max_lag_ms=100
     )
@@ -313,6 +318,30 @@ def test_tied_peaks_resolve_to_the_smallest_lag():
     assert result.best_lag_ms == 0
 
 
+@pytest.mark.parametrize("preset", scenario_mod.preset_names())
+def test_every_trace_a_run_correlates_holds_integer_codes(preset, monkeypatch):
+    # the decoders' traces, and those estimate_remote aligns and hands on
+    made, correlated = [], []
+
+    def recording(name, into):
+        real = getattr(estimator, name)
+
+        def wrapper(*args, **kwargs):
+            result = real(*args, **kwargs)
+            into.extend(t for t in (result, *args) if isinstance(t, DecodedTrace))
+            return result
+        monkeypatch.setattr(estimator, name, wrapper)
+
+    recording("decode_pot_trace", made)
+    recording("decode_display_trace", made)
+    recording("cross_correlate", correlated)
+    sc = cli.load_scenario(preset, seed=1, duration_ms=2000.0)
+    cli.estimate_run(cli.capture_run(sc))
+    remote = sc.net is not None
+    assert (len(made), len(correlated)) == ((3, 4) if remote else (2, 2))
+    assert all(np.asarray(t.values).dtype.kind in "iu" for t in made + correlated)
+
+
 def test_constant_trace_has_no_correlation():
     const = np.full(2000, 1234)
     varying = random_walk_codes(np.random.default_rng(0), 2000)
@@ -324,28 +353,16 @@ def test_constant_trace_has_no_correlation():
                                   max_lag_ms=50)
 
 
-def test_constant_float_trace_has_no_correlation():
-    varying = random_walk_codes(np.random.default_rng(0), 2000) / 7.0
-    signed_zeros = np.zeros(2000)
-    signed_zeros[::3] = -0.0            # -0.0 == 0.0: still one value
-    for const in (np.full(2000, 0.1), signed_zeros):
-        with pytest.raises(CorrelationUndefinedError):
-            estimator.cross_correlate(make_trace(const), make_trace(varying),
-                                      max_lag_ms=50)
-        with pytest.raises(CorrelationUndefinedError):
-            estimator.cross_correlate(make_trace(varying), make_trace(const),
-                                      max_lag_ms=50, allow_negative=True)
-
-
-def test_infinite_constant_trace_scores_zero_at_every_lag():
-    # its range inf - inf is NaN, not 0, so it is not refused as constant;
-    # every window of it is constant, so every lag scores exactly 0
-    varying = random_walk_codes(np.random.default_rng(0), 2000) / 7.0
-    with np.errstate(invalid="ignore"):     # centring computes inf - inf
-        result = estimator.cross_correlate(make_trace(np.full(2000, np.inf)),
-                                           make_trace(varying), max_lag_ms=50)
-    assert result.coefficients.tobytes() == np.zeros(51).tobytes()
-    assert (result.best_lag_ms, result.peak_coefficient) == (0, 0.0)
+@pytest.mark.parametrize("dtype", [float, np.float32, bool])
+def test_a_trace_of_anything_but_integer_codes_is_refused(dtype):
+    codes = random_walk_codes(np.random.default_rng(0), 2000)
+    other = make_trace(codes.astype(dtype))
+    for pair in ((make_trace(codes), other), (other, make_trace(codes))):
+        with pytest.raises(TypeError) as err:
+            estimator.cross_correlate(*pair, max_lag_ms=50)
+        dtypes = [str(np.asarray(t.values).dtype) for t in pair]
+        assert str(err.value) == (f"cross_correlate takes integer codes, got "
+                                  f"{dtypes[0]} and {dtypes[1]}")
 
 
 def test_constant_window_is_scored_zero_not_undefined():
@@ -364,8 +381,8 @@ def test_constant_window_is_scored_zero_not_undefined():
 def test_negative_lags_match_the_corrcoef_oracle():
     rng = np.random.default_rng(31)
     n, max_lag = 3000, 150
-    ref = random_walk_codes(rng, n).astype(float)
-    delayed = np.roll(ref, -40) + rng.normal(0.0, 3.0, size=n)
+    ref = random_walk_codes(rng, n)
+    delayed = noisy_codes(np.roll(ref, -40), rng, 3.0)
     result = estimator.cross_correlate(
         make_trace(ref), make_trace(delayed), max_lag_ms=max_lag,
         allow_negative=True
@@ -383,13 +400,12 @@ def test_negative_lags_match_the_corrcoef_oracle():
 
 def test_windows_constant_at_some_lags_score_exactly_zero():
     # the reference varies only in its first 5 samples, so every lag at
-    # or below -5 compares a constant reference window; the values are
-    # not exactly representable, so variances from prefix sums would
-    # not cancel to 0 and constancy has to be decided exactly
+    # or below -5 compares a constant reference window, whose variance
+    # is 0: it must score 0, not 0 / 0
     n, max_lag = 2000, 40
-    ref = np.full(n, 0.1)
-    ref[:5] = [0.7, 0.3, 0.9, 0.2, 0.6]
-    delayed = random_walk_codes(np.random.default_rng(4), n) / 7.0
+    ref = np.full(n, 100)
+    ref[:5] = [700, 300, 900, 200, 600]
+    delayed = random_walk_codes(np.random.default_rng(4), n)
     result = estimator.cross_correlate(
         make_trace(ref), make_trace(delayed), max_lag_ms=max_lag,
         allow_negative=True
@@ -440,8 +456,8 @@ def _window_test_series(kind):
     """A series and a lag range for the window oracles."""
     if kind == "constant-tail":
         # the reference of test_windows_constant_at_some_lags_score_exactly_zero
-        ref = np.full(2000, 0.1)
-        ref[:5] = [0.7, 0.3, 0.9, 0.2, 0.6]
+        ref = np.full(2000, 100.0)
+        ref[:5] = [700, 300, 900, 200, 600]
         return ref, 40
     _, delayed = _lag_test_series(kind, 2777, seed=11)
     return delayed.astype(float), 200
@@ -451,16 +467,12 @@ def _window_test_series(kind):
 def test_edge_window_sums_match_the_prefix_sum_oracle(kind):
     x, max_lag = _window_test_series(kind)
     lo_ref, lo_del, m = _lag_windows(x.shape[0], max_lag)
-    centred = x - (np.rint(x.mean()) if kind == "codes" else x.mean())
+    centred = x - np.rint(x.mean())
     for series in (x, centred, centred * centred):
         for lo in (lo_ref, lo_del):
-            got = estimator._window_sums(series, lo, m)
-            want = _prefix_window_sums(series, lo, m)
-            if kind == "codes":
-                # integer sums below 2**53 are exact in any order
-                assert np.array_equal(got, want)
-            else:
-                assert np.all(np.abs(got - want) <= 1e-12 * np.abs(series).sum())
+            # integer sums below 2**53 are exact in any order
+            assert np.array_equal(estimator._window_sums(series, lo, m),
+                                  _prefix_window_sums(series, lo, m))
 
 
 @pytest.mark.parametrize("kind", ["codes", "noisy", "constant-tail"])
@@ -491,10 +503,10 @@ def test_edge_window_sums_are_exact_on_integers(values, data):
                               _prefix_window_sums(x * x, lo, m))
 
 
-@given(st.lists(st.sampled_from([0.0, 0.1, 1.0, np.nan]), min_size=2,
+@given(st.lists(st.sampled_from([0, 1, codec.CODE_MAX]), min_size=2,
                 max_size=60), st.data())
-def test_constant_windows_match_the_oracle_on_runs_and_nans(values, data):
-    x = np.array(values)
+def test_constant_windows_match_the_oracle_on_runs(values, data):
+    x = np.array(values, dtype=float)
     max_lag = data.draw(st.integers(1, x.shape[0] - 1))
     lo_ref, lo_del, m = _lag_windows(x.shape[0], max_lag)
     for lo in (lo_ref, lo_del):
@@ -531,7 +543,7 @@ def _lag_test_series(kind, n, seed):
     ref = random_walk_codes(rng, n)
     if kind == "codes":
         return ref, delay_by(ref, 7)
-    return ref / 4095.0, delay_by(ref, 7) / 4095.0 + rng.normal(0.0, 0.01, n)
+    return ref, noisy_codes(delay_by(ref, 7), rng, 0.01 * codec.CODE_MAX)
 
 
 def _lag_search_lengths():
@@ -641,15 +653,17 @@ def _loop_lagged_dots(x, y, max_lag):
 
 
 def _edge_series(kind, n, seed):
-    """Float series where a lag search meets a constant window or a NaN."""
-    ref, delayed = _lag_test_series("noisy", n, seed)
+    """Code series where a lag search meets constant windows."""
+    ref, _ = _lag_test_series("noisy", n, seed)
+    delayed = np.full(n, 100)
     if kind == "constant-tail":
         # varies only in its first 5 samples, so every lag from 5 on
         # compares a constant delayed window
-        delayed = np.full(n, 0.1)
-        delayed[:5] = [0.7, 0.3, 0.9, 0.2, 0.6]
+        delayed[:5] = [700, 300, 900, 200, 600]
     else:
-        ref[n // 3] = np.nan
+        # varies only in its last 5 samples, so every lag from -5 down
+        # compares a constant delayed window
+        delayed[-5:] = [700, 300, 900, 200, 600]
     return ref, delayed
 
 
@@ -657,8 +671,6 @@ def _loop_cross_correlate(reference, delayed, max_lag_ms, allow_negative):
     """The lag search before it centred float copies of the series in place
     and took its lag products from one matmul call: the reference for
     bitwise equality."""
-    integral = all(np.issubdtype(np.asarray(t.values).dtype, np.integer)
-                   for t in (reference, delayed))
     ref = np.asarray(reference.values, dtype=float)
     del_ = np.asarray(delayed.values, dtype=float)
     n = min(ref.shape[0], del_.shape[0])
@@ -668,12 +680,8 @@ def _loop_cross_correlate(reference, delayed, max_lag_ms, allow_negative):
     lo_ref = np.maximum(-lags, 0)
     lo_del = np.maximum(lags, 0)
     m = n - np.abs(lags)
-    if integral:
-        a = ref - np.rint(ref.mean())
-        b = del_ - np.rint(del_.mean())
-    else:
-        a = ref - ref.mean()
-        b = del_ - del_.mean()
+    a = ref - np.rint(ref.mean())
+    b = del_ - np.rint(del_.mean())
     sum_a = estimator._window_sums(a, lo_ref, m)
     sum_b = estimator._window_sums(b, lo_del, m)
     var_a = estimator._window_sums(a * a, lo_ref, m) - sum_a * sum_a / m
@@ -700,17 +708,26 @@ def _loop_cross_correlate(reference, delayed, max_lag_ms, allow_negative):
 
 @pytest.mark.parametrize("allow_negative", [False, True])
 @pytest.mark.parametrize("kind", ["walk", "full-scale", "noisy",
-                                  "constant-tail", "nan"])
+                                  "constant-tail", "constant-head", "nan"])
 @pytest.mark.parametrize("extra,max_lag", _lag_search_lengths())
 def test_lag_search_gives_the_bits_of_the_loop_search(kind, max_lag, extra,
                                                       allow_negative):
-    # the sums are taken in the same order, so float series keep their
-    # bits too, not only exact integer codes, and so do the zeros of
-    # constant windows and the NaNs of a series holding one
+    # exact integer sums give the same bits in any order, and so do the
+    # zeros of constant windows
     n = estimator.MIN_LENGTH_FACTOR * max_lag + extra
+    if kind == "nan":
+        # a float series, here one holding a NaN, is refused before any
+        # work instead of scored
+        ref, delayed = _lag_test_series("noisy", n, seed=max_lag + extra)
+        delayed = delayed.astype(float)
+        delayed[n // 3] = np.nan
+        with pytest.raises(TypeError):
+            estimator.cross_correlate(make_trace(ref), make_trace(delayed),
+                                      max_lag, allow_negative)
+        return
     if kind == "noisy":
         ref, delayed = _lag_test_series(kind, n, seed=max_lag + extra)
-    elif kind in ("constant-tail", "nan"):
+    elif kind.startswith("constant-"):
         ref, delayed = _edge_series(kind, n, seed=max_lag + extra)
     else:
         ref, delayed = _integer_code_series(kind, n, seed=max_lag + extra)
@@ -875,7 +892,7 @@ def test_misaligned_traces_without_overlap_raise():
 def test_report_collects_warnings_and_diagnostics():
     rng = np.random.default_rng(5)
     ref = random_walk_codes(rng, 3000)
-    noisy = delay_by(ref, 10) + rng.normal(0, 2000, size=3000)
+    noisy = noisy_codes(delay_by(ref, 10), rng, 2000)
     weak = estimator.cross_correlate(make_trace(ref), make_trace(noisy),
                                      max_lag_ms=60)
     display = DecodedTrace(delay_by(ref, 10), 0, held_fraction=0.85)

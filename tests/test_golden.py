@@ -121,8 +121,7 @@ def _preset_digests(preset, seed):
 def _batch_digest():
     sc = cli.load_scenario("remote-default", duration_ms=3000)
     reports, failures = cli.run_batch(sc, 3, sc.seed)
-    return _sha(tracefile.format_batch_summary(cli.summarize_reports(reports),
-                                               sc.seed, failures))
+    return _sha(tracefile.format_batch_summary(reports, sc.seed, failures))
 
 
 @pytest.mark.parametrize("preset,seed", sorted(GOLDEN))
@@ -138,7 +137,8 @@ def test_traces_read_back_reproduce_the_golden_digests(preset, seed):
     parsed = [tracefile.parse_trace(tracefile.format_trace(capture))
               for capture in result.captures.values()]
     got = {f"trace_{c.station_id}": _sha(tracefile.format_trace(c)) for c in parsed}
-    report = cli.estimate_run(parsed, audio_result=result.audio_result)
+    report = cli.estimate_run(parsed,
+                              mouth_to_ear_ms=result.report.mouth_to_ear_ms)
     got["report"] = _sha(tracefile.format_report(report))
     assert got == GOLDEN[(preset, seed)]
 

@@ -172,8 +172,7 @@ def test_an_audio_delay_after_the_last_poll_is_named(sample_hz, last_ms):
         violations = scenario_mod.validate(sc)
         if heard:
             assert violations == []
-            assert audio_mod.measure_mouth_to_ear(sc.audio).intervals == \
-                math.ceil(delay_ms)
+            assert audio_mod.measure_mouth_to_ear(sc.audio) == math.ceil(delay_ms)
         else:
             assert len(violations) == 1, violations
             assert violations[0].startswith(f"audio.path_delay_ms={delay_ms} ")
@@ -1329,21 +1328,25 @@ def test_written_files_take_their_mode_from_the_umask(umask, mode, tmp_path):
     assert os.listdir(tmp_path) == ["trace_A.csv"]
 
 
+def _local_reports(*latencies_ms):
+    return [LatencyReport(motion_to_photon_ms=ms) for ms in latencies_ms]
+
+
 def test_batch_summary_spread_uses_sample_deviation():
-    rows = [("motion_to_photon_ms", np.array([6.0, 7.0, 8.0]))]
-    text = tracefile.format_batch_summary(rows, base_seed=5, failures=[])
+    reports = _local_reports(6, 7, 8)
+    text = tracefile.format_batch_summary(reports, base_seed=5, failures=[])
     assert "runs = 3" in text
     assert "avg = 7.000000" in text
     assert "sd = 1.000000" in text
 
 
 def test_batch_summary_single_run_has_zero_spread():
-    rows = [("motion_to_photon_ms", np.array([6.0]))]
-    text = tracefile.format_batch_summary(rows, base_seed=5, failures=[])
+    text = tracefile.format_batch_summary(_local_reports(6), base_seed=5,
+                                          failures=[])
     assert "sd = 0.000000" in text
 
 
 def test_batch_summary_lists_failed_runs():
-    rows = [("motion_to_photon_ms", np.array([6.0]))]
-    text = tracefile.format_batch_summary(rows, 0, failures=[(3, "boom")])
+    text = tracefile.format_batch_summary(_local_reports(6), 0,
+                                          failures=[(3, "boom")])
     assert "run 3 failed: boom" in text
