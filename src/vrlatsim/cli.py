@@ -94,10 +94,13 @@ class RunResult:
 
 
 def capture_run(sc: scenario_mod.Scenario) -> list[RawCapture]:
-    """Capture a scenario at file precision: the sender, then any receiver."""
-    if sc.net is not None:
-        return [tracefile.quantize_capture(c) for c in netsim.remote_capture(sc)]
-    return [tracefile.quantize_capture(rig.run_capture(sc))]
+    """Capture a scenario at file precision: the sender, then any receiver.
+
+    Every capture comes with arrays of its own, so they are rounded where
+    they lie."""
+    captures = (netsim.remote_capture(sc) if sc.net is not None
+                else [rig.run_capture(sc)])
+    return [tracefile.quantize_capture(c, in_place=True) for c in captures]
 
 
 def estimate_run(captures, *, max_lag_ms: int = estimator.DEFAULT_MAX_LAG_MS,
@@ -109,11 +112,13 @@ def estimate_run(captures, *, max_lag_ms: int = estimator.DEFAULT_MAX_LAG_MS,
     receiver's.  Each is decoded and dropped before the next is taken,
     so a generator of file reads holds one capture at a time.  The
     sender's potentiometer channel is the reference of its own local
-    loop estimate and of the remote estimate on the receiver's display.
+    loop estimate and of the remote estimate on the receiver's display;
+    it is prepared once, and both searches score against it.
     """
     captures = iter(captures)
     sender = next(captures)
     pot = estimator.decode_pot_trace(sender)
+    pot = estimator.PreparedReference(pot.values, pot.start_utc_us)
     display = diag_trace = estimator.decode_display_trace(sender)
     sender_id = sender.station_id
     del sender

@@ -54,7 +54,9 @@ def decode(digits):
     d = np.asarray(digits, dtype=np.int64)
     if d.shape[-1] != DIGIT_COUNT:
         raise ValueError(f"expected {DIGIT_COUNT} digits, got shape {d.shape}")
-    if d.size and (d.min() < 0 or d.max() > DIGIT_MAX):
+    # one reduction checks both ends: a negative digit, read as unsigned,
+    # is above 2**63
+    if d.size and d.view(np.uint64).max() > DIGIT_MAX:
         raise ValueError(f"digit outside 0..{DIGIT_MAX}: {digits!r}")
     return d @ _PLACES
 
@@ -72,10 +74,10 @@ def classify_luminance(luminance):
 
     Values are clamped to [0, 1] first since sensor noise can push a
     reading slightly outside the display range.  A value exactly halfway
-    between two levels resolves to the lower one.  A NaN reading casts
-    to an unspecified integer, which the final clamp keeps in 0..7.
+    between two levels resolves to the lower one.  The clamp is fmax and
+    fmin, which send a NaN reading to 0 as well, so every clamped value
+    gives a digit in 0..7 without a clamp of the integers.
     """
-    lum = np.clip(np.asarray(luminance, dtype=float), 0.0, 1.0)
+    lum = np.fmin(np.fmax(np.asarray(luminance, dtype=float), 0.0), 1.0)
     # ceil(7x - 0.5) picks the nearest level and sends exact midpoints down
-    digits = np.ceil(lum * DIGIT_MAX - 0.5).astype(np.int64)
-    return np.minimum(np.maximum(digits, 0), DIGIT_MAX)
+    return np.ceil(lum * DIGIT_MAX - 0.5).astype(np.int64)

@@ -27,7 +27,9 @@ all lags and each block reads the series once instead of once per lag.
 On integer codes every entry and every sum is an integer below 2**53,
 so the blocking changes no bit.  Whether a window is constant is
 decided exactly, by counting the value changes inside it, never from a
-floating-point variance.
+floating-point variance.  A remote run scores the sender's potentiometer
+trace against two displays, so it is a `PreparedReference`, whose side
+of the search is made once.
 """
 from __future__ import annotations
 
@@ -112,25 +114,27 @@ def decode_display_trace(capture: RawCapture) -> DecodedTrace:
             f"photosensor trace never exceeds {BLACK_THRESHOLD:.4f} "
             f"in {n} intervals; the display looks permanently dark"
         )
-    padded = np.concatenate(([False], lit, [False])).astype(np.int8)
-    edges = padded[1:] - padded[:-1]
-    starts = (edges == 1).nonzero()[0]
-    ends = (edges == -1).nonzero()[0]
-    lengths = ends - starts
+    # the flips of the padded series alternate: a burst's start, its end
+    padded = np.concatenate(([False], lit, [False]))
+    flips = (padded[1:] != padded[:-1]).nonzero()[0]
+    starts = flips[0::2]
+    lengths = flips[1::2] - starts
 
     # segmented argmax of summed luminance over the lit rows; the first
     # maximal row of a burst wins, as np.argmax would pick it, and so does
     # a NaN total (a lit row holding both inf and -inf)
     rows = lit.nonzero()[0]
-    totals = ((c0[rows] + c1[rows]) + c2[rows]) + c3[rows]
-    offsets = np.concatenate(([0], lengths.cumsum()[:-1]))
-    burst_of_row = np.arange(starts.shape[0]).repeat(lengths)
+    fields = lum.take(rows, axis=0)
+    totals = ((fields[:, 0] + fields[:, 1]) + fields[:, 2]) + fields[:, 3]
+    offsets = rows.searchsorted(starts)
     peak = np.maximum.reduceat(totals, offsets)
-    candidates = ((totals == peak[burst_of_row]) | np.isnan(totals)).nonzero()[0]
-    burst = burst_of_row[candidates]
-    first = np.concatenate(([True], burst[1:] != burst[:-1]))
-    picks = rows[candidates[first]]
-    burst_codes = codec.decode(codec.classify_luminance(lum[picks]))
+    candidates = ((totals == peak.repeat(lengths)) | np.isnan(totals)).nonzero()[0]
+    # every burst has a candidate; its first one lies at or after the
+    # burst's offset
+    picks = rows[candidates[candidates.searchsorted(offsets)]]
+    # take, not lum[picks]: numpy's fancy-index gather of 2-D rows is
+    # several times slower
+    burst_codes = codec.decode(codec.classify_luminance(lum.take(picks, axis=0)))
 
     # each code holds from its burst's start to the next one; the first
     # also covers the intervals before it
@@ -139,7 +143,7 @@ def decode_display_trace(capture: RawCapture) -> DecodedTrace:
     return DecodedTrace(
         values=values,
         start_utc_us=capture.start_utc_us,
-        held_fraction=float(1.0 - np.count_nonzero(lit) / n),
+        held_fraction=float(1.0 - rows.shape[0] / n),
     )
 
 
@@ -239,6 +243,63 @@ def _lagged_dots(x: np.ndarray, y: np.ndarray, max_lag: int) -> np.ndarray:
                        minlength=max_lag + 2)[:max_lag + 1]
 
 
+@functools.lru_cache(maxsize=8)
+def _lag_windows(n: int, max_lag: int, allow_negative: bool):
+    """(lags, lo_ref, lo_del, m) of a search over series of n samples:
+    lag L compares reference[lo_ref:lo_ref+m] with delayed[lo_del:lo_del+m].
+    The arrays are shared between calls, so they are read-only."""
+    lags = np.arange(-max_lag if allow_negative else 0, max_lag + 1)
+    windows = (lags, np.maximum(-lags, 0), np.maximum(lags, 0), n - np.abs(lags))
+    for array in windows:
+        array.flags.writeable = False
+    return windows
+
+
+def _series_side(values: np.ndarray, lo: np.ndarray, m: np.ndarray):
+    """One series' side of a lag search over its windows values[lo:lo+m]:
+    (float copy centred on its mean rounded to an integer, which windows
+    are constant, window sums, window sums of squares less sums**2 / m).
+
+    Centred on integers, every product and every window and lag sum of
+    the search is an exact integer below 2**53 (4095**2 x 3.6e6 samples
+    = 6.0e13), so any summation order, i.e. any BLAS kernel, gives the
+    same bits, and squaring only the cut edges gives the bits of squaring
+    the whole series.
+    """
+    x = np.array(values, dtype=float)
+    constant = _constant_windows(x, lo, m)
+    x -= np.rint(x.sum() / x.shape[0])
+    sums = _window_sums(x, lo, m)
+    var = _window_sums(x, lo, m, squares=True) - sums * sums / m
+    return x, constant, sums, var
+
+
+@dataclass(frozen=True)
+class PreparedReference(DecodedTrace):
+    """A reference trace that keeps its side of the lag search.
+
+    A `cross_correlate` that compares the whole trace makes its centred
+    float copy, constant windows and window sums once per lag window and
+    keeps them read-only for later searches, whatever the delayed trace.
+    Every result has the bits of the plain trace's, as long as its values
+    are not changed once it has been searched.
+    """
+    _sides: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def _side(self, max_lag: int, allow_negative: bool):
+        key = (max_lag, allow_negative)
+        side = self._sides.get(key)
+        if side is None:
+            values = np.asarray(self.values)
+            _, lo_ref, _, m = _lag_windows(values.shape[0], max_lag, allow_negative)
+            side = _series_side(values, lo_ref, m)
+            for array in side:
+                array.flags.writeable = False
+            self._sides[key] = side
+        return side
+
+
 def cross_correlate(reference: DecodedTrace, delayed: DecodedTrace,
                     max_lag_ms: int = DEFAULT_MAX_LAG_MS,
                     allow_negative: bool = False) -> CorrelationResult:
@@ -256,52 +317,44 @@ def cross_correlate(reference: DecodedTrace, delayed: DecodedTrace,
     if max_lag_ms <= 0:
         raise EstimationError("max_lag_ms must be positive")
     n = min(ref.shape[0], dly.shape[0])
-    # float copies, centred in place below
-    a = np.array(ref[:n], dtype=float)
-    b = np.array(dly[:n], dtype=float)
-    del ref, dly
     if n < MIN_LENGTH_FACTOR * max_lag_ms:
         raise EstimationError(
             f"traces of {n} intervals are too short for a lag search of "
             f"{max_lag_ms} ms (need at least {MIN_LENGTH_FACTOR * max_lag_ms})"
         )
-    first = -max_lag_ms if allow_negative else 0
-    lags = np.arange(first, max_lag_ms + 1)
-    # lag L compares a[lo_ref:lo_ref+m] with b[lo_del:lo_del+m]
-    lo_ref = np.maximum(-lags, 0)
-    lo_del = np.maximum(lags, 0)
-    m = n - np.abs(lags)
+    lags, lo_ref, lo_del, m = _lag_windows(n, max_lag_ms, allow_negative)
+    if isinstance(reference, PreparedReference) and n == ref.shape[0]:
+        a, constant_a, sum_a, var_a = reference._side(max_lag_ms, allow_negative)
+    else:
+        a, constant_a, sum_a, var_a = _series_side(ref[:n], lo_ref, m)
+    del ref
+    b, constant_b, sum_b, var_b = _series_side(dly[:n], lo_del, m)
+    del dly
     # a constant window carries no alignment information and scores 0;
-    # lag 0's windows are the whole traces
-    constant_a = _constant_windows(a, lo_ref, m)
-    constant_b = _constant_windows(b, lo_del, m)
-    if constant_a[-first] or constant_b[-first]:
+    # lag 0's windows, at index `zero`, are the whole traces
+    zero = max_lag_ms if allow_negative else 0
+    if constant_a[zero] or constant_b[zero]:
         raise CorrelationUndefinedError(
             "correlation is undefined for a constant trace"
         )
-    scored = ~(constant_a | constant_b)
-    # centred on integers, every product and every window and lag sum
-    # is an exact integer below 2**53 (4095**2 x 3.6e6 samples = 6.0e13),
-    # so any summation order, i.e. any BLAS kernel, gives the same bits,
-    # and squaring only the cut edges gives the bits of squaring the
-    # whole series
-    a -= np.rint(a.sum() / n)
-    b -= np.rint(b.sum() / n)
-    sum_a = _window_sums(a, lo_ref, m)
-    sum_b = _window_sums(b, lo_del, m)
-    var_a = _window_sums(a, lo_ref, m, squares=True) - sum_a * sum_a / m
-    var_b = _window_sums(b, lo_del, m, squares=True) - sum_b * sum_b / m
     sum_ab = _lagged_dots(a, b, max_lag_ms)
     if allow_negative:
         # lag -L is lag L with the roles swapped
         sum_ab = np.concatenate((_lagged_dots(b, a, max_lag_ms)[:0:-1], sum_ab))
     cov = sum_ab - sum_a * sum_b / m
-    coeffs = np.zeros(lags.shape[0])
-    coeffs[scored] = cov[scored] / np.sqrt(var_a[scored] * var_b[scored])
-    coeffs = np.clip(coeffs, -1.0, 1.0)
+    constant = constant_a | constant_b
+    if constant.any():
+        scored = ~constant
+        coeffs = np.zeros(lags.shape[0])
+        coeffs[scored] = cov[scored] / np.sqrt(var_a[scored] * var_b[scored])
+    else:
+        coeffs = cov
+        coeffs /= np.sqrt(var_a * var_b)
+    # np.clip's bits, without its Python-level wrapper
+    np.minimum(np.maximum(coeffs, -1.0, out=coeffs), 1.0, out=coeffs)
     best = int(coeffs.argmax())  # first occurrence, i.e. the smallest lag
     return CorrelationResult(
-        lags_ms=lags,
+        lags_ms=lags.copy(),
         coefficients=coeffs,
         best_lag_ms=int(lags[best]),
         peak_coefficient=float(coeffs[best]),
@@ -327,7 +380,8 @@ def estimate_remote(sender_pot: DecodedTrace, receiver_display: DecodedTrace,
                     allow_negative: bool = False) -> CorrelationResult:
     """Cross-correlate traces from two stations on a common UTC grid.
 
-    The traces are aligned by `align_on_utc`.
+    The traces are aligned by `align_on_utc`.  When the receiver's start
+    or length cuts the sender's trace, the search runs on the cut copy.
     """
     ref_vals, del_vals = align_on_utc(sender_pot, receiver_display)
     overlap = ref_vals.shape[0]
@@ -338,8 +392,11 @@ def estimate_remote(sender_pot: DecodedTrace, receiver_display: DecodedTrace,
             f"{MIN_LENGTH_FACTOR * max_lag_ms}"
         )
     common_start = max(sender_pot.start_utc_us, receiver_display.start_utc_us)
-    return cross_correlate(DecodedTrace(ref_vals, common_start),
-                           DecodedTrace(del_vals, common_start),
+    # a reference the alignment leaves whole goes on as it is, so that a
+    # `PreparedReference` keeps its side of the search
+    reference = (sender_pot if ref_vals.shape[0] == len(sender_pot.values)
+                 else DecodedTrace(ref_vals, common_start))
+    return cross_correlate(reference, DecodedTrace(del_vals, common_start),
                            max_lag_ms, allow_negative)
 
 

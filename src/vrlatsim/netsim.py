@@ -9,8 +9,10 @@ hold, on average half an update interval.
 
 Both stations schedule their capture start for the same UTC second via
 GPS-synced clocks; the residual disagreement of those starts is
-exactly the clock-sync error and stays far below the 1 ms lag
-resolution.
+exactly the clock-sync error, far below the 1 ms lag resolution at the
+start.  Drift is never corrected after it, so the two sample clocks
+separate by |drift_a - drift_b| ppm over the capture: 50 us per second
+on remote-default, a whole lag step after 20 s.
 """
 from __future__ import annotations
 
@@ -20,8 +22,8 @@ import numpy as np
 
 from .clock import SimClock, synced_start_us, timepulse_edge_us
 from .errors import SimulationError
-from .rig import (SteppedAngleHistory, gaussian_noise, platform_angle,
-                  simulate_station, station_signal)
+from .rig import (SteppedAngleHistory, _signal_key, gaussian_noise,
+                  platform_angle, simulate_station, station_signal)
 
 SEND_WARMUP_MS = 300.0  # transmit this long before capture so the hold is warm
 
@@ -73,10 +75,12 @@ def remote_capture(scenario):
     """Run the sender and receiver stations of a networked scenario.
 
     Returns (sender_capture, receiver_capture).  The sender's display
-    shows its own local render loop; the receiver's display shows the
-    angle stream arriving over the network, rendered through the
-    receiver pipeline.  The receiver platform is parked at the motion
-    center so its potentiometer channel carries no signal.
+    shows its own local render loop, the same frames for every seed, so
+    its frame train is held across seeds (`rig.station_signal`); the
+    receiver's display shows the angle stream arriving over the network,
+    rendered through the receiver pipeline.  The receiver platform is
+    parked at the motion center so its potentiometer channel carries no
+    signal.
     """
     from .scenario import raise_if_invalid, receiver_pipeline  # import cycle
 
@@ -118,7 +122,8 @@ def remote_capture(scenario):
             platform_fn=sender_platform, display_source=sender_platform,
             pipeline=scenario.pipeline, sensors=scenario.sensors,
             angle_range_deg=scenario.angle_range_deg, clock=scenario.clock_a,
-            true_start_us=start_true_a, duration_ms=scenario.duration_ms),
+            true_start_us=start_true_a, duration_ms=scenario.duration_ms,
+            hold_as=(_signal_key(scenario), "A")),
         sensors=scenario.sensors,
         rng=rng_a,
     )

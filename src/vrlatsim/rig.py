@@ -22,9 +22,15 @@ would.
 A capture is two steps, local or remote: `station_signal` builds both
 channels without noise, and the noise step `simulate_station` draws the
 pot noise and then the photo noise from the station's generator, adds
-them and clips to [0, 1].  The seed enters only through the noise step,
-so `run_capture` keeps the last local scenario's noiseless signal and a
-further seed only draws, adds and clips.
+them and clips to [0, 1].  The seed enters a local capture only through
+the noise step, so `run_capture` keeps the last local scenario's
+noiseless signal and a further seed only draws, adds and clips.  A
+remote station's sample instants follow the seed through its timepulse,
+but the sender's display shows the same frames whatever the seed, so the
+same slot holds the last remote sender's frame train instead, 64 bytes
+per frame (at 90 Hz, about 18 kB at 3 s and 21 MB at the one-hour cap).
+The receiver's frames follow each seed's network phase and are never
+held.
 """
 from __future__ import annotations
 
@@ -203,24 +209,47 @@ def frame_start_states(levels, a: float, b: float):
     return states
 
 
+def start_gaps(frame_lum, pipeline: PipelineConfig, sensors: SensorConfig):
+    """How far the photosensor starts each frame from the frame's levels,
+    s_k - L_k, shape (frames, 4), or None for an instant sensor (a rise
+    time of 0), which keeps none.
+
+    A frame is lit for the persistence p and dark for the rest of the
+    frame period T; the sensor is a first-order lag with tau =
+    rise_time / ln(9), dark before the first frame.  Its state s_k at
+    each frame start follows s_{k+1} = a * s_k + b * L_k with a =
+    exp(-T/tau) and b = exp(-(T - p)/tau) * (1 - exp(-p/tau)), for all
+    frames at once (`frame_start_states`).
+    """
+    tau = sensors.rise_time_us / RISE_LN9
+    if tau == 0.0:
+        return None
+    frame_us = pipeline.frame_ms * 1000.0
+    persist_us = pipeline.display_persistence_ms * 1000.0
+    a = math.exp(-frame_us / tau)
+    b = math.exp(-(frame_us - persist_us) / tau) * -math.expm1(-persist_us / tau)
+    levels = np.asarray(frame_lum, dtype=float)
+    gaps = frame_start_states(levels, a, b)
+    gaps -= levels
+    return gaps
+
+
 def photosensor_read(sample_us, frame_lum, first_frame_us: float,
-                     pipeline: PipelineConfig, sensors: SensorConfig):
+                     pipeline: PipelineConfig, sensors: SensorConfig,
+                     gaps=None):
     """Noise-free photosensor output at each sample instant, shape (n, 4).
 
     frame_lum holds the four levels L_k of each frame.  Frame k starts at
     F_k = first_frame_us + k * T, T the frame period, is lit during
     [F_k, F_k + p), p the persistence, and black until F_{k+1}.  The
-    sensor is a first-order lag with tau = rise_time / ln(9), dark before
-    the first frame.  Its state s_k at each frame start follows
-    s_{k+1} = a * s_k + b * L_k with a = exp(-T/tau) and
-    b = exp(-(T - p)/tau) * (1 - exp(-p/tau)), for all frames at once
-    (`frame_start_states`).  A sample at offset o into frame k reads
-    L_k + (s_k - L_k) * exp(-o/tau) while lit and
-    (L_k + (s_k - L_k) * exp(-p/tau)) * exp(-(o - p)/tau) once dark.
-    Both cases are one expression with clamped exponents, evaluated in
-    place on the gathered states, so the only (n, 4) arrays are the
-    gathered levels and the result.  The work scales with samples +
-    frames.
+    sensor starts frame k in state s_k, and `start_gaps` gives s_k - L_k
+    for every frame; a caller that holds them passes them as `gaps`.  A
+    sample at offset o into frame k reads L_k + (s_k - L_k) * exp(-o/tau)
+    while lit and (L_k + (s_k - L_k) * exp(-p/tau)) * exp(-(o - p)/tau)
+    once dark.  Both cases are one expression with clamped exponents,
+    evaluated in place on the gathered gaps, so the only (n, 4) arrays
+    are the gathered levels and the result.  The work scales with
+    samples + frames, and with samples alone when `gaps` is given.
     """
     t = np.asarray(sample_us, dtype=float)
     levels = np.asarray(frame_lum, dtype=float)
@@ -240,16 +269,22 @@ def photosensor_read(sample_us, frame_lum, first_frame_us: float,
     if tau == 0.0:
         return np.where(offset < persist_us, level, 0.0)
 
-    a = math.exp(-frame_us / tau)
-    b = math.exp(-(frame_us - persist_us) / tau) * -math.expm1(-persist_us / tau)
-    # clamping both exponents keeps each branch finite on the other's rows
-    lit_part = np.exp(-np.minimum(offset, persist_us) / tau)
-    dark_part = np.exp(-np.maximum(offset - persist_us, 0.0) / tau)
-    del offset  # not needed below; freeing it lowers the peak by n floats
+    # clamping both exponents keeps each branch finite on the other's
+    # rows.  Each is computed in its own buffer, the dark one in offset's;
+    # x / -tau has the bits of -x / tau
+    lit_part = np.minimum(offset, persist_us)
+    lit_part /= -tau
+    np.exp(lit_part, out=lit_part)
+    dark_part = offset
+    dark_part -= persist_us
+    np.maximum(dark_part, 0.0, out=dark_part)
+    dark_part /= -tau
+    np.exp(dark_part, out=dark_part)
+    if gaps is None:
+        gaps = start_gaps(levels, pipeline, sensors)
     # (level + (s_k - level) * lit_part) * dark_part, evaluated in place
-    # on the gathered states: the same operations in the same order
-    out = frame_start_states(levels, a, b).take(k, axis=0)
-    out -= level
+    # on the gathered gaps: the same operations in the same order
+    out = gaps.take(k, axis=0)
     out *= lit_part
     out += level
     out *= dark_part
@@ -261,9 +296,26 @@ def sample_count(duration_ms: float) -> int:
     return int(round(duration_ms * ADC_SAMPLE_HZ / 1000.0))
 
 
+# (key, read-only arrays) or None: the last local scenario's (pot, photo)
+# from `run_capture`, or the last remote sender's (frame_lum, gaps)
+# from `station_signal`; each replaces the other
+_held_signal = None
+
+
+def _signal_key(scenario) -> str:
+    """Every config value but the seed, spelled out: two scenarios share a
+    held signal only when all of them print the same."""
+    from .scenario import scenario_to_flat  # deferred, avoids an import cycle
+
+    flat = scenario_to_flat(scenario)
+    del flat["seed"]
+    return repr(flat)
+
+
 def station_signal(*, platform_fn, display_source, pipeline: PipelineConfig,
                    sensors: SensorConfig, angle_range_deg: float,
-                   clock: SimClock, true_start_us: float, duration_ms: float):
+                   clock: SimClock, true_start_us: float, duration_ms: float,
+                   hold_as=None):
     """Both channels of one station before noise and clipping.
 
     Returns (pot, photo): pot, shape (n,), is the platform angle over the
@@ -274,7 +326,15 @@ def station_signal(*, platform_fn, display_source, pipeline: PipelineConfig,
     pipeline (the same function for a local loop, a network stream for a
     remote one).  Sample instants follow the station's local clock, so
     drift stretches or compresses the true 1 ms grid.
+
+    The frame train is the field luminances of the schedule's frames
+    k_first .. k_last and how far the sensor starts each one from them
+    (`start_gaps`).  With `hold_as`, a value naming every input of the
+    display but the frame range, it is held under (hold_as, k_first,
+    k_last), and a later call under the same key computes only the
+    samples.
     """
+    global _held_signal
     n = sample_count(duration_ms)
     if n <= 0:
         raise SimulationError("duration must cover at least one sample")
@@ -291,13 +351,28 @@ def station_signal(*, platform_fn, display_source, pipeline: PipelineConfig,
     k_first = (int(math.floor(warm_start_us / frame_us))
                - (pipeline.frame_delay_queue_len + 2))
     k_last = int(math.ceil(sample_true[-1] / frame_us)) + 1
-    frame_starts = np.arange(k_first, k_last + 1, dtype=float) * frame_us
-    displayed = run_pipeline(pipeline, display_source, angle_range_deg,
-                             frame_starts)
-
-    frame_lum = codec.digits_to_luminance(codec.encode(displayed))
-    photo = photosensor_read(sample_true, frame_lum, frame_starts[0],
-                             pipeline, sensors)
+    key = None if hold_as is None else (hold_as, k_first, k_last)
+    held = _held_signal
+    if key is not None and held is not None and held[0] == key:
+        frame_lum, gaps = held[1]
+    else:
+        if key is not None:
+            # drop the old entry first, so a cold build holds only one
+            _held_signal = None
+        frame_starts = np.arange(k_first, k_last + 1, dtype=float) * frame_us
+        displayed = run_pipeline(pipeline, display_source, angle_range_deg,
+                                 frame_starts)
+        frame_lum = codec.digits_to_luminance(codec.encode(displayed))
+        gaps = start_gaps(frame_lum, pipeline, sensors)
+        if key is not None:
+            for array in (frame_lum, gaps):
+                if array is not None:
+                    array.flags.writeable = False
+            _held_signal = (key, (frame_lum, gaps))
+    # frame_starts[0] as np.arange makes it: float(k_first) * frame_us
+    first_frame_us = k_first * frame_us
+    photo = photosensor_read(sample_true, frame_lum, first_frame_us,
+                             pipeline, sensors, gaps=gaps)
     return pot, photo
 
 
@@ -314,21 +389,6 @@ def simulate_station(*, station_id: str, start_utc_us: int, signal,
         pot=pot,
         photo=photo,
     )
-
-
-# the last local scenario's noiseless signal, (key, (pot, photo)) with
-# read-only arrays, or None; `run_capture` replaces it
-_held_signal = None
-
-
-def _signal_key(scenario) -> str:
-    """Every config value but the seed, spelled out: two scenarios share a
-    held signal only when all of them print the same."""
-    from .scenario import scenario_to_flat  # deferred, avoids an import cycle
-
-    flat = scenario_to_flat(scenario)
-    del flat["seed"]
-    return repr(flat)
 
 
 def run_capture(scenario) -> RawCapture:

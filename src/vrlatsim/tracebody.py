@@ -183,7 +183,10 @@ def format_rows(prefix: bytes, pot: np.ndarray, photo: np.ndarray) -> bytearray:
                     + sum((hi - lo) * width for lo, hi, width in _decades(n)))
     out[:len(prefix)] = prefix
     at = len(prefix)
-    values = np.empty((min(n, BLOCK_ROWS), COLUMNS))
+    # each channel is rounded in a buffer of its own: copying both into
+    # one (rows, 5) block cost more than the rounding and the check
+    pot_values = np.empty(min(n, BLOCK_ROWS))
+    photo_values = np.empty((min(n, BLOCK_ROWS), COLUMNS - 1))
     for lo, hi, width in _decades(n):
         digits = width - _ROW_BYTES_AFTER_INDEX
         rows = np.frombuffer(out, np.uint8, (hi - lo) * width, at).reshape(-1, width)
@@ -202,21 +205,28 @@ def format_rows(prefix: bytes, pot: np.ndarray, photo: np.ndarray) -> bytearray:
         at += rows.size
         for a in range(lo, hi, BLOCK_ROWS):
             b = min(a + BLOCK_ROWS, hi)
-            v = values[:b - a]
-            v[:, 0] = pot[a:b]
-            v[:, 1:] = photo[a:b]
-            np.rint(np.multiply(v, _SCALE, out=v), out=v)
+            p, q = pot_values[:b - a], photo_values[:b - a]
+            for v, channel in ((p, pot), (q, photo)):
+                np.rint(np.multiply(channel[a:b], _SCALE, out=v, dtype=float),
+                        out=v)
             # nan fails the bound; a negative value, and -0.0, which every
             # value from -5e-7 up to 0 rounds to, has its sign bit set
-            if np.signbit(v).any() or not v.max() <= _SCALE:
-                raise _off_range_error(v, a, pot, photo)
-            # intp indices, which `take` uses without a cast; a floor
-            # division and a multiply cost half of divmod's remainder
-            low = v.astype(np.intp)
-            high = low // 1000
-            low -= high * 1000
-            words[a - lo:b - lo] = _HIGH_WORDS.take(high) | _LOW_WORDS.take(low)
+            if (np.signbit(p).any() or not p.max() <= _SCALE
+                    or np.signbit(q).any() or not q.max() <= _SCALE):
+                raise _off_range_error(np.column_stack((p, q)), a, pot, photo)
+            words[a - lo:b - lo, 0] = _spell(p)
+            words[a - lo:b - lo, 1:] = _spell(q)
     return out
+
+
+def _spell(rounded: np.ndarray) -> np.ndarray:
+    """The 8-byte text words of samples rounded to integers times 1e-6."""
+    # intp indices, which `take` uses without a cast; a floor division
+    # and a multiply cost half of divmod's remainder
+    low = rounded.astype(np.intp)
+    high = low // 1000
+    low -= high * 1000
+    return _HIGH_WORDS.take(high) | _LOW_WORDS.take(low)
 
 
 def _off_range_error(rounded: np.ndarray, first: int, pot, photo) -> ValueError:

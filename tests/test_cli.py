@@ -6,6 +6,7 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vrlatsim
@@ -16,6 +17,7 @@ from vrlatsim.errors import (
     ScenarioValidationError,
     VrLatSimError,
 )
+from vrlatsim.rig import RawCapture
 
 
 def _read(path):
@@ -834,3 +836,39 @@ def test_help_matches_a_fresh_interpreter(argv, fresh_parser, monkeypatch,
     assert help_text() != want
     monkeypatch.setenv("COLUMNS", "100")
     assert help_text() == want
+
+
+def _bits(capture):
+    return (capture.station_id, capture.start_utc_us, capture.pot.dtype,
+            capture.pot.tobytes(), capture.photo.dtype, capture.photo.shape,
+            capture.photo.tobytes())
+
+
+@pytest.mark.parametrize("preset", ["vive-baseline", "zero-delay", "remote-default"])
+def test_a_run_rounds_its_captures_in_place_to_the_bits_of_quantize_capture(
+        preset, monkeypatch):
+    # zero-delay has no sensor noise: its capture is the clipped signal
+    sc = cli.load_scenario(preset, seed=4, duration_ms=1500.0)
+    monkeypatch.setattr(rig, "_held_signal", None)
+    fresh = (netsim.remote_capture(sc) if sc.net is not None
+             else [rig.run_capture(sc)])
+    want = [_bits(tracefile.quantize_capture(c)) for c in fresh]
+    held = [array.copy() for array in rig._held_signal[1]]
+    got = cli.capture_run(sc)
+    assert [_bits(c) for c in got] == want
+    assert all(np.array_equal(a, b) for a, b in zip(rig._held_signal[1], held))
+    # the capture itself comes back, rounded
+    capture = fresh[0]
+    assert tracefile.quantize_capture(capture, in_place=True) is capture
+    assert _bits(capture) == want[0]
+
+
+def test_rounding_in_place_refuses_the_held_signal(monkeypatch):
+    sc = cli.load_scenario("zero-delay", seed=4, duration_ms=1500.0)
+    monkeypatch.setattr(rig, "_held_signal", None)
+    rig.run_capture(sc)
+    pot, photo = rig._held_signal[1]
+    before = pot.copy(), photo.copy()
+    with pytest.raises(ValueError):
+        tracefile.quantize_capture(RawCapture("A", 0, pot, photo), in_place=True)
+    assert np.array_equal(pot, before[0]) and np.array_equal(photo, before[1])

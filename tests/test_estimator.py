@@ -959,3 +959,85 @@ def test_a_best_lag_on_an_edge_of_the_window_is_an_estimation_failure():
     # is an answer: nothing lies below it
     same = estimator.cross_correlate(make_trace(ref), make_trace(ref), max_lag_ms=40)
     assert estimator.build_report(local=same).motion_to_photon_ms == 0
+
+
+def _result_bits(result):
+    return (result.lags_ms.dtype, result.lags_ms.tobytes(),
+            result.coefficients.tobytes(), result.best_lag_ms,
+            np.float64(result.peak_coefficient).tobytes(), result.trace_length)
+
+
+def _estimate_run_results(captures, monkeypatch, **kwargs):
+    """The (local, remote) results `cli.estimate_run` reports on."""
+    seen = {}
+
+    def recording(**report_kwargs):
+        seen.update(report_kwargs)
+        return None
+
+    monkeypatch.setattr(estimator, "build_report", recording)
+    cli.estimate_run(captures, **kwargs)
+    monkeypatch.undo()
+    return seen["local"], seen["remote"]
+
+
+def _shifted(capture, shift_ms=0, cut=0):
+    """capture starting shift_ms later, with its last `cut` samples dropped."""
+    end = len(capture) - cut
+    return RawCapture(capture.station_id, capture.start_utc_us + 1000 * shift_ms,
+                      capture.pot[:end], capture.photo[:end])
+
+
+@pytest.mark.parametrize("allow_negative", [False, True])
+@pytest.mark.parametrize("preset", scenario_mod.preset_names())
+def test_one_prepared_reference_scores_both_displays_to_the_bits_of_two_searches(
+        preset, allow_negative, monkeypatch):
+    sc = cli.load_scenario(preset, seed=3, duration_ms=2000.0)
+    captures = cli.capture_run(sc)
+    receivers = [None] if sc.net is None else [
+        captures[1],
+        # the alignment cuts the sender's trace: the search falls back to
+        # the cut copy
+        _shifted(captures[1], shift_ms=3), _shifted(captures[1], shift_ms=-3),
+        _shifted(captures[1], cut=5)]
+    pot = estimator.decode_pot_trace(captures[0])
+    display = estimator.decode_display_trace(captures[0])
+    want_local = estimator.cross_correlate(pot, display, 150, allow_negative)
+    for receiver in receivers:
+        run = captures[:1] + ([] if receiver is None else [receiver])
+        local, remote = _estimate_run_results(run, monkeypatch, max_lag_ms=150,
+                                              allow_negative=allow_negative)
+        assert _result_bits(local) == _result_bits(want_local)
+        if receiver is None:
+            assert remote is None
+            continue
+        receiver_display = estimator.decode_display_trace(receiver)
+        want = estimator.estimate_remote(pot, receiver_display, 150, allow_negative)
+        assert _result_bits(remote) == _result_bits(want)
+        aligned = estimator.align_on_utc(pot, receiver_display)
+        want = estimator.cross_correlate(*map(make_trace, aligned), 150,
+                                         allow_negative)
+        assert _result_bits(remote) == _result_bits(want)
+
+
+def test_a_prepared_reference_keeps_one_side_per_lag_window():
+    rng = np.random.default_rng(11)
+    codes = random_walk_codes(rng, 3000)
+    prepared = estimator.PreparedReference(codes, 0)
+    plain = make_trace(codes)
+    others = [make_trace(delay_by(codes, 7)), make_trace(noisy_codes(codes, rng, 3)),
+              # shorter than the reference: compared on a cut copy
+              make_trace(delay_by(codes, 4)[:2500])]
+    for max_lag, allow_negative in [(80, False), (80, True), (200, False),
+                                    (80, False), (200, True)]:
+        for other in others:
+            got = estimator.cross_correlate(prepared, other, max_lag, allow_negative)
+            want = estimator.cross_correlate(plain, other, max_lag, allow_negative)
+            assert _result_bits(got) == _result_bits(want)
+    assert sorted(prepared._sides) == [(80, False), (80, True), (200, False),
+                                       (200, True)]
+    for side in prepared._sides.values():
+        assert not any(array.flags.writeable for array in side)
+    with pytest.raises(CorrelationUndefinedError):
+        estimator.cross_correlate(estimator.PreparedReference(np.full(3000, 5), 0),
+                                  others[0], 80)

@@ -13,8 +13,10 @@ import pytest
 
 import vrlatsim
 
+# cli.py runs capture_run and estimate_run once per run of a batch
 PER_RUN_MODULES = ("estimator.py", "codec.py", "rig.py", "netsim.py",
-                   "tracefile.py", "tracebody.py", "audio.py", "clock.py")
+                   "tracefile.py", "tracebody.py", "audio.py", "clock.py",
+                   "cli.py")
 # helper -> what the per-run code calls instead
 SLOW_HELPERS = {
     "flatnonzero": "x.nonzero()[0]",

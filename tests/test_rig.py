@@ -617,3 +617,112 @@ def test_writing_into_a_capture_leaves_the_next_one_alone(preset):
     first.photo[:] = 0.75
     assert _capture_bytes(rig.run_capture(sc)) == want
     assert not any(array.flags.writeable for array in rig._held_signal[1])
+
+
+REMOTE_PRESETS = [name for name in preset_names() if get_preset(name).net is not None]
+
+
+class FrameBuilds(list):
+    """(station, first frame start, last frame start) of every frame train
+    `station_signal` builds: the sender's display shows its own platform,
+    the receiver's the network stream."""
+
+    def stations(self):
+        return [station for station, _, _ in self]
+
+
+@pytest.fixture
+def frame_builds(monkeypatch):
+    calls = FrameBuilds()
+    build = rig.run_pipeline
+
+    def counting(pipeline, history, angle_range_deg, frame_starts):
+        station = "B" if isinstance(history, SteppedAngleHistory) else "A"
+        calls.append((station, frame_starts[0], frame_starts[-1]))
+        return build(pipeline, history, angle_range_deg, frame_starts)
+
+    monkeypatch.setattr(rig, "run_pipeline", counting)
+    return calls
+
+
+def _remote_bytes(sc):
+    return [_capture_bytes(c) for c in netsim.remote_capture(sc)]
+
+
+def _frame_range(sc, frame_builds):
+    """The frames the sender's schedule covers at sc's seed."""
+    rig._held_signal = None
+    del frame_builds[:]
+    netsim.remote_capture(sc)
+    return frame_builds[0][1:]
+
+
+def _seed_with_range(base, seed, same: bool, frame_builds):
+    """A seed other than `seed` whose sender covers (if `same`) or does not
+    cover the frames of `seed`."""
+    want = _frame_range(replace(base, seed=seed), frame_builds)
+    for other in range(seed + 1, seed + 200):
+        if (_frame_range(replace(base, seed=other), frame_builds) == want) == same:
+            return other
+    raise AssertionError("no such seed in 200")
+
+
+@pytest.mark.parametrize("preset", REMOTE_PRESETS)
+@pytest.mark.parametrize("seed", range(5))
+def test_a_warm_remote_capture_equals_a_cold_one(preset, seed, frame_builds):
+    base = replace(get_preset(preset), duration_ms=3000.0)
+    sc = replace(base, seed=seed)
+    rig._held_signal = None
+    cold = _remote_bytes(sc)
+    # held from another seed with the same frames: only the receiver's
+    # frames are built
+    rig._held_signal = None
+    netsim.remote_capture(replace(base, seed=_seed_with_range(base, seed, True,
+                                                              frame_builds)))
+    del frame_builds[:]
+    assert _remote_bytes(sc) == cold
+    assert frame_builds.stations() == ["B"]
+    # held from a seed whose schedule covers other frames: built again
+    rig._held_signal = None
+    netsim.remote_capture(replace(base, seed=_seed_with_range(base, seed, False,
+                                                              frame_builds)))
+    del frame_builds[:]
+    assert _remote_bytes(sc) == cold
+    assert frame_builds.stations() == ["A", "B"]
+
+
+def test_every_field_but_the_seed_rebuilds_the_sender_frames(frame_builds):
+    base = replace(_every_section(), duration_ms=300.0)
+    flat = scenario_mod.scenario_to_flat(base)
+    for key in scenario_mod._KEYS:
+        if key == "seed":
+            continue
+        moved = scenario_mod.scenario_from_flat(_moved(flat, key))
+        rig._held_signal = None
+        cold = _remote_bytes(moved)
+        netsim.remote_capture(base)
+        del frame_builds[:]
+        netsim.remote_capture(base)
+        assert frame_builds.stations() == ["B"], \
+            "the same scenario rebuilt its sender frames"
+        assert _remote_bytes(moved) == cold, f"moving {key} changed the bytes"
+        assert frame_builds.stations() == ["B", "A", "B"], \
+            f"moving {key} reused the held frames"
+
+
+def test_receiver_frames_are_never_held_and_held_frames_are_read_only(frame_builds):
+    sc = replace(get_preset("remote-default"), duration_ms=300.0)
+    for _ in range(3):
+        netsim.remote_capture(sc)
+    assert frame_builds.stations() == ["A", "B", "B", "B"]
+    key, arrays = rig._held_signal
+    assert key[0][1] == "A"
+    assert len(arrays) == 2 and not any(a.flags.writeable for a in arrays)
+    # 64 bytes per frame: four luminances and four start gaps
+    assert all(a.dtype == np.float64 and a.shape[1] == codec.DIGIT_COUNT
+               for a in arrays)
+    # a local capture takes the slot over, and the next remote one builds
+    rig.run_capture(replace(get_preset("vive-baseline"), duration_ms=300.0))
+    del frame_builds[:]
+    netsim.remote_capture(sc)
+    assert frame_builds.stations() == ["A", "B"]
