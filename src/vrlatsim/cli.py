@@ -94,13 +94,10 @@ class RunResult:
 
 
 def capture_run(sc: scenario_mod.Scenario) -> list[RawCapture]:
-    """Capture a scenario at file precision: the sender, then any receiver.
-
-    Every capture comes with arrays of its own, so they are rounded where
-    they lie."""
-    captures = (netsim.remote_capture(sc) if sc.net is not None
-                else [rig.run_capture(sc)])
-    return [tracefile.quantize_capture(c, in_place=True) for c in captures]
+    """Capture a scenario at file precision: the sender, then any receiver."""
+    if sc.net is not None:
+        return [tracefile.quantize_capture(c) for c in netsim.remote_capture(sc)]
+    return [tracefile.quantize_capture(rig.run_capture(sc))]
 
 
 def estimate_run(captures, *, max_lag_ms: int = estimator.DEFAULT_MAX_LAG_MS,

@@ -243,18 +243,6 @@ def _lagged_dots(x: np.ndarray, y: np.ndarray, max_lag: int) -> np.ndarray:
                        minlength=max_lag + 2)[:max_lag + 1]
 
 
-@functools.lru_cache(maxsize=8)
-def _lag_windows(n: int, max_lag: int, allow_negative: bool):
-    """(lags, lo_ref, lo_del, m) of a search over series of n samples:
-    lag L compares reference[lo_ref:lo_ref+m] with delayed[lo_del:lo_del+m].
-    The arrays are shared between calls, so they are read-only."""
-    lags = np.arange(-max_lag if allow_negative else 0, max_lag + 1)
-    windows = (lags, np.maximum(-lags, 0), np.maximum(lags, 0), n - np.abs(lags))
-    for array in windows:
-        array.flags.writeable = False
-    return windows
-
-
 def _series_side(values: np.ndarray, lo: np.ndarray, m: np.ndarray):
     """One series' side of a lag search over its windows values[lo:lo+m]:
     (float copy centred on its mean rounded to an integer, which windows
@@ -279,24 +267,23 @@ class PreparedReference(DecodedTrace):
     """A reference trace that keeps its side of the lag search.
 
     A `cross_correlate` that compares the whole trace makes its centred
-    float copy, constant windows and window sums once per lag window and
-    keeps them read-only for later searches, whatever the delayed trace.
-    Every result has the bits of the plain trace's, as long as its values
-    are not changed once it has been searched.
+    float copy, constant windows and window sums once and keeps them,
+    read-only, for the next search over the same lag window, whatever the
+    delayed trace; a search over another window replaces them.  Every
+    result has the bits of the plain trace's, as long as its values are
+    not changed once it has been searched.
     """
-    _sides: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    _held: list = field(default_factory=list, init=False, repr=False,
+                        compare=False)
 
-    def _side(self, max_lag: int, allow_negative: bool):
-        key = (max_lag, allow_negative)
-        side = self._sides.get(key)
-        if side is None:
-            values = np.asarray(self.values)
-            _, lo_ref, _, m = _lag_windows(values.shape[0], max_lag, allow_negative)
-            side = _series_side(values, lo_ref, m)
-            for array in side:
-                array.flags.writeable = False
-            self._sides[key] = side
+    def _side(self, lo: np.ndarray, m: np.ndarray, window: tuple):
+        """`_series_side` over the lag window (max_lag, allow_negative)."""
+        if self._held and self._held[0] == window:
+            return self._held[1]
+        side = _series_side(self.values, lo, m)
+        for array in side:
+            array.flags.writeable = False
+        self._held[:] = (window, side)
         return side
 
 
@@ -322,18 +309,23 @@ def cross_correlate(reference: DecodedTrace, delayed: DecodedTrace,
             f"traces of {n} intervals are too short for a lag search of "
             f"{max_lag_ms} ms (need at least {MIN_LENGTH_FACTOR * max_lag_ms})"
         )
-    lags, lo_ref, lo_del, m = _lag_windows(n, max_lag_ms, allow_negative)
+    first = -max_lag_ms if allow_negative else 0
+    lags = np.arange(first, max_lag_ms + 1)
+    # lag L compares a[lo_ref:lo_ref+m] with b[lo_del:lo_del+m]
+    lo_ref = np.maximum(-lags, 0)
+    lo_del = np.maximum(lags, 0)
+    m = n - np.abs(lags)
     if isinstance(reference, PreparedReference) and n == ref.shape[0]:
-        a, constant_a, sum_a, var_a = reference._side(max_lag_ms, allow_negative)
+        a, constant_a, sum_a, var_a = reference._side(
+            lo_ref, m, (max_lag_ms, allow_negative))
     else:
         a, constant_a, sum_a, var_a = _series_side(ref[:n], lo_ref, m)
     del ref
     b, constant_b, sum_b, var_b = _series_side(dly[:n], lo_del, m)
     del dly
     # a constant window carries no alignment information and scores 0;
-    # lag 0's windows, at index `zero`, are the whole traces
-    zero = max_lag_ms if allow_negative else 0
-    if constant_a[zero] or constant_b[zero]:
+    # lag 0's windows are the whole traces
+    if constant_a[-first] or constant_b[-first]:
         raise CorrelationUndefinedError(
             "correlation is undefined for a constant trace"
         )
@@ -354,7 +346,7 @@ def cross_correlate(reference: DecodedTrace, delayed: DecodedTrace,
     np.minimum(np.maximum(coeffs, -1.0, out=coeffs), 1.0, out=coeffs)
     best = int(coeffs.argmax())  # first occurrence, i.e. the smallest lag
     return CorrelationResult(
-        lags_ms=lags.copy(),
+        lags_ms=lags,
         coefficients=coeffs,
         best_lag_ms=int(lags[best]),
         peak_coefficient=float(coeffs[best]),

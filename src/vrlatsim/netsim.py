@@ -84,7 +84,7 @@ def remote_capture(scenario):
     """
     from .scenario import raise_if_invalid, receiver_pipeline  # import cycle
 
-    raise_if_invalid(scenario)
+    flat = raise_if_invalid(scenario)
     if scenario.net is None:
         raise SimulationError("scenario has no network configuration")
 
@@ -123,7 +123,7 @@ def remote_capture(scenario):
             pipeline=scenario.pipeline, sensors=scenario.sensors,
             angle_range_deg=scenario.angle_range_deg, clock=scenario.clock_a,
             true_start_us=start_true_a, duration_ms=scenario.duration_ms,
-            hold_as=(_signal_key(scenario), "A")),
+            hold_key=_signal_key(flat)),
         sensors=scenario.sensors,
         rng=rng_a,
     )

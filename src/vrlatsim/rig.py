@@ -235,21 +235,20 @@ def start_gaps(frame_lum, pipeline: PipelineConfig, sensors: SensorConfig):
 
 
 def photosensor_read(sample_us, frame_lum, first_frame_us: float,
-                     pipeline: PipelineConfig, sensors: SensorConfig,
-                     gaps=None):
+                     pipeline: PipelineConfig, sensors: SensorConfig, gaps):
     """Noise-free photosensor output at each sample instant, shape (n, 4).
 
     frame_lum holds the four levels L_k of each frame.  Frame k starts at
     F_k = first_frame_us + k * T, T the frame period, is lit during
     [F_k, F_k + p), p the persistence, and black until F_{k+1}.  The
-    sensor starts frame k in state s_k, and `start_gaps` gives s_k - L_k
-    for every frame; a caller that holds them passes them as `gaps`.  A
+    sensor starts frame k in state s_k, and gaps holds s_k - L_k of every
+    frame, as `start_gaps` computes them (None for an instant sensor).  A
     sample at offset o into frame k reads L_k + (s_k - L_k) * exp(-o/tau)
     while lit and (L_k + (s_k - L_k) * exp(-p/tau)) * exp(-(o - p)/tau)
     once dark.  Both cases are one expression with clamped exponents,
     evaluated in place on the gathered gaps, so the only (n, 4) arrays
-    are the gathered levels and the result.  The work scales with
-    samples + frames, and with samples alone when `gaps` is given.
+    are the gathered levels and the result.  The work scales with the
+    samples alone.
     """
     t = np.asarray(sample_us, dtype=float)
     levels = np.asarray(frame_lum, dtype=float)
@@ -280,8 +279,6 @@ def photosensor_read(sample_us, frame_lum, first_frame_us: float,
     np.maximum(dark_part, 0.0, out=dark_part)
     dark_part /= -tau
     np.exp(dark_part, out=dark_part)
-    if gaps is None:
-        gaps = start_gaps(levels, pipeline, sensors)
     # (level + (s_k - level) * lit_part) * dark_part, evaluated in place
     # on the gathered gaps: the same operations in the same order
     out = gaps.take(k, axis=0)
@@ -302,20 +299,17 @@ def sample_count(duration_ms: float) -> int:
 _held_signal = None
 
 
-def _signal_key(scenario) -> str:
-    """Every config value but the seed, spelled out: two scenarios share a
-    held signal only when all of them print the same."""
-    from .scenario import scenario_to_flat  # deferred, avoids an import cycle
-
-    flat = scenario_to_flat(scenario)
-    del flat["seed"]
-    return repr(flat)
+def _signal_key(flat: dict) -> str:
+    """Every config value of a scenario's flat view but the seed, spelled
+    out: two scenarios share a held signal only when all of them print
+    the same."""
+    return repr({key: value for key, value in flat.items() if key != "seed"})
 
 
 def station_signal(*, platform_fn, display_source, pipeline: PipelineConfig,
                    sensors: SensorConfig, angle_range_deg: float,
                    clock: SimClock, true_start_us: float, duration_ms: float,
-                   hold_as=None):
+                   hold_key=None):
     """Both channels of one station before noise and clipping.
 
     Returns (pot, photo): pot, shape (n,), is the platform angle over the
@@ -329,10 +323,9 @@ def station_signal(*, platform_fn, display_source, pipeline: PipelineConfig,
 
     The frame train is the field luminances of the schedule's frames
     k_first .. k_last and how far the sensor starts each one from them
-    (`start_gaps`).  With `hold_as`, a value naming every input of the
-    display but the frame range, it is held under (hold_as, k_first,
-    k_last), and a later call under the same key computes only the
-    samples.
+    (`start_gaps`).  With `hold_key`, the scenario's `_signal_key`, it is
+    held under (hold_key, k_first, k_last), and a later call under the
+    same key computes only the samples.
     """
     global _held_signal
     n = sample_count(duration_ms)
@@ -351,7 +344,7 @@ def station_signal(*, platform_fn, display_source, pipeline: PipelineConfig,
     k_first = (int(math.floor(warm_start_us / frame_us))
                - (pipeline.frame_delay_queue_len + 2))
     k_last = int(math.ceil(sample_true[-1] / frame_us)) + 1
-    key = None if hold_as is None else (hold_as, k_first, k_last)
+    key = None if hold_key is None else (hold_key, k_first, k_last)
     held = _held_signal
     if key is not None and held is not None and held[0] == key:
         frame_lum, gaps = held[1]
@@ -372,7 +365,7 @@ def station_signal(*, platform_fn, display_source, pipeline: PipelineConfig,
     # frame_starts[0] as np.arange makes it: float(k_first) * frame_us
     first_frame_us = k_first * frame_us
     photo = photosensor_read(sample_true, frame_lum, first_frame_us,
-                             pipeline, sensors, gaps=gaps)
+                             pipeline, sensors, gaps)
     return pot, photo
 
 
@@ -404,13 +397,13 @@ def run_capture(scenario) -> RawCapture:
     global _held_signal
     from .scenario import raise_if_invalid  # deferred, avoids an import cycle
 
-    raise_if_invalid(scenario)
+    flat = raise_if_invalid(scenario)
     rng = np.random.default_rng(np.random.SeedSequence((scenario.seed, 0)))
 
     def platform_fn(t_us):
         return platform_angle(scenario.motion, np.asarray(t_us, dtype=float) / 1000.0)
 
-    key = _signal_key(scenario)
+    key = _signal_key(flat)
     held = _held_signal
     if held is None or held[0] != key:
         # drop the old signal first, so a cold capture holds only one

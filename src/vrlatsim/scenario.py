@@ -140,7 +140,11 @@ def _array_lengths(scenario: Scenario):
 
 def validate(scenario: Scenario) -> list:
     """Collect every configuration violation; empty list means valid."""
-    flat = scenario_to_flat(scenario)
+    return _violations(scenario, scenario_to_flat(scenario))
+
+
+def _violations(scenario: Scenario, flat: dict) -> list:
+    """`validate` on the scenario and its flat view."""
     # nan passes every range check below and inf several of them
     v: list = [f"{key} must be finite, got {value}" for key, value in flat.items()
                if isinstance(value, float) and not math.isfinite(value)]
@@ -246,10 +250,14 @@ def validate(scenario: Scenario) -> list:
     return v
 
 
-def raise_if_invalid(scenario: Scenario):
-    violations = validate(scenario)
+def raise_if_invalid(scenario: Scenario) -> dict:
+    """Raise ScenarioValidationError listing every violation; return the
+    flat view of a valid scenario (`scenario_to_flat`)."""
+    flat = scenario_to_flat(scenario)
+    violations = _violations(scenario, flat)
     if violations:
         raise ScenarioValidationError(violations)
+    return flat
 
 
 # ---------------------------------------------------------------------------

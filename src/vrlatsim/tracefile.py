@@ -69,25 +69,16 @@ _INTERVAL_LITERAL = "1.0"
 _ROW_PATTERN = ",".join(["{row}"] + ["d.dddddd"] * tracebody.COLUMNS)
 
 
-def quantize_capture(capture: RawCapture, in_place: bool = False) -> RawCapture:
-    """Round sensor values to the on-disk precision.
+def quantize_capture(capture: RawCapture) -> RawCapture:
+    """Round a capture's sensor values to the on-disk precision, in place,
+    and return the capture; a read-only array raises ValueError.
 
     Running the estimator on a rounded capture guarantees the result
-    matches what a later run computes from the written file.  With
-    `in_place`, the capture's own arrays are rounded, with the same bits,
-    and the capture itself is returned; a read-only array raises
-    ValueError.
+    matches what a later run computes from the written file.
     """
-    if in_place:
-        capture.pot.round(VALUE_DECIMALS, out=capture.pot)
-        capture.photo.round(VALUE_DECIMALS, out=capture.photo)
-        return capture
-    return RawCapture(
-        station_id=capture.station_id,
-        start_utc_us=capture.start_utc_us,
-        pot=capture.pot.round(VALUE_DECIMALS),
-        photo=capture.photo.round(VALUE_DECIMALS),
-    )
+    capture.pot.round(VALUE_DECIMALS, out=capture.pot)
+    capture.photo.round(VALUE_DECIMALS, out=capture.photo)
+    return capture
 
 
 def atomic_write_text(path: str, text: str | bytes):

@@ -550,13 +550,13 @@ def test_load_scenario_validates_once(overrides, tmp_path, monkeypatch):
     cfg = tmp_path / "sc.cfg"
     cfg.write_text(scenario_mod.format_config(scenario_mod.get_preset("zero-delay")))
     calls = []
-    real_validate = scenario_mod.validate
+    real_violations = scenario_mod._violations
 
-    def counting_validate(sc):
+    def counting_violations(sc, flat):
         calls.append(sc)
-        return real_validate(sc)
+        return real_violations(sc, flat)
 
-    monkeypatch.setattr(scenario_mod, "validate", counting_validate)
+    monkeypatch.setattr(scenario_mod, "_violations", counting_violations)
     for config in ("vive-baseline", str(cfg)):
         calls.clear()
         sc = cli.load_scenario(config, **overrides)
@@ -845,21 +845,21 @@ def _bits(capture):
 
 
 @pytest.mark.parametrize("preset", ["vive-baseline", "zero-delay", "remote-default"])
-def test_a_run_rounds_its_captures_in_place_to_the_bits_of_quantize_capture(
-        preset, monkeypatch):
+def test_a_run_rounds_its_captures_in_place_to_file_precision(preset, monkeypatch):
     # zero-delay has no sensor noise: its capture is the clipped signal
     sc = cli.load_scenario(preset, seed=4, duration_ms=1500.0)
     monkeypatch.setattr(rig, "_held_signal", None)
     fresh = (netsim.remote_capture(sc) if sc.net is not None
              else [rig.run_capture(sc)])
-    want = [_bits(tracefile.quantize_capture(c)) for c in fresh]
+    want = [_bits(RawCapture(c.station_id, c.start_utc_us, np.round(c.pot, 6),
+                             np.round(c.photo, 6))) for c in fresh]
     held = [array.copy() for array in rig._held_signal[1]]
     got = cli.capture_run(sc)
     assert [_bits(c) for c in got] == want
     assert all(np.array_equal(a, b) for a, b in zip(rig._held_signal[1], held))
     # the capture itself comes back, rounded
     capture = fresh[0]
-    assert tracefile.quantize_capture(capture, in_place=True) is capture
+    assert tracefile.quantize_capture(capture) is capture
     assert _bits(capture) == want[0]
 
 
@@ -870,5 +870,5 @@ def test_rounding_in_place_refuses_the_held_signal(monkeypatch):
     pot, photo = rig._held_signal[1]
     before = pot.copy(), photo.copy()
     with pytest.raises(ValueError):
-        tracefile.quantize_capture(RawCapture("A", 0, pot, photo), in_place=True)
+        tracefile.quantize_capture(RawCapture("A", 0, pot, photo))
     assert np.array_equal(pot, before[0]) and np.array_equal(photo, before[1])

@@ -1020,7 +1020,7 @@ def test_one_prepared_reference_scores_both_displays_to_the_bits_of_two_searches
         assert _result_bits(remote) == _result_bits(want)
 
 
-def test_a_prepared_reference_keeps_one_side_per_lag_window():
+def test_a_prepared_reference_keeps_the_side_of_its_last_lag_window():
     rng = np.random.default_rng(11)
     codes = random_walk_codes(rng, 3000)
     prepared = estimator.PreparedReference(codes, 0)
@@ -1028,15 +1028,13 @@ def test_a_prepared_reference_keeps_one_side_per_lag_window():
     others = [make_trace(delay_by(codes, 7)), make_trace(noisy_codes(codes, rng, 3)),
               # shorter than the reference: compared on a cut copy
               make_trace(delay_by(codes, 4)[:2500])]
-    for max_lag, allow_negative in [(80, False), (80, True), (200, False),
-                                    (80, False), (200, True)]:
+    for window in [(80, False), (80, True), (200, False), (80, False), (200, True)]:
         for other in others:
-            got = estimator.cross_correlate(prepared, other, max_lag, allow_negative)
-            want = estimator.cross_correlate(plain, other, max_lag, allow_negative)
+            got = estimator.cross_correlate(prepared, other, *window)
+            want = estimator.cross_correlate(plain, other, *window)
             assert _result_bits(got) == _result_bits(want)
-    assert sorted(prepared._sides) == [(80, False), (80, True), (200, False),
-                                       (200, True)]
-    for side in prepared._sides.values():
+        held_window, side = prepared._held
+        assert held_window == window
         assert not any(array.flags.writeable for array in side)
     with pytest.raises(CorrelationUndefinedError):
         estimator.cross_correlate(estimator.PreparedReference(np.full(3000, 5), 0),

@@ -125,9 +125,9 @@ TAU_260 = 260.0 / math.log(9.0)
 
 
 def _read(sample_us, frame_lum, *, rise_time_us=260.0, first_frame_us=0.0):
-    return rig.photosensor_read(sample_us, frame_lum, first_frame_us,
-                                PipelineConfig(),
-                                SensorConfig(rise_time_us=rise_time_us))
+    pipeline, sensors = PipelineConfig(), SensorConfig(rise_time_us=rise_time_us)
+    return rig.photosensor_read(sample_us, frame_lum, first_frame_us, pipeline,
+                                sensors, rig.start_gaps(frame_lum, pipeline, sensors))
 
 
 def _per_frame_reference(sample_us, frame_lum, first_frame_us, frame_us,
@@ -269,8 +269,9 @@ def test_sensor_matches_the_per_frame_loop_on_a_short_schedule(pipeline,
     rng = np.random.default_rng(29)
     lum = rng.integers(0, 8, size=(14, 4)) / 7.0
     times = first + 5.3 + np.arange(0.0, 12 * frame_us, 397.0)
-    y = rig.photosensor_read(times, lum, first, pipeline,
-                             SensorConfig(rise_time_us=rise_time_us))
+    sensors = SensorConfig(rise_time_us=rise_time_us)
+    y = rig.photosensor_read(times, lum, first, pipeline, sensors,
+                             rig.start_gaps(lum, pipeline, sensors))
     want = _per_frame_reference(times, lum, first, frame_us, persist_us,
                                 rise_time_us / math.log(9.0))
     assert np.max(np.abs(y - want)) <= 1e-12
@@ -308,7 +309,8 @@ def test_in_place_sensor_equals_the_expression_bitwise(pipeline, rise_time_us):
     lum_before = lum.copy()
     times = 13.7 + np.arange(3000) * 1000.0 / (1.0 - 80e-6)
     sensors = SensorConfig(rise_time_us=rise_time_us)
-    got = rig.photosensor_read(times, lum, first, pipeline, sensors)
+    got = rig.photosensor_read(times, lum, first, pipeline, sensors,
+                               rig.start_gaps(lum, pipeline, sensors))
     want = _expression_reference(times, lum, first, pipeline, sensors)
     assert got.shape == (3000, codec.DIGIT_COUNT)
     assert np.array_equal(got, want)
@@ -716,7 +718,7 @@ def test_receiver_frames_are_never_held_and_held_frames_are_read_only(frame_buil
         netsim.remote_capture(sc)
     assert frame_builds.stations() == ["A", "B", "B", "B"]
     key, arrays = rig._held_signal
-    assert key[0][1] == "A"
+    assert key[0] == rig._signal_key(scenario_mod.scenario_to_flat(sc))
     assert len(arrays) == 2 and not any(a.flags.writeable for a in arrays)
     # 64 bytes per frame: four luminances and four start gaps
     assert all(a.dtype == np.float64 and a.shape[1] == codec.DIGIT_COUNT

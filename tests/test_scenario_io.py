@@ -547,9 +547,10 @@ def test_trace_rewrite_is_byte_identical(tmp_path):
 
 def test_quantize_capture_rounds_to_file_precision():
     capture = _sample_capture()
+    pot, photo = np.round(capture.pot, 6), np.round(capture.photo, 6)
     rounded = tracefile.quantize_capture(capture)
-    assert np.array_equal(rounded.pot, np.round(capture.pot, 6))
-    assert np.array_equal(rounded.photo, np.round(capture.photo, 6))
+    assert np.array_equal(rounded.pot, pot)
+    assert np.array_equal(rounded.photo, photo)
 
 
 def test_golden_values_sit_far_from_a_rounding_tie():
