@@ -8,6 +8,7 @@ less than one interval.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,13 @@ def buzzer_waveform(cfg: AudioPathConfig, t_us):
     return np.where(phase < period_us / 2.0, 1.0, -1.0)
 
 
+def detector_polls(sample_hz: float) -> tuple:
+    """(interval in us, count) of the detector's polls, one at each whole
+    interval from 0 to the last within DEFAULT_HORIZON_MS."""
+    step_us = 1e6 / sample_hz
+    return step_us, math.floor(DEFAULT_HORIZON_MS * 1000.0 / step_us) + 1
+
+
 def measure_mouth_to_ear(cfg: AudioPathConfig, seed=0) -> int:
     """Count whole 1 ms polling intervals until the tone is detected.
 
@@ -43,9 +51,8 @@ def measure_mouth_to_ear(cfg: AudioPathConfig, seed=0) -> int:
     poll, and answers at the first poll within DEFAULT_HORIZON_MS at
     which the rectified signal reaches the threshold.
     """
-    step_us = 1e6 / cfg.sample_hz
+    step_us, n = detector_polls(cfg.sample_hz)
     delay_us = cfg.path_delay_ms * 1000.0
-    n = int(np.floor(DEFAULT_HORIZON_MS * 1000.0 / step_us)) + 1
     times = np.arange(n) * step_us
     heard = np.zeros(n)
     arrived = times >= delay_us

@@ -44,7 +44,7 @@ def encode(code):
     Array input of shape (...,) yields digits of shape (..., 4).
     """
     c = np.asarray(code, dtype=np.int64)
-    if c.size and (c.min() < 0 or c.max() > CODE_MAX):
+    if c.size and c.view(np.uint64).max() > CODE_MAX:
         raise ValueError(f"code outside 0..{CODE_MAX}: {code!r}")
     return (c[..., None] // _PLACES) % DIGIT_BASE
 
@@ -64,7 +64,7 @@ def decode(digits):
 def digits_to_luminance(digits):
     """Grey level for each digit: k maps to k/7 so 0 is black and 7 is white."""
     d = np.asarray(digits, dtype=np.int64)
-    if d.size and (d.min() < 0 or d.max() > DIGIT_MAX):
+    if d.size and d.view(np.uint64).max() > DIGIT_MAX:
         raise ValueError(f"digit outside 0..{DIGIT_MAX}: {digits!r}")
     return d / float(DIGIT_MAX)
 

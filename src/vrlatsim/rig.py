@@ -299,6 +299,23 @@ def sample_count(duration_ms: float) -> int:
 _held_signal = None
 
 
+def _hold(key, build):
+    """The held arrays under key; on a miss, build() them, make them
+    read-only and hold them in place of the old entry."""
+    global _held_signal
+    held = _held_signal
+    if held is not None and held[0] == key:
+        return held[1]
+    # drop the old entry first, so a cold build holds only one
+    _held_signal = None
+    arrays = build()
+    for array in arrays:
+        if array is not None:
+            array.flags.writeable = False
+    _held_signal = (key, arrays)
+    return arrays
+
+
 def _signal_key(flat: dict) -> str:
     """Every config value of a scenario's flat view but the seed, spelled
     out: two scenarios share a held signal only when all of them print
@@ -327,7 +344,6 @@ def station_signal(*, platform_fn, display_source, pipeline: PipelineConfig,
     held under (hold_key, k_first, k_last), and a later call under the
     same key computes only the samples.
     """
-    global _held_signal
     n = sample_count(duration_ms)
     if n <= 0:
         raise SimulationError("duration must cover at least one sample")
@@ -344,24 +360,16 @@ def station_signal(*, platform_fn, display_source, pipeline: PipelineConfig,
     k_first = (int(math.floor(warm_start_us / frame_us))
                - (pipeline.frame_delay_queue_len + 2))
     k_last = int(math.ceil(sample_true[-1] / frame_us)) + 1
-    key = None if hold_key is None else (hold_key, k_first, k_last)
-    held = _held_signal
-    if key is not None and held is not None and held[0] == key:
-        frame_lum, gaps = held[1]
-    else:
-        if key is not None:
-            # drop the old entry first, so a cold build holds only one
-            _held_signal = None
+
+    def frame_train():
         frame_starts = np.arange(k_first, k_last + 1, dtype=float) * frame_us
         displayed = run_pipeline(pipeline, display_source, angle_range_deg,
                                  frame_starts)
         frame_lum = codec.digits_to_luminance(codec.encode(displayed))
-        gaps = start_gaps(frame_lum, pipeline, sensors)
-        if key is not None:
-            for array in (frame_lum, gaps):
-                if array is not None:
-                    array.flags.writeable = False
-            _held_signal = (key, (frame_lum, gaps))
+        return frame_lum, start_gaps(frame_lum, pipeline, sensors)
+
+    frame_lum, gaps = (frame_train() if hold_key is None
+                       else _hold((hold_key, k_first, k_last), frame_train))
     # frame_starts[0] as np.arange makes it: float(k_first) * frame_us
     first_frame_us = k_first * frame_us
     photo = photosensor_read(sample_true, frame_lum, first_frame_us,
@@ -394,7 +402,6 @@ def run_capture(scenario) -> RawCapture:
     noise step.  The held arrays are read-only and every capture returns
     new ones.
     """
-    global _held_signal
     from .scenario import raise_if_invalid  # deferred, avoids an import cycle
 
     flat = raise_if_invalid(scenario)
@@ -403,23 +410,15 @@ def run_capture(scenario) -> RawCapture:
     def platform_fn(t_us):
         return platform_angle(scenario.motion, np.asarray(t_us, dtype=float) / 1000.0)
 
-    key = _signal_key(flat)
-    held = _held_signal
-    if held is None or held[0] != key:
-        # drop the old signal first, so a cold capture holds only one
-        _held_signal = held = None
-        signal = station_signal(
-            platform_fn=platform_fn, display_source=platform_fn,
-            pipeline=scenario.pipeline, sensors=scenario.sensors,
-            angle_range_deg=scenario.angle_range_deg, clock=scenario.clock_a,
-            true_start_us=0.0, duration_ms=scenario.duration_ms)
-        for array in signal:
-            array.flags.writeable = False
-        _held_signal = held = (key, signal)
+    signal = _hold(_signal_key(flat), lambda: station_signal(
+        platform_fn=platform_fn, display_source=platform_fn,
+        pipeline=scenario.pipeline, sensors=scenario.sensors,
+        angle_range_deg=scenario.angle_range_deg, clock=scenario.clock_a,
+        true_start_us=0.0, duration_ms=scenario.duration_ms))
     return simulate_station(
         station_id="A",
         start_utc_us=scenario.start_utc_second * 1_000_000,
-        signal=held[1],
+        signal=signal,
         sensors=scenario.sensors,
         rng=rng,
     )

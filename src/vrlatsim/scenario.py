@@ -13,7 +13,7 @@ import typing
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 
-from .audio import DEFAULT_HORIZON_MS, AudioPathConfig
+from .audio import DEFAULT_HORIZON_MS, AudioPathConfig, detector_polls
 from .clock import SimClock
 from .errors import ScenarioValidationError
 from .netsim import SEND_WARMUP_MS, NetworkConfig
@@ -34,6 +34,9 @@ MAX_ARRAY_LENGTH = 4 * sample_count(MAX_DURATION_MS)
 # latest start second and longest sync lead: a remote run counts true time
 # in float us, exact while |sync second| and start + one hour stay < 2**53 us
 _MAX_SECONDS = 9_000_000_000
+# slowest rate: the schedules count periods in float microseconds, which
+# overflow long before a period as long as an hour does
+_MIN_RATE_HZ = 1000.0 / MAX_DURATION_MS
 
 
 def sampling_margin_ms(sensors: SensorConfig) -> float:
@@ -70,42 +73,46 @@ def receiver_pipeline(scenario: Scenario) -> PipelineConfig:
     return scenario.pipeline_b if scenario.pipeline_b is not None else scenario.pipeline
 
 
-def _check_pipeline(label: str, p: PipelineConfig, sensors: SensorConfig,
-                    violations: list):
-    if p.refresh_hz <= 0:  # reported with the other rates
-        return
-    frame_ms = 1000.0 / p.refresh_hz
-    margin_ms = sampling_margin_ms(sensors)
-    if p.display_persistence_ms <= 0:
-        violations.append(f"{label}.display_persistence_ms must be positive")
-    elif p.display_persistence_ms < margin_ms:
-        violations.append(
-            f"{label}.display_persistence_ms={p.display_persistence_ms} is too "
-            f"short for the capture to see a settled sample per strobe "
-            f"(needs {margin_ms:.2f} ms at this sensor rise time)"
-        )
-    elif p.display_persistence_ms > frame_ms - margin_ms:
-        violations.append(
-            f"{label}.display_persistence_ms={p.display_persistence_ms} leaves "
-            f"less than {margin_ms:.2f} ms dark per {frame_ms:.2f} ms frame; "
-            "the decoder needs a settled dark sample between strobes"
-        )
-    if not _is_count(p.frame_delay_queue_len):
-        violations.append(f"{label}.frame_delay_queue_len must be a non-negative integer")
-    elif p.frame_delay_queue_len > MAX_ARRAY_LENGTH:
-        # the frame schedule reaches back one frame per queued frame
-        violations.append(
-            f"{label}.frame_delay_queue_len={p.frame_delay_queue_len} "
-            f"exceeds the maximum of {MAX_ARRAY_LENGTH} queued frames"
-        )
-    for name in ("tracking_delay_ms", "render_compute_ms", "extrapolation_ms"):
-        if getattr(p, name) < 0:
-            violations.append(f"{label}.{name} must be >= 0")
+# the single-key rules: a test that the key's value breaks and the message
+# naming it (format fields key and value).  nan breaks only the tests that
+# need a comparison to hold, and it is reported as not finite besides
+_POSITIVE = (lambda value: value <= 0, "{key} must be positive")
+_NON_NEGATIVE = (lambda value: value < 0, "{key} must be >= 0")
+# never float(value): an int past 1e308 overflows; nan and inf fail
+_COUNT = (lambda value: not value >= 0 or isinstance(value, float) and not value.is_integer(),
+          "{key} must be a non-negative integer")
+_RATE = (lambda value: value < _MIN_RATE_HZ,
+         "{key}={value} must be at least one per hour")
+_SECONDS = (lambda value: not 1 <= value <= _MAX_SECONDS,
+            f"{{key}}={{value}} must lie in [1, {_MAX_SECONDS}] seconds")
+_RANGES = {
+    "motion.amplitude_deg": _POSITIVE, "motion.period_ms": _POSITIVE,
+    **{f"{label}.{field}": rule for label in ("pipeline", "pipeline_b") for field, rule in (
+        ("tracking_delay_ms", _NON_NEGATIVE), ("render_compute_ms", _NON_NEGATIVE),
+        ("extrapolation_ms", _NON_NEGATIVE), ("refresh_hz", _RATE),
+        ("display_persistence_ms", _POSITIVE), ("frame_delay_queue_len", _COUNT))},
+    "sensors.rise_time_us": _NON_NEGATIVE, "sensors.pot_noise_sigma": _NON_NEGATIVE,
+    "sensors.photo_noise_sigma": _NON_NEGATIVE,
+    # an infinite drift is reported as not finite only
+    **dict.fromkeys(("clock_a.drift_ppm", "clock_b.drift_ppm"), (
+        lambda value: 1000 < abs(value) < math.inf,
+        "{key} beyond +-1000 is outside the oscillator model")),
+    "net.send_rate_hz": _RATE, "net.one_way_delay_ms": _NON_NEGATIVE,
+    "net.jitter_ms": _NON_NEGATIVE,
+    "audio.tone_hz": _POSITIVE, "audio.path_delay_ms": _NON_NEGATIVE,
+    "audio.threshold": (lambda value: not 0.0 < value < 1.0,
+                        "{key} must lie strictly between 0 and 1"),
+    "audio.attenuation": (lambda value: not 0.0 < value <= 1.0, "{key} must lie in (0, 1]"),
+    "audio.sample_hz": _RATE, "audio.noise_sigma": _NON_NEGATIVE,
+    "seed": _COUNT, "angle_range_deg": _POSITIVE,
+    "start_utc_second": _SECONDS, "sync_lead_s": _SECONDS,
+}
 
 
-def _is_count(value) -> bool:
-    # never float(value): an int past 1e308 overflows; nan and inf fail
-    return value >= 0 and (not isinstance(value, float) or value.is_integer())
+def _is_integer(value) -> bool:
+    # what an int key takes, as a float key does besides a float: a number
+    # whose type has the __index__ that operator.index asks for, but no bool
+    return hasattr(type(value), "__index__") and not isinstance(value, bool)
 
 
 def _array_lengths(scenario: Scenario):
@@ -145,71 +152,65 @@ def validate(scenario: Scenario) -> list:
 
 def _violations(scenario: Scenario, flat: dict) -> list:
     """`validate` on the scenario and its flat view."""
-    # nan passes every range check below and inf several of them
-    v: list = [f"{key} must be finite, got {value}" for key, value in flat.items()
-               if isinstance(value, float) and not math.isfinite(value)]
+    v: list = []
+    for key, value in flat.items():
+        kind, breaks, message = _RULES[key]
+        # nan passes most range tests and inf several of them
+        if isinstance(value, float) and not math.isfinite(value):
+            v.append(f"{key} must be finite, got {value}")
+        if breaks is not None and breaks(value):
+            v.append(message.format(key=key, value=value))
+        elif type(value) is not kind and not (
+                _is_integer(value) or kind is float and isinstance(value, float)):
+            v.append(f"{key}={value!r} is a {type(value).__name__}, not "
+                     f"{'an integer' if kind is int else 'a float or an integer'}")
+
+    # the rules below read two or more keys, or bound an array length
     m = scenario.motion
-    if m.amplitude_deg <= 0:
-        v.append("motion.amplitude_deg must be positive")
-    if m.period_ms <= 0:
-        v.append("motion.period_ms must be positive")
-    if scenario.angle_range_deg <= 0:
-        v.append("angle_range_deg must be positive")
-    elif m.amplitude_deg > 0:
-        lo = m.center_deg - m.amplitude_deg
-        hi = m.center_deg + m.amplitude_deg
-        if lo < 0 or hi >= scenario.angle_range_deg:
-            v.append(
-                f"motion.amplitude_deg={m.amplitude_deg} around motion.center_deg="
-                f"{m.center_deg} sweeps [{lo}, {hi}] degrees, outside [0, "
-                f"angle_range_deg={scenario.angle_range_deg})"
-            )
+    lo, hi = m.center_deg - m.amplitude_deg, m.center_deg + m.amplitude_deg
+    if scenario.angle_range_deg > 0 and m.amplitude_deg > 0 and (
+            lo < 0 or hi >= scenario.angle_range_deg):
+        v.append(f"motion.amplitude_deg={m.amplitude_deg} around motion.center_deg="
+                 f"{m.center_deg} sweeps [{lo}, {hi}] degrees, outside [0, "
+                 f"angle_range_deg={scenario.angle_range_deg})")
 
-    _check_pipeline("pipeline", scenario.pipeline, scenario.sensors, v)
-    if scenario.pipeline_b is not None:
-        _check_pipeline("pipeline_b", scenario.pipeline_b, scenario.sensors, v)
+    margin_ms = sampling_margin_ms(scenario.sensors)
+    for label in ("pipeline", "pipeline_b"):
+        p = getattr(scenario, label)
+        if p is None:
+            continue
+        persistence = p.display_persistence_ms
+        # a rate or persistence that is not positive is reported above
+        if not (p.refresh_hz <= 0 or persistence <= 0):
+            frame_ms = 1000.0 / p.refresh_hz
+            if persistence < margin_ms:
+                v.append(f"{label}.display_persistence_ms={persistence} is too "
+                         f"short for the capture to see a settled sample per strobe "
+                         f"(needs {margin_ms:.2f} ms at this sensor rise time)")
+            elif persistence > frame_ms - margin_ms:
+                v.append(f"{label}.display_persistence_ms={persistence} leaves less "
+                         f"than {margin_ms:.2f} ms dark per {frame_ms:.2f} ms frame; "
+                         "the decoder needs a settled dark sample between strobes")
+        # the frame schedule reaches back one frame per queued frame
+        queue = p.frame_delay_queue_len
+        if queue > MAX_ARRAY_LENGTH and not _COUNT[0](queue):
+            v.append(f"{label}.frame_delay_queue_len={queue} "
+                     f"exceeds the maximum of {MAX_ARRAY_LENGTH} queued frames")
 
-    s = scenario.sensors
-    if s.rise_time_us < 0:
-        v.append("sensors.rise_time_us must be >= 0")
-    for name in ("pot_noise_sigma", "photo_noise_sigma"):
-        if getattr(s, name) < 0:
-            v.append(f"sensors.{name} must be >= 0")
+    n = scenario.net
+    # an offset into the send grid, as drawn when it is None
+    if n is not None and n.phase_ms is not None and (n.phase_ms < 0 or (
+            math.isfinite(n.phase_ms) and n.phase_ms * n.send_rate_hz >= 1000.0)):
+        v.append(f"net.phase_ms={n.phase_ms} must lie in [0, 1000 / net.send_rate_hz)")
 
-    for label, c in (("clock_a", scenario.clock_a), ("clock_b", scenario.clock_b)):
-        if math.isfinite(c.drift_ppm) and abs(c.drift_ppm) > 1000:
-            v.append(f"{label}.drift_ppm beyond +-1000 is outside the oscillator model")
-
-    if scenario.net is not None:
-        n = scenario.net
-        if n.one_way_delay_ms < 0:
-            v.append("net.one_way_delay_ms must be >= 0")
-        if n.jitter_ms < 0:
-            v.append("net.jitter_ms must be >= 0")
-        # an offset into the send grid, as drawn when it is None
-        if n.phase_ms is not None and (n.phase_ms < 0 or (
-                math.isfinite(n.phase_ms) and n.phase_ms * n.send_rate_hz >= 1000.0)):
-            v.append(f"net.phase_ms={n.phase_ms} must lie in [0, 1000 / net.send_rate_hz)")
-
-    if scenario.audio is not None:
-        a = scenario.audio
-        if a.tone_hz <= 0:
-            v.append("audio.tone_hz must be positive")
-        if a.path_delay_ms < 0:
-            v.append("audio.path_delay_ms must be >= 0")
-        if not (0.0 < a.threshold < 1.0):
-            v.append("audio.threshold must lie strictly between 0 and 1")
-        if not (0.0 < a.attenuation <= 1.0):
-            v.append("audio.attenuation must lie in (0, 1]")
-        if a.noise_sigma < 0:
-            v.append("audio.noise_sigma must be >= 0")
-        # a tone the detector can never hear: one that arrives after the
-        # last poll `measure_mouth_to_ear` takes, by its own expressions (a
-        # rate outside this range is reported below), or one too quiet
-        # with no noise to lift it
-        if 1000.0 / MAX_DURATION_MS <= a.sample_hz <= MAX_ARRAY_LENGTH:
-            step_us = 1e6 / a.sample_hz
-            last_poll_us = math.floor(DEFAULT_HORIZON_MS * 1000.0 / step_us) * step_us
+    a = scenario.audio
+    if a is not None:
+        # a tone the detector can never hear: one that arrives after its
+        # last poll (a rate outside this range is reported above), or one
+        # too quiet with no noise to lift it
+        if _MIN_RATE_HZ <= a.sample_hz <= MAX_ARRAY_LENGTH:
+            step_us, polls = detector_polls(a.sample_hz)
+            last_poll_us = (polls - 1) * step_us
             if a.path_delay_ms * 1000.0 > last_poll_us:
                 v.append(f"audio.path_delay_ms={a.path_delay_ms} falls after the "
                          f"detector's last poll at {last_poll_us / 1000.0} ms, so "
@@ -218,13 +219,6 @@ def _violations(scenario: Scenario, flat: dict) -> list:
             v.append(f"audio.attenuation={a.attenuation} is below audio.threshold="
                      f"{a.threshold} with audio.noise_sigma = 0, so the tone is "
                      "never detected")
-
-    # the schedules count periods in float microseconds, which overflow
-    # long before a period as long as an hour does
-    for key in ("pipeline.refresh_hz", "pipeline_b.refresh_hz",
-                "net.send_rate_hz", "audio.sample_hz"):
-        if flat.get(key, 1.0) < 1000.0 / MAX_DURATION_MS:
-            v.append(f"{key}={flat[key]} must be at least one per hour")
 
     duration = scenario.duration_ms
     if math.isfinite(duration):  # a non-finite one is reported above
@@ -242,11 +236,6 @@ def _violations(scenario: Scenario, flat: dict) -> list:
                     v.append(f"{key}={value} implies {length:.4g} {what}, "
                              f"above the maximum of {MAX_ARRAY_LENGTH} "
                              "array elements")
-    if not _is_count(flat["seed"]):
-        v.append("seed must be a non-negative integer")
-    for key in ("start_utc_second", "sync_lead_s"):
-        if not 1 <= flat[key] <= _MAX_SECONDS:
-            v.append(f"{key}={flat[key]} must lie in [1, {_MAX_SECONDS}] seconds")
     return v
 
 
@@ -291,6 +280,10 @@ def _key_table():
 
 
 _KEYS = _key_table()
+# key -> (int or float, the test its range breaks or None, the message)
+_RULES = MappingProxyType({
+    key: (int if hint is int else float, *_RANGES.get(key, (None, None)))
+    for key, (_, _, hint) in _KEYS.items()})
 
 
 def _coerce(value, hint):

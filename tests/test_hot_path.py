@@ -13,10 +13,11 @@ import pytest
 
 import vrlatsim
 
-# cli.py runs capture_run and estimate_run once per run of a batch
+# cli.py runs capture_run and estimate_run once per run of a batch, and
+# scenario.py validates each run's scenario once per capture
 PER_RUN_MODULES = ("estimator.py", "codec.py", "rig.py", "netsim.py",
                    "tracefile.py", "tracebody.py", "audio.py", "clock.py",
-                   "cli.py")
+                   "cli.py", "scenario.py")
 # helper -> what the per-run code calls instead
 SLOW_HELPERS = {
     "flatnonzero": "x.nonzero()[0]",

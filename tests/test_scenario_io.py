@@ -54,7 +54,7 @@ def test_validation_collects_every_violation_at_once():
 
 
 # between them these break every rule of validate; some rules exclude
-# others (a zero refresh rate skips the persistence checks, an invalid
+# others (a zero refresh rate skips the persistence margins, an invalid
 # duration skips the array lengths), so one scenario cannot break them all
 _RULE_BREAKERS = [
     Scenario(
@@ -89,6 +89,26 @@ _RULE_BREAKERS = [
     Scenario(net=NetworkConfig(send_rate_hz=1000.0), clock_a=SimClock(drift_ppm=1000.0),
              sync_lead_s=10**9, duration_ms=2000.0),
 ]
+
+
+@pytest.mark.parametrize("label", ["pipeline", "pipeline_b"])
+def test_a_zero_rate_hides_no_other_violation_of_its_section(label):
+    bad = PipelineConfig(refresh_hz=0.0, tracking_delay_ms=-1.0, render_compute_ms=-1.0,
+                         extrapolation_ms=-1.0, frame_delay_queue_len=-3,
+                         display_persistence_ms=0.0)
+    assert scenario_mod.validate(replace(Scenario(), **{label: bad})) == [
+        f"{label}.tracking_delay_ms must be >= 0",
+        f"{label}.frame_delay_queue_len must be a non-negative integer",
+        f"{label}.refresh_hz=0.0 must be at least one per hour",
+        f"{label}.display_persistence_ms must be positive",
+        f"{label}.extrapolation_ms must be >= 0",
+        f"{label}.render_compute_ms must be >= 0",
+    ]
+
+
+def test_every_range_rule_names_a_config_key():
+    assert set(scenario_mod._RANGES) <= set(scenario_mod._KEYS)
+    assert set(scenario_mod._RULES) == set(scenario_mod._KEYS)
 
 
 def test_every_violation_starts_with_its_key():
@@ -423,22 +443,81 @@ def test_an_infinite_drift_is_reported_once():
         ["clock_a.drift_ppm must be finite, got inf"]
 
 
+def _with_key(sc, key, value):
+    """sc with the config key set to value as it is, not coerced."""
+    section, name, _ = scenario_mod._KEYS[key]
+    if section is None:
+        return replace(sc, **{name: value})
+    return replace(sc, **{section: replace(getattr(sc, section), **{name: value})})
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 @pytest.mark.parametrize("key", [key for key, (_, _, hint) in scenario_mod._KEYS.items()
                                  if hint is int])
 def test_a_non_finite_integer_is_reported_not_raised(key, value):
     # a config file cannot put a float under an int key, but a Scenario
     # built in Python can, and validate must report it with its key
-    section, name, _ = scenario_mod._KEYS[key]
-    if section is None:
-        sc = replace(_FULL_SCENARIO, **{name: value})
-    else:
-        part = replace(getattr(_FULL_SCENARIO, section), **{name: value})
-        sc = replace(_FULL_SCENARIO, **{section: part})
-    violations = scenario_mod.validate(sc)
+    violations = scenario_mod.validate(_with_key(_FULL_SCENARIO, key, value))
     # once as not finite, once by the key's own range or integer check
     named = [v for v in violations if v.startswith(key)]
     assert len(named) == 2 and named[0] == f"{key} must be finite, got {value}"
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("seed", 3.0, "seed=3.0 is a float, not an integer"),
+    ("pipeline.frame_delay_queue_len", 2.0,
+     "pipeline.frame_delay_queue_len=2.0 is a float, not an integer"),
+    ("start_utc_second", 3.5, "start_utc_second=3.5 is a float, not an integer"),
+    ("seed", True, "seed=True is a bool, not an integer"),
+    ("sync_lead_s", np.True_, "sync_lead_s=np.True_ is a bool, not an integer"),
+    ("duration_ms", True, "duration_ms=True is a bool, not a float or an integer"),
+    ("pipeline.refresh_hz", np.float32(90.0),
+     "pipeline.refresh_hz=np.float32(90.0) is a float32, not a float or an integer"),
+])
+def test_a_value_the_config_text_cannot_spell_is_named(key, value, message):
+    # format_config writes seed = 3.0 or seed = True, which the reader
+    # refuses, and writes np.float32(90.0) as 90.0, a different number to
+    # the schedules: each is invalid where it is set, not coerced
+    sc = _with_key(_FULL_SCENARIO, key, value)
+    assert scenario_mod.validate(sc) == [message]
+    if key != "pipeline.refresh_hz":
+        with pytest.raises(ScenarioValidationError):
+            scenario_mod.scenario_from_flat(scenario_mod.parse_config_text(
+                scenario_mod.format_config(sc)))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("seed", np.int64(3)), ("sync_lead_s", np.uint8(5)), ("pipeline.refresh_hz", 90),
+    ("pipeline.refresh_hz", np.int64(90)), ("audio.threshold", np.float64(0.25)),
+    ("net.phase_ms", 3),
+])
+def test_integers_and_float64_are_valid_spellings(key, value):
+    assert scenario_mod.validate(_with_key(_FULL_SCENARIO, key, value)) == []
+
+
+def _capture_bytes(sc):
+    return [tracefile.format_trace(c) for c in cli.capture_run(sc)]
+
+
+def _spellings(value, hint):
+    """The spellings of value that a key of the hint accepts."""
+    if hint is int:
+        return [value, np.int64(value)]
+    return [value, np.float64(value)] + ([int(value)] if value.is_integer() else [])
+
+
+@settings(max_examples=30)
+@given(data=st.data(), name=st.sampled_from(scenario_mod.preset_names()))
+def test_every_accepted_spelling_writes_back_the_same_capture(data, name):
+    sc = replace(scenario_mod.get_preset(name), duration_ms=1500.0)
+    for key, value in scenario_mod.scenario_to_flat(sc).items():
+        spelled = data.draw(st.sampled_from(_spellings(value, scenario_mod._KEYS[key][2])),
+                            label=key)
+        sc = _with_key(sc, key, spelled)
+    assert scenario_mod.validate(sc) == []
+    back = scenario_mod.scenario_from_flat(
+        scenario_mod.parse_config_text(scenario_mod.format_config(sc)))
+    assert _capture_bytes(back) == _capture_bytes(sc)
 
 
 def test_section_fields_are_resolved_once_and_read_only():
