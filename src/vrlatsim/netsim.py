@@ -33,21 +33,18 @@ class NetworkConfig:
     send_rate_hz: float = 29.0
     one_way_delay_ms: float = 0.5
     jitter_ms: float = 0.0
-    phase_ms: float | None = None  # send-grid offset; None draws it per run
 
 
 def sample_and_send(angle_fn, net: NetworkConfig, t_start_us, t_end_us, rng):
     """Sample an angle stream at the send rate and deliver it over the link.
 
-    Returns (delivery_times_us, angles).  Jitter is Gaussian, clipped at
-    zero, and deliveries are forced monotonic so packets never overtake
-    each other.
+    Returns (delivery_times_us, angles).  The first send falls a phase
+    after t_start_us, drawn uniformly from one send interval as rng's
+    first draw.  Jitter is Gaussian, clipped at zero, and deliveries are
+    forced monotonic so packets never overtake each other.
     """
     interval_us = 1e6 / net.send_rate_hz
-    if net.phase_ms is not None:
-        phase_us = net.phase_ms * 1000.0
-    else:
-        phase_us = float(rng.uniform(0.0, interval_us))
+    phase_us = float(rng.uniform(0.0, interval_us))
     count = int(np.floor((t_end_us - t_start_us - phase_us) / interval_us)) + 1
     if count <= 0:
         raise SimulationError("send window too short for a single update")

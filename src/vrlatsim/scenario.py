@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import operator
+import sys
 import typing
 from dataclasses import dataclass, replace
 from types import MappingProxyType
@@ -37,6 +38,7 @@ _MAX_SECONDS = 9_000_000_000
 # slowest rate: the schedules count periods in float microseconds, which
 # overflow long before a period as long as an hour does
 _MIN_RATE_HZ = 1000.0 / MAX_DURATION_MS
+_FLOAT_MAX = sys.float_info.max
 
 
 def sampling_margin_ms(sensors: SensorConfig) -> float:
@@ -153,17 +155,25 @@ def validate(scenario: Scenario) -> list:
 def _violations(scenario: Scenario, flat: dict) -> list:
     """`validate` on the scenario and its flat view."""
     v: list = []
+    numbers = True  # until a value the rules below cannot compare is reported
     for key, value in flat.items():
         kind, breaks, message = _RULES[key]
+        is_float = isinstance(value, float)
+        integer = not is_float and _is_integer(value)
         # nan passes most range tests and inf several of them
-        if isinstance(value, float) and not math.isfinite(value):
+        if is_float and not math.isfinite(value):
             v.append(f"{key} must be finite, got {value}")
-        if breaks is not None and breaks(value):
+        elif integer and kind is float and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            v.append(f"{key} is an integer beyond the float range")
+            numbers = False
+        if (is_float or integer) and breaks is not None and breaks(value):
             v.append(message.format(key=key, value=value))
-        elif type(value) is not kind and not (
-                _is_integer(value) or kind is float and isinstance(value, float)):
+        elif not (integer or kind is float and is_float):
             v.append(f"{key}={value!r} is a {type(value).__name__}, not "
                      f"{'an integer' if kind is int else 'a float or an integer'}")
+            numbers &= is_float  # a float at an int key still compares
+    if not numbers:
+        return v
 
     # the rules below read two or more keys, or bound an array length
     m = scenario.motion
@@ -196,12 +206,6 @@ def _violations(scenario: Scenario, flat: dict) -> list:
         if queue > MAX_ARRAY_LENGTH and not _COUNT[0](queue):
             v.append(f"{label}.frame_delay_queue_len={queue} "
                      f"exceeds the maximum of {MAX_ARRAY_LENGTH} queued frames")
-
-    n = scenario.net
-    # an offset into the send grid, as drawn when it is None
-    if n is not None and n.phase_ms is not None and (n.phase_ms < 0 or (
-            math.isfinite(n.phase_ms) and n.phase_ms * n.send_rate_hz >= 1000.0)):
-        v.append(f"net.phase_ms={n.phase_ms} must lie in [0, 1000 / net.send_rate_hz)")
 
     a = scenario.audio
     if a is not None:
@@ -287,14 +291,11 @@ _RULES = MappingProxyType({
 
 
 def _coerce(value, hint):
-    # int() and float() strip the whitespace around a string themselves;
-    # operator.index refuses a number that is not integral instead of
-    # truncating it; None is kept only where the hint allows it
+    # int() and float() strip a string's whitespace themselves;
+    # operator.index refuses a number that is not integral, not truncating it
     if isinstance(value, str):
         return int(value) if hint is int else float(value)
-    if hint is int:
-        return operator.index(value)
-    return value if value is None and hint is not float else float(value)
+    return operator.index(value) if hint is int else float(value)
 
 
 def parse_config_text(text: str) -> dict:
@@ -354,9 +355,8 @@ def scenario_to_flat(scenario: Scenario) -> dict:
     flat: dict = {}
     for key, (section, field, _) in _KEYS.items():
         obj = scenario if section is None else getattr(scenario, section)
-        value = None if obj is None else getattr(obj, field)
-        if value is not None:
-            flat[key] = value
+        if obj is not None:
+            flat[key] = getattr(obj, field)
     return flat
 
 
@@ -409,9 +409,8 @@ PRESETS: dict = {
     # sanity checks: the estimate collapses to strobe/sampling alignment
     "zero-delay": {"pipeline.refresh_hz": 360.0, "pipeline.display_persistence_ms": 1.4},
     "remote-default": _REMOTE,
-    # exploratory: one-sided receiver extrapolation shortens one
-    # direction of the remote path, which makes the two directions of a
-    # bidirectional setup disagree
+    # exploratory: receiver extrapolation shortens the one simulated
+    # direction, A to B, of the remote path, to about 14 ms
     "remote-asymmetric": {**_REMOTE, "pipeline_b.extrapolation_ms": 15.0},
     "audio-local": {**_AUDIO, "audio.path_delay_ms": 100.0},
     "audio-remote": {**_AUDIO, "audio.path_delay_ms": 144.1},

@@ -369,7 +369,8 @@ def test_a_start_of_2_to_the_53_or_more_exits_2(remote_pair, tmp_path, capsys,
 @pytest.mark.parametrize("line", ["sensors.adc_sample_hz = 1000.0",
                                   "sensors.adc_conversion_us = 800.0",
                                   "motion.kind = sinusoidal",
-                                  "clock_a.epoch_offset_us = 0.0"])
+                                  "clock_a.epoch_offset_us = 0.0",
+                                  "net.phase_ms = 3.0"])
 def test_config_naming_a_fixed_rig_setting_exits_1(line, tmp_path, capsys):
     cfg = str(tmp_path / "old.cfg")
     with open(cfg, "w") as handle:

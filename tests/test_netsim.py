@@ -1,4 +1,5 @@
 """Network path and two-station measurement tests."""
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -15,27 +16,34 @@ def _ramp(t_us):
     return np.asarray(t_us, dtype=float) / 1000.0
 
 
+def _phase_us(rng, rate_hz=29.0):
+    """The send-grid phase sample_and_send draws first from rng, read from
+    a copy so that rng itself is left as it is."""
+    return float(copy.deepcopy(rng).uniform(0.0, 1e6 / rate_hz))
+
+
 def test_send_grid_spacing_matches_the_update_rate():
-    net = NetworkConfig(send_rate_hz=29.0, one_way_delay_ms=0.5, phase_ms=0.0)
-    deliveries, values = netsim.sample_and_send(_ramp, net, 0.0, 1_000_000.0,
-                                                np.random.default_rng(0))
+    net = NetworkConfig(send_rate_hz=29.0, one_way_delay_ms=0.5)
+    rng = np.random.default_rng(0)
+    phase_us = _phase_us(rng)
+    deliveries, values = netsim.sample_and_send(_ramp, net, 0.0, 1_000_000.0, rng)
     spacing = np.diff(deliveries)
     assert np.allclose(spacing, 1e6 / 29.0)
-    assert deliveries[0] == pytest.approx(500.0)
+    assert deliveries[0] == pytest.approx(phase_us + 500.0)
     # the transmitted values carry the send-time ramp
-    assert values[0] == pytest.approx(0.0)
-    assert values[1] == pytest.approx(1000.0 / 29.0)
+    assert values[0] == pytest.approx(phase_us / 1000.0)
+    assert values[1] == pytest.approx(phase_us / 1000.0 + 1000.0 / 29.0)
 
 
-def test_configured_phase_offsets_the_grid():
-    net = NetworkConfig(phase_ms=3.0)
-    deliveries, _ = netsim.sample_and_send(_ramp, net, 0.0, 500_000.0,
-                                           np.random.default_rng(0))
-    assert deliveries[0] == pytest.approx(3000.0 + 500.0)
+def test_the_drawn_phase_offsets_the_grid():
+    rng = np.random.default_rng(3)
+    phase_us = _phase_us(rng)
+    deliveries, _ = netsim.sample_and_send(_ramp, NetworkConfig(), 10_000.0, 510_000.0, rng)
+    assert deliveries[0] == pytest.approx(10_000.0 + phase_us + 500.0)
 
 
 def test_random_phase_is_drawn_from_one_update_interval():
-    net = NetworkConfig(phase_ms=None)
+    net = NetworkConfig()
     firsts = []
     for seed in range(50):
         deliveries, _ = netsim.sample_and_send(
@@ -49,25 +57,27 @@ def test_random_phase_is_drawn_from_one_update_interval():
 
 
 def test_jittered_deliveries_stay_ordered_and_never_undershoot():
-    net = NetworkConfig(one_way_delay_ms=0.5, jitter_ms=20.0, phase_ms=0.0)
-    deliveries, _ = netsim.sample_and_send(_ramp, net, 0.0, 2_000_000.0,
-                                           np.random.default_rng(11))
-    sends = np.arange(deliveries.shape[0]) * (1e6 / 29.0)
+    net = NetworkConfig(one_way_delay_ms=0.5, jitter_ms=20.0)
+    rng = np.random.default_rng(11)
+    phase_us = _phase_us(rng)
+    deliveries, _ = netsim.sample_and_send(_ramp, net, 0.0, 2_000_000.0, rng)
+    sends = phase_us + np.arange(deliveries.shape[0]) * (1e6 / 29.0)
     assert np.all(np.diff(deliveries) >= 0.0)
     assert np.all(deliveries >= sends + 500.0)
 
 
 def test_too_short_send_window_is_an_error():
-    net = NetworkConfig(phase_ms=30.0)
+    # seed 0 draws a phase past the 10 ms window, so no update is sent
+    rng = np.random.default_rng(0)
+    assert _phase_us(rng) > 10_000.0
     with pytest.raises(SimulationError):
-        netsim.sample_and_send(_ramp, net, 0.0, 10_000.0,
-                               np.random.default_rng(0))
+        netsim.sample_and_send(_ramp, NetworkConfig(), 0.0, 10_000.0, rng)
 
 
 def test_receiver_hold_staleness_averages_half_an_interval():
     # transmit a ramp that encodes its own send time; the hold's error
     # is then exactly the staleness of the last delivered update
-    net = NetworkConfig(send_rate_hz=29.0, one_way_delay_ms=0.5, phase_ms=0.0)
+    net = NetworkConfig(send_rate_hz=29.0, one_way_delay_ms=0.5)
     deliveries, values = netsim.sample_and_send(_ramp, net, 0.0, 10_000_000.0,
                                                 np.random.default_rng(0))
     held = SteppedAngleHistory(deliveries, values)

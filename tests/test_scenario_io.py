@@ -67,8 +67,7 @@ _RULE_BREAKERS = [
                              photo_noise_sigma=-1.0),
         clock_a=SimClock(drift_ppm=5000.0),
         clock_b=SimClock(drift_ppm=-5000.0),
-        net=NetworkConfig(send_rate_hz=0.0, one_way_delay_ms=-1.0, jitter_ms=-1.0,
-                          phase_ms=-1.0),
+        net=NetworkConfig(send_rate_hz=0.0, one_way_delay_ms=-1.0, jitter_ms=-1.0),
         audio=AudioPathConfig(tone_hz=0.0, path_delay_ms=-1.0, threshold=2.0,
                               sample_hz=0.0, attenuation=0.0, noise_sigma=-1.0),
         duration_ms=0.0, seed=-1, angle_range_deg=-1.0, start_utc_second=0,
@@ -295,15 +294,6 @@ def test_a_rate_below_one_per_hour_is_named(key, value):
     assert violations == [f"{key}={value} must be at least one per hour"]
 
 
-@pytest.mark.parametrize("phase_ms,valid", [(0.0, True), (34.48, True), (34.49, False),
-                                            (1.7976931348623157e305, False)])
-def test_the_send_phase_lies_inside_one_send_interval(phase_ms, valid):
-    # 29 Hz sends every 34.483 ms; 1.8e305 ms overflowed to inf in microseconds
-    violations = _remote_violations(**{"net.phase_ms": phase_ms})
-    assert violations == ([] if valid else [
-        f"net.phase_ms={phase_ms} must lie in [0, 1000 / net.send_rate_hz)"])
-
-
 def test_raise_if_invalid_raises_with_the_violation_list():
     bad = Scenario(duration_ms=0.0)
     with pytest.raises(ScenarioValidationError) as err:
@@ -393,11 +383,11 @@ def test_unparseable_values_are_reported_with_their_key():
 @pytest.mark.parametrize("key", ["sensors.adc_sample_hz", "sensors.adc_conversion_us",
                                  "motion.kind", "clock_a.epoch_offset_us",
                                  "clock_b.epoch_offset_us", "clock_a.seed",
-                                 "clock_b.seed"])
+                                 "clock_b.seed", "net.phase_ms"])
 def test_fixed_rig_settings_are_not_config_keys(key):
     # the ADC rate (1 kHz) and the motion (sinusoidal) are fixed, a clock's
-    # epoch offset cancels in the GPS sync, and each station's timepulse
-    # jitter is seeded by its fixed tag
+    # epoch offset cancels in the GPS sync, each station's timepulse
+    # jitter is seeded by its fixed tag, and the send phase by the seed
     with pytest.raises(ScenarioValidationError) as err:
         scenario_mod.scenario_from_flat({key: "1000"})
     assert err.value.violations == [f"unknown config key {key!r}"]
@@ -405,9 +395,7 @@ def test_fixed_rig_settings_are_not_config_keys(key):
 
 # every section set, so that every float key of a scenario is checked
 _FULL_SCENARIO = scenario_mod.scenario_from_flat({
-    **scenario_mod.PRESETS["remote-default"], **scenario_mod.PRESETS["audio-local"],
-    "net.phase_ms": 3.0,
-})
+    **scenario_mod.PRESETS["remote-default"], **scenario_mod.PRESETS["audio-local"]})
 _FLOAT_KEYS = [key for key, value in scenario_mod.scenario_to_flat(_FULL_SCENARIO).items()
                if isinstance(value, float)]
 
@@ -415,7 +403,8 @@ _FLOAT_KEYS = [key for key, value in scenario_mod.scenario_to_flat(_FULL_SCENARI
 def test_the_full_scenario_is_valid_and_has_every_section():
     assert scenario_mod.validate(_FULL_SCENARIO) == []
     assert None not in (_FULL_SCENARIO.pipeline_b, _FULL_SCENARIO.net,
-                        _FULL_SCENARIO.audio, _FULL_SCENARIO.net.phase_ms)
+                        _FULL_SCENARIO.audio)
+    assert list(scenario_mod.scenario_to_flat(_FULL_SCENARIO)) == list(scenario_mod._KEYS)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -489,7 +478,6 @@ def test_a_value_the_config_text_cannot_spell_is_named(key, value, message):
 @pytest.mark.parametrize("key,value", [
     ("seed", np.int64(3)), ("sync_lead_s", np.uint8(5)), ("pipeline.refresh_hz", 90),
     ("pipeline.refresh_hz", np.int64(90)), ("audio.threshold", np.float64(0.25)),
-    ("net.phase_ms", 3),
 ])
 def test_integers_and_float64_are_valid_spellings(key, value):
     assert scenario_mod.validate(_with_key(_FULL_SCENARIO, key, value)) == []
@@ -561,12 +549,50 @@ def test_an_int_key_refuses_a_number_that_is_not_an_integer(key, value):
     assert err.value.violations == [f"cannot parse value for {key!r}: {value!r}"]
 
 
-def test_only_a_key_whose_default_is_none_takes_none():
-    sc = scenario_mod.scenario_from_flat({"net.phase_ms": None, "seed": np.int64(3)})
-    assert sc.net == NetworkConfig(phase_ms=None)
-    assert sc.seed == 3
+def test_an_int_key_takes_a_numpy_integer_as_an_int():
+    seed = scenario_mod.scenario_from_flat({"seed": np.int64(3)}).seed
+    assert seed == 3 and type(seed) is int
+
+
+@pytest.mark.parametrize("key", list(scenario_mod._KEYS))
+def test_no_config_key_takes_none(key):
+    with pytest.raises(ScenarioValidationError) as err:
+        scenario_mod.scenario_from_flat({key: None})
+    assert err.value.violations == [f"cannot parse value for {key!r}: None"]
+
+
+def test_every_config_key_is_an_int_or_a_float():
+    # no key is optional: a hint such as float | None would let None in
+    assert {hint for _, _, hint in scenario_mod._KEYS.values()} == {int, float}
+
+
+@pytest.mark.parametrize("value", [None, "3"], ids=["None", "str"])
+@pytest.mark.parametrize("key", list(scenario_mod._KEYS))
+def test_a_value_that_is_not_a_number_is_named_not_raised(key, value):
+    # only a Scenario built in Python can hold one; the range tests and the
+    # rules that read several keys would compare it, so it is reported alone
+    sc = _with_key(_FULL_SCENARIO, key, value)
+    kind = "an integer" if scenario_mod._KEYS[key][2] is int else "a float or an integer"
+    message = f"{key}={value!r} is a {type(value).__name__}, not {kind}"
+    assert scenario_mod.validate(sc) == [message]
+    with pytest.raises(ScenarioValidationError) as err:
+        scenario_mod.raise_if_invalid(sc)
+    assert err.value.violations == [message]
+
+
+@pytest.mark.parametrize("key", ["duration_ms", "pipeline.refresh_hz", "audio.sample_hz",
+                                 "motion.center_deg", "sensors.rise_time_us",
+                                 "clock_b.drift_ppm"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_an_integer_beyond_the_float_range_is_named_not_raised(key, sign):
+    # each of these overflowed the rules' float arithmetic; the other
+    # rules are skipped as for a value that is not a number
+    sc = _with_key(_FULL_SCENARIO, key, sign * 10**400)
+    violations = scenario_mod.validate(sc)
+    assert violations[0] == f"{key} is an integer beyond the float range"
+    assert all(v.startswith(key) for v in violations)
     with pytest.raises(ScenarioValidationError):
-        scenario_mod.scenario_from_flat({"net.send_rate_hz": None})
+        scenario_mod.raise_if_invalid(sc)
 
 
 def test_lines_without_equals_are_rejected():
