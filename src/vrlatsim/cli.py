@@ -149,7 +149,7 @@ def simulate_scenario(sc: scenario_mod.Scenario, *,
     captures = capture_run(sc)
     mouth_to_ear_ms = None
     if sc.audio is not None:
-        mouth_to_ear_ms = audio_path.measure_mouth_to_ear(sc.audio, seed=sc.seed)
+        mouth_to_ear_ms = audio_path.measure_mouth_to_ear(sc.audio)
 
     report = estimate_run(captures, max_lag_ms=max_lag_ms,
                           allow_negative=allow_negative,

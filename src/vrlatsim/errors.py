@@ -42,7 +42,7 @@ class AlignmentError(EstimationError):
 
 
 class DetectionTimeoutError(VrLatSimError):
-    """The audio detector never crossed its threshold within the horizon."""
+    """The audio detector never heard the tone within the horizon."""
 
 
 class TraceFormatError(VrLatSimError):

@@ -14,7 +14,7 @@ import typing
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 
-from .audio import DEFAULT_HORIZON_MS, AudioPathConfig, detector_polls
+from .audio import LAST_POLL_US, AudioPathConfig
 from .clock import SimClock
 from .errors import ScenarioValidationError
 from .netsim import SEND_WARMUP_MS, NetworkConfig
@@ -29,8 +29,8 @@ _SETTLE_PER_RISE = math.log(14.0) / math.log(9.0)
 MAX_DURATION_MS = 3_600_000.0
 # longest array a run may ask for, in elements: four times the ADC
 # samples of the longest capture.  The duration cap bounds the samples,
-# but frames, network updates and audio polls grow with rates that it
-# does not bound; at 8 bytes an element, one array stays near 115 MB
+# but frames and network updates grow with rates that it does not bound;
+# at 8 bytes an element, one array stays near 115 MB
 MAX_ARRAY_LENGTH = 4 * sample_count(MAX_DURATION_MS)
 # latest start second and longest sync lead: a remote run counts true time
 # in float us, exact while |sync second| and start + one hour stay < 2**53 us
@@ -101,11 +101,7 @@ _RANGES = {
         "{key} beyond +-1000 is outside the oscillator model")),
     "net.send_rate_hz": _RATE, "net.one_way_delay_ms": _NON_NEGATIVE,
     "net.jitter_ms": _NON_NEGATIVE,
-    "audio.tone_hz": _POSITIVE, "audio.path_delay_ms": _NON_NEGATIVE,
-    "audio.threshold": (lambda value: not 0.0 < value < 1.0,
-                        "{key} must lie strictly between 0 and 1"),
-    "audio.attenuation": (lambda value: not 0.0 < value <= 1.0, "{key} must lie in (0, 1]"),
-    "audio.sample_hz": _RATE, "audio.noise_sigma": _NON_NEGATIVE,
+    "audio.path_delay_ms": _NON_NEGATIVE,
     "seed": _COUNT, "angle_range_deg": _POSITIVE,
     "start_utc_second": _SECONDS, "sync_lead_s": _SECONDS,
 }
@@ -115,6 +111,13 @@ def _is_integer(value) -> bool:
     # what an int key takes, as a float key does besides a float: a number
     # whose type has the __index__ that operator.index asks for, but no bool
     return hasattr(type(value), "__index__") and not isinstance(value, bool)
+
+
+def _digits(n) -> int:
+    """Decimal digits of the integer n, counted without str()."""
+    n = abs(operator.index(n))
+    d = int(math.log10(n)) + 1  # log10 takes an int past the float range
+    return d + (n >= 10 ** d) - (n < 10 ** (d - 1))
 
 
 def _array_lengths(scenario: Scenario):
@@ -140,10 +143,6 @@ def _array_lengths(scenario: Scenario):
                 key, value = "sync_lead_s", scenario.sync_lead_s
             window_ms += scenario.sync_lead_s * 1e3 * abs(1 / (1 + a) - 1 / (1 + b))
         lengths.append((key, value, window_ms / 1000.0 * rate, "network updates"))
-    if scenario.audio is not None:
-        rate = scenario.audio.sample_hz
-        lengths.append(("audio.sample_hz", rate,
-                        DEFAULT_HORIZON_MS / 1000.0 * rate, "audio polls"))
     return lengths
 
 
@@ -163,9 +162,17 @@ def _violations(scenario: Scenario, flat: dict) -> list:
         # nan passes most range tests and inf several of them
         if is_float and not math.isfinite(value):
             v.append(f"{key} must be finite, got {value}")
-        elif integer and kind is float and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-            v.append(f"{key} is an integer beyond the float range")
-            numbers = False
+        elif integer and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            # a float key's arithmetic would overflow; past str()'s digit
+            # limit, no message and no config line can spell the value
+            digits = _digits(value)
+            if digits > (sys.get_int_max_str_digits() or digits):
+                v.append(f"{key} is an integer of {digits} digits, too long to write")
+                numbers = False
+                continue
+            if kind is float:
+                v.append(f"{key} is an integer beyond the float range")
+                numbers = False
         if (is_float or integer) and breaks is not None and breaks(value):
             v.append(message.format(key=key, value=value))
         elif not (integer or kind is float and is_float):
@@ -177,11 +184,14 @@ def _violations(scenario: Scenario, flat: dict) -> list:
 
     # the rules below read two or more keys, or bound an array length
     m = scenario.motion
-    lo, hi = m.center_deg - m.amplitude_deg, m.center_deg + m.amplitude_deg
-    if scenario.angle_range_deg > 0 and m.amplitude_deg > 0 and (
+    # in Python numbers: numpy integers would wrap or overflow
+    center, amplitude = (x if isinstance(x, float) else operator.index(x)
+                         for x in (m.center_deg, m.amplitude_deg))
+    lo, hi = center - amplitude, center + amplitude
+    if scenario.angle_range_deg > 0 and amplitude > 0 and (
             lo < 0 or hi >= scenario.angle_range_deg):
-        v.append(f"motion.amplitude_deg={m.amplitude_deg} around motion.center_deg="
-                 f"{m.center_deg} sweeps [{lo}, {hi}] degrees, outside [0, "
+        v.append(f"motion.amplitude_deg={amplitude} around motion.center_deg="
+                 f"{center} sweeps [{lo}, {hi}] degrees, outside [0, "
                  f"angle_range_deg={scenario.angle_range_deg})")
 
     margin_ms = sampling_margin_ms(scenario.sensors)
@@ -207,22 +217,12 @@ def _violations(scenario: Scenario, flat: dict) -> list:
             v.append(f"{label}.frame_delay_queue_len={queue} "
                      f"exceeds the maximum of {MAX_ARRAY_LENGTH} queued frames")
 
+    # a tone that arrives after the detector's last poll is never heard
     a = scenario.audio
-    if a is not None:
-        # a tone the detector can never hear: one that arrives after its
-        # last poll (a rate outside this range is reported above), or one
-        # too quiet with no noise to lift it
-        if _MIN_RATE_HZ <= a.sample_hz <= MAX_ARRAY_LENGTH:
-            step_us, polls = detector_polls(a.sample_hz)
-            last_poll_us = (polls - 1) * step_us
-            if a.path_delay_ms * 1000.0 > last_poll_us:
-                v.append(f"audio.path_delay_ms={a.path_delay_ms} falls after the "
-                         f"detector's last poll at {last_poll_us / 1000.0} ms, so "
-                         "the tone is never detected")
-        if a.noise_sigma == 0 and a.attenuation < a.threshold:
-            v.append(f"audio.attenuation={a.attenuation} is below audio.threshold="
-                     f"{a.threshold} with audio.noise_sigma = 0, so the tone is "
-                     "never detected")
+    if a is not None and a.path_delay_ms * 1000.0 > LAST_POLL_US:
+        v.append(f"audio.path_delay_ms={a.path_delay_ms} falls after the "
+                 f"detector's last poll at {LAST_POLL_US / 1000.0} ms, so "
+                 "the tone is never detected")
 
     duration = scenario.duration_ms
     if math.isfinite(duration):  # a non-finite one is reported above
@@ -393,7 +393,6 @@ _REMOTE = {
     "clock_b.drift_ppm": -25.0,
     **_DEFAULT_NOISE,
 }
-_AUDIO = {**_DEFAULT_NOISE, "audio.tone_hz": 4000.0, "audio.threshold": 0.5}
 
 PRESETS: dict = {
     # 90 Hz headset-style pipeline with light pose prediction; the
@@ -412,8 +411,8 @@ PRESETS: dict = {
     # exploratory: receiver extrapolation shortens the one simulated
     # direction, A to B, of the remote path, to about 14 ms
     "remote-asymmetric": {**_REMOTE, "pipeline_b.extrapolation_ms": 15.0},
-    "audio-local": {**_AUDIO, "audio.path_delay_ms": 100.0},
-    "audio-remote": {**_AUDIO, "audio.path_delay_ms": 144.1},
+    "audio-local": {**_DEFAULT_NOISE, "audio.path_delay_ms": 100.0},
+    "audio-remote": {**_DEFAULT_NOISE, "audio.path_delay_ms": 144.1},
 }
 
 

@@ -1,7 +1,7 @@
 """Canary for the random streams the golden digests depend on.
 
 Trace and report bytes depend on `Generator.standard_normal` (sensor,
-timepulse, network and audio noise, scaled by sigma as
+timepulse and network noise, scaled by sigma as
 `Generator.normal` would) and `Generator.uniform` (the send phase of a
 remote run).  numpy keeps each bit generator's raw stream fixed across
 versions but may change how the distribution methods turn it into
@@ -52,14 +52,6 @@ def _timepulse_normal():
     return _sha256(np.random.default_rng(seed).standard_normal(DRAWS), "<f8")
 
 
-def _audio_normal():
-    # audio.measure_mouth_to_ear: the detector noise, under its own tag.
-    # SeedSequence pads its entropy with zero words, so a plain seed
-    # would draw the capture's stream of SeedSequence((seed, 0))
-    seed = np.random.SeedSequence((SEED, 0xA0D1))
-    return _sha256(np.random.default_rng(seed).standard_normal(DRAWS), "<f8")
-
-
 def _raw_stream():
     # the bit generator itself, under every distribution method
     bits = np.random.PCG64(np.random.SeedSequence((SEED, 0)))
@@ -79,9 +71,6 @@ STREAMS = {
     "normal via SeedSequence((seed, clock seed, 0xC10C))": (
         _timepulse_normal,
         "cbd13cfc44b3dc1373dddb43a95862dde5be1deff72eaf82eb61be7d55dcde47"),
-    "normal via SeedSequence((seed, 0xA0D1))": (
-        _audio_normal,
-        "2d177fe80228226d1fcda0d72aae60db999717daa7f4b74cea7553a1f6f1c312"),
     "PCG64.random_raw": (
         _raw_stream,
         "09fe140eb037b968ae7dc4ca68da157cb0ae09c2112d09c084bad3d01e2ce6d0"),
@@ -110,8 +99,8 @@ def test_scaled_standard_normals_are_the_normal_stream(sigma):
         0.0, sigma, DRAWS)
     assert scaled.tobytes() == normal.tobytes(), (
         f"numpy {np.__version__} no longer draws normal(0, {sigma}) as "
-        f"standard_normal() * {sigma}. The sensor, network, timepulse and "
-        "audio noise are drawn the second way, and the golden digests in "
+        f"standard_normal() * {sigma}. The sensor, network and timepulse "
+        "noise are drawn the second way, and the golden digests in "
         "tests/test_golden.py were made with the first."
     )
 
