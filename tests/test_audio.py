@@ -3,6 +3,8 @@
 The governing property: interval counting can never report early, and
 overshoots the true path delay by less than one polling interval.
 """
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from vrlatsim import audio
 from vrlatsim.audio import AudioPathConfig
 from vrlatsim.errors import DetectionTimeoutError
+from vrlatsim.rig import ADC_SAMPLE_HZ
 
 
 @pytest.mark.parametrize("delay_ms", [0.0, 50.0, 100.0, 144.1, 168.3])
@@ -39,6 +42,32 @@ def test_silence_past_the_horizon_times_out():
     cfg = AudioPathConfig(path_delay_ms=horizon + 0.5)
     with pytest.raises(DetectionTimeoutError, match="within 10000.0 ms"):
         audio.measure_mouth_to_ear(cfg)
+
+
+def test_the_detector_polls_on_the_capture_grid():
+    # one poll per capture sample, from onset to the horizon inclusive
+    assert audio.POLL_US == 1e6 / ADC_SAMPLE_HZ == 1000.0
+    assert audio.POLLS == 10_001
+    assert audio.LAST_POLL_US == audio.DEFAULT_HORIZON_MS * 1000.0
+
+
+# poll k at k * 1000.0 us, written out in Python floats: the count is the
+# first poll at or after the arrival, and none after the last times out
+_GRID_US = [k * 1000.0 for k in range(audio.POLLS)]
+
+
+@pytest.mark.parametrize("side", [-1, 0, 1], ids=["ulp-below", "whole", "ulp-above"])
+def test_every_whole_ms_and_its_ulp_neighbours_count_as_the_grid_says(side):
+    whole = np.arange(int(audio.DEFAULT_HORIZON_MS) + 1, dtype=float)
+    delays = whole if side == 0 else np.nextafter(whole, side * np.inf)
+    for delay_ms in delays.tolist():
+        k = bisect.bisect_left(_GRID_US, delay_ms * 1000.0)
+        cfg = AudioPathConfig(path_delay_ms=delay_ms)
+        if k == len(_GRID_US):
+            with pytest.raises(DetectionTimeoutError):
+                audio.measure_mouth_to_ear(cfg)
+        else:
+            assert audio.measure_mouth_to_ear(cfg) == k, delay_ms
 
 
 def test_interval_count_is_the_ceiling_of_the_crossing():

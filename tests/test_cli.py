@@ -648,7 +648,8 @@ def test_batch_records_a_window_edge_lag_as_a_failed_run(tmp_path, capsys):
 
 @pytest.mark.parametrize("audio,key", [
     ({"path_delay_ms": 20000.0}, "audio.path_delay_ms=20000.0"),
-], ids=["delay-beyond-the-horizon"])
+    ({"path_delay_ms": 10000.000000000002}, "audio.path_delay_ms=10000.000000000002"),
+], ids=["delay-beyond-the-horizon", "delay-one-ulp-after-the-last-poll"])
 def test_undetectable_audio_is_an_invalid_scenario(tmp_path, capsys, audio, key):
     sc = scenario_mod.get_preset("audio-local")
     cfg = _config_file(tmp_path, "deaf", replace(sc, audio=replace(sc.audio, **audio)))

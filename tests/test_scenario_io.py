@@ -181,6 +181,23 @@ def test_an_audio_delay_after_the_last_poll_is_named():
                 audio_mod.measure_mouth_to_ear(sc.audio)
 
 
+@given(st.floats(min_value=0.0, max_value=2 * audio_mod.DEFAULT_HORIZON_MS))
+@example(10000.0)
+@example(float(np.nextafter(10000.0, np.inf)))
+def test_validate_refuses_an_audio_delay_exactly_when_the_count_times_out(delay_ms):
+    # the last-poll rule and the count read the same poll grid
+    sc = scenario_mod.scenario_from_flat({**scenario_mod.PRESETS["audio-local"],
+                                          "audio.path_delay_ms": delay_ms})
+    refused = [v for v in scenario_mod.validate(sc)
+               if v.startswith("audio.path_delay_ms=")]
+    try:
+        audio_mod.measure_mouth_to_ear(sc.audio)
+    except DetectionTimeoutError:
+        assert len(refused) == 1
+    else:
+        assert refused == []
+
+
 @pytest.mark.parametrize("key,value", [
     ("pipeline.refresh_hz", 1e9),
     ("pipeline_b.refresh_hz", 1e9),
