@@ -6,8 +6,10 @@ Subcommands:
   batch        repeat a scenario across seeds and summarize the spread
   export-plot  write an aligned code-vs-code table for external plotting
 
-Exit codes: 0 success, 1 invalid scenario or usage, 2 unreadable or
-malformed files, 3 simulation or estimation failure.
+Exit codes: 0 success, 1 invalid scenario or usage (a command line
+argparse refuses included), 2 unreadable or malformed files, 3 simulation
+or estimation failure.  `simulate` writes one trace per station and
+`report.txt`, which alone carries an audio run's `mouth_to_ear_ms`.
 
 `main` builds its argument parser on its first call and reuses it for
 every later call in the process; `build_parser()` returns a new parser
@@ -219,12 +221,6 @@ def cmd_simulate(args) -> int:
         path = os.path.join(args.out, f"trace_{station_id}.csv")
         tracefile.write_trace(path, result.captures[station_id])
         print(f"wrote {path}", file=sys.stderr)
-    if result.report.mouth_to_ear_ms is not None:
-        path = os.path.join(args.out, "audio_latency.txt")
-        tracefile.atomic_write_text(
-            path, f"mouth_to_ear_ms = {result.report.mouth_to_ear_ms}\n"
-        )
-        print(f"wrote {path}", file=sys.stderr)
     report_path = os.path.join(args.out, "report.txt")
     tracefile.write_report(report_path, result.report)
     print(f"wrote {report_path}", file=sys.stderr)
@@ -232,31 +228,17 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _check_trace_count(args):
-    """Reject trace paths that estimate would ignore, before reading any."""
-    allowed = 1 if args.self_check else 2
-    if len(args.traces) > allowed:
-        what = ("--self reads one trace file" if args.self_check
-                else "estimate reads one or two trace files")
-        raise UsageError(f"{what}, got {len(args.traces)}: {' '.join(args.traces)}")
-
-
 def cmd_estimate(args) -> int:
     _check_max_lag(args)
-    _check_trace_count(args)
-    if args.self_check:
-        # the reference channel against itself: anything but lag 0 at
-        # coefficient 1 means the toolchain is broken.  The display is
-        # never decoded, so a dark one cannot fail the check
-        pot = estimator.decode_pot_trace(tracefile.read_trace(args.traces[0]))
-        report = estimator.build_report(local=estimator.cross_correlate(
-            pot, pot, args.max_lag, args.allow_negative_lag))
-    else:
-        report = estimate_run(
-            (tracefile.read_trace(path) for path in args.traces),
-            max_lag_ms=args.max_lag,
-            allow_negative=args.allow_negative_lag,
-        )
+    if len(args.traces) > 2:
+        # reject the paths estimate would ignore, before reading any
+        raise UsageError(f"estimate reads one or two trace files, got "
+                         f"{len(args.traces)}: {' '.join(args.traces)}")
+    report = estimate_run(
+        (tracefile.read_trace(path) for path in args.traces),
+        max_lag_ms=args.max_lag,
+        allow_negative=args.allow_negative_lag,
+    )
     if args.out is not None:
         tracefile.write_report(args.out, report)
         print(f"wrote {args.out}", file=sys.stderr)
@@ -352,9 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one local trace, or sender trace then receiver trace")
     _add_estimation_options(p)
     p.add_argument("--out", default=None, help="also write the report here")
-    p.add_argument("--self", dest="self_check", action="store_true",
-                   help="correlate the reference channel against itself "
-                        "(expects lag 0, coefficient 1)")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("batch", help="run a scenario across consecutive seeds")
@@ -382,7 +361,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its message; --help exits 0 as it asks
+        if exc.code:
+            return 1
+        raise
     try:
         return args.func(args)
     except tuple(EXIT_CODES) as exc:

@@ -95,9 +95,10 @@ _RANGES = {
         ("display_persistence_ms", _POSITIVE), ("frame_delay_queue_len", _COUNT))},
     "sensors.rise_time_us": _NON_NEGATIVE, "sensors.pot_noise_sigma": _NON_NEGATIVE,
     "sensors.photo_noise_sigma": _NON_NEGATIVE,
-    # an infinite drift is reported as not finite only
+    # an infinite drift is reported as not finite only; no abs(), which
+    # overflows on the most negative numpy integer
     **dict.fromkeys(("clock_a.drift_ppm", "clock_b.drift_ppm"), (
-        lambda value: 1000 < abs(value) < math.inf,
+        lambda value: -math.inf < value < -1000 or 1000 < value < math.inf,
         "{key} beyond +-1000 is outside the oscillator model")),
     "net.send_rate_hz": _RATE, "net.one_way_delay_ms": _NON_NEGATIVE,
     "net.jitter_ms": _NON_NEGATIVE,

@@ -7,16 +7,23 @@ calls `np.exp` on every sample, so each test here reruns
 with NPY_DISABLE_CPU_FEATURES switching the higher levels off.  A level
 whose top feature this CPU or numpy build lacks is skipped; the test ids
 name the levels, so `pytest -v` shows which ran.
+
+A value flips on another machine only when it lies within a few ulps of
+the boundary where rounding to file precision goes up instead of down,
+so a further test keeps every golden sample well away from one.
 """
 import os
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 import vrlatsim
+from test_golden import DURATION_MS, SEEDS
+from vrlatsim import cli, netsim, rig, tracefile
 
 TESTS = pathlib.Path(__file__).resolve().parent
 # level -> the features it switches off, its top feature last
@@ -25,6 +32,9 @@ LEVELS = {
     "no-x86-v4": ("AVX512_SPR", "AVX512_ICL", "X86_V4"),
     "x86-v2": ("AVX512_SPR", "AVX512_ICL", "X86_V4", "X86_V3"),
 }
+# the closest a golden sample may lie to its rounding boundary, in ulps of
+# the sample; the closest one lay 12 404 ulps away when this was set
+MARGIN_ULPS = 64
 # the child checks that numpy took the level before it runs the tests
 _CHILD = """
 import sys
@@ -52,3 +62,26 @@ def test_the_golden_bytes_hold_at_the_dispatch_level(level):
          str(TESTS / "test_golden.py"), str(TESTS / "test_rng_stream.py")],
         cwd=TESTS.parent, env=env, capture_output=True, text=True, timeout=300)
     assert child.returncode == 0, child.stdout[-4000:] + child.stderr[-4000:]
+
+
+def test_every_golden_sample_keeps_its_margin_from_a_rounding_boundary():
+    # round(x, 6) rounds x * 1e6 to an integer, so x flips where the
+    # product's fraction is one half; measured on the captures before
+    # quantize_capture rounds them
+    scale = 10.0 ** tracefile.VALUE_DECIMALS
+    closest = []
+    for preset in cli.scenario_mod.preset_names():
+        for seed in SEEDS:
+            sc = cli.load_scenario(preset, seed=seed, duration_ms=DURATION_MS)
+            captures = (netsim.remote_capture(sc) if sc.net is not None
+                        else [rig.run_capture(sc)])
+            for capture in captures:
+                for channel in ("pot", "photo"):
+                    x = getattr(capture, channel)
+                    y = x * scale
+                    # a sample of 0 lies infinitely many ulps away
+                    with np.errstate(over="ignore"):
+                        ulps = np.abs(y - np.floor(y) - 0.5) / scale / np.spacing(x)
+                    closest.append((float(ulps.min()), preset, seed,
+                                    capture.station_id, channel))
+    assert min(closest)[0] > MARGIN_ULPS, min(closest)

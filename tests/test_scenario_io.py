@@ -603,6 +603,17 @@ def test_a_negative_amplitude_around_a_numpy_center_is_named_not_raised():
     assert scenario_mod.validate(sc) == ["motion.amplitude_deg must be positive"]
 
 
+@pytest.mark.parametrize("key", ["clock_a.drift_ppm", "clock_b.drift_ppm"])
+def test_a_numpy_drift_is_compared_at_both_ends(key, recwarn):
+    # abs(np.int64(-2**63)) overflowed back to -2**63 with a RuntimeWarning,
+    # so the +-1000 bound never fired; abs(np.int8(-128)) warned in range
+    sc = _with_key(_FULL_SCENARIO, key, np.int64(-2**63))
+    assert scenario_mod.validate(sc) == [
+        f"{key} beyond +-1000 is outside the oscillator model"]
+    assert scenario_mod.validate(_with_key(_FULL_SCENARIO, key, np.int8(-128))) == []
+    assert not recwarn.list
+
+
 @pytest.mark.parametrize("key", ["seed", "sync_lead_s", "start_utc_second",
                                  "pipeline_b.frame_delay_queue_len", "duration_ms",
                                  "net.jitter_ms"])
